@@ -455,9 +455,21 @@ class TransferMatrix:
 
 
 def transfer_matrix(a: Automaton) -> TransferMatrix:
+    """0/1 adjacency of the machine.
+
+    It counts words exactly as `count_boards` does only if at most one
+    transition joins each ordered pair of states.  A built machine satisfies
+    this (a state records the column just read, so the destination fixes
+    the symbol); a machine loaded from JSON might not, and is rejected.
+    """
     size = len(a.states)
     rows = [[0] * size for _ in range(size)]
     for src, _, dst in a.transitions:
+        if rows[src][dst]:
+            raise ValueError(
+                f"more than one transition joins state {src} to state {dst}; "
+                "a 0/1 transfer matrix would undercount"
+            )
         rows[src][dst] = 1
     def indicator(idxs: Sequence[int]) -> tuple[int, ...]:
         vec = [0] * size

@@ -1,21 +1,28 @@
 """Exact polynomial and rational-function arithmetic for the counting series.
 
 Coefficients are Python ints or Fractions, never floats.  The generating
-function of a machine is assembled from its transfer matrix T as
+function of a machine with S states and transfer matrix T is
 
     G(x) = x^2 * s (I - x^2 T)^(-1) a_even  +  x * s (I - x^2 T)^(-1) a_odd,
 
 with s the start indicator: each symbol of a word covers two columns of the
 finished board except that the final symbol of an odd-width word covers one.
-The linear systems are evaluated through fraction-free (Bareiss) determinants
-of integer polynomial matrices via the bordered-matrix identity
 
-    s M^(-1) a = -det([[M, a], [s, 0]]) / det(M),
+G is found by guess-and-certify instead of by solving that linear system.
+Integer vector iteration s T^k gives the exact counts c_0 .. c_{4S+3}, and
+Berlekamp-Massey finds the shortest linear recurrence they satisfy, i.e. a
+rational function P/Q with Q(0) != 0 whose series starts with those counts.
+By Cramer's rule both the numerator and the denominator of G have degree at
+most 2S, and its denominator det(I - x^2 T) has constant term 1.  Two such
+functions that agree on 4S+1 coefficients are equal: P1 Q2 - P2 Q1 has degree
+at most 4S and vanishes mod x^(4S+1).  So once the guess is checked to obey
+the degree bound and to reproduce every computed count, it is G.  The
+resolvent-denominator LCM is certified the same way from the entries of T^k.
 
-so no intermediate rational functions appear.  Rational functions are kept
-normalized: numerator and denominator are coprime integer polynomials with
-coprime contents and a positive leading denominator coefficient, which makes
-equality of generating functions a literal coefficient comparison.
+Rational functions are kept normalized: numerator and denominator are coprime
+integer polynomials with coprime contents and a positive leading denominator
+coefficient, which makes equality of generating functions a literal
+coefficient comparison.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .automaton import TransferMatrix
@@ -33,6 +41,7 @@ __all__ = [
     "RationalFunction",
     "Recurrence",
     "bareiss_determinant",
+    "certified_series",
     "charpoly",
     "rational_function",
     "recurrence_of",
@@ -67,7 +76,6 @@ class Polynomial:
 
     ZERO: "Polynomial"
     ONE: "Polynomial"
-    X: "Polynomial"
 
     @property
     def degree(self) -> int:
@@ -149,17 +157,6 @@ class Polynomial:
             value = value * x + c
         return value
 
-    def substitute_x_squared(self) -> "Polynomial":
-        """p(x) -> p(x^2)."""
-        out = [0] * (2 * len(self.coeffs))
-        for i, c in enumerate(self.coeffs):
-            out[2 * i] = c
-        return Polynomial(out)
-
-    def shift_up(self, k: int) -> "Polynomial":
-        """Multiply by x^k."""
-        return Polynomial((0,) * k + self.coeffs)
-
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
@@ -215,7 +212,6 @@ class Polynomial:
 
 Polynomial.ZERO = Polynomial()
 Polynomial.ONE = Polynomial([1])
-Polynomial.X = Polynomial([0, 1])
 
 
 def product(polys: Iterable[Polynomial]) -> Polynomial:
@@ -306,28 +302,102 @@ def rational_function(numerator: Polynomial, denominator: Polynomial) -> Rationa
     return RationalFunction(num_final, den_final)
 
 
-def _identity_minus(matrix: Sequence[Sequence[int]], variable: Polynomial) -> list[list[Polynomial]]:
-    size = len(matrix)
-    return [
-        [
-            (Polynomial.ONE if i == j else Polynomial.ZERO)
-            - Polynomial([0, matrix[i][j]])
-            for j in range(size)
-        ]
-        for i in range(size)
+def _berlekamp_massey(terms: Sequence[int]) -> tuple[list[int], int]:
+    """Shortest linear recurrence of `terms`: (connection polynomial, length).
+
+    Massey's algorithm over the rationals, kept fraction-free: each update
+    b*C - d*x^shift*B is scaled by the previous discrepancy b instead of
+    dividing by it, and the common content is divided out, which changes C
+    only by a rational factor.  The result C has integer coefficients and
+    C[0] != 0, and sum_i C[i] * terms[n - i] == 0 for length <= n < len(terms).
+    """
+    conn, prev = [1], [1]
+    length, shift, prev_disc = 0, 1, 1
+    for n, term in enumerate(terms):
+        disc = conn[0] * term
+        for i in range(1, min(len(conn), n + 1)):
+            disc += conn[i] * terms[n - i]
+        if disc == 0:
+            shift += 1
+            continue
+        new = [prev_disc * c for c in conn]
+        new += [0] * (len(prev) + shift - len(new))
+        for i, b in enumerate(prev):
+            new[i + shift] -= disc * b
+        content = 0
+        for c in new:
+            content = int_gcd(content, c)
+        new = [c // content for c in new]
+        if 2 * length <= n:
+            prev, prev_disc, length, shift = conn, disc, n + 1 - length, 1
+        else:
+            shift += 1
+        conn = new
+    return conn, length
+
+
+def certified_series(terms: Sequence[int], degree_bound: int) -> tuple[Polynomial, Polynomial]:
+    """The unique (P, Q) with deg P, deg Q <= degree_bound and Q(0) != 0
+    whose power series P/Q begins with `terms`.
+
+    Uniqueness is what makes the guess a proof: if the true function also
+    obeys the bound, the two agree on 2*degree_bound + 1 coefficients and so
+    coincide.  Raises ValueError when fewer terms are given, and
+    ArithmeticError when the shortest fit exceeds the bound; given at least
+    2*degree_bound + 2 terms, that means no function within the bound fits.
+    P/Q is in lowest terms up to a rational factor (a shorter recurrence
+    would exist otherwise) but is not normalized.
+    """
+    if degree_bound < 0 or len(terms) < 2 * degree_bound + 1:
+        raise ValueError(
+            f"certifying degree <= {degree_bound} needs {2 * degree_bound + 1} "
+            f"terms, got {len(terms)}"
+        )
+    conn, length = _berlekamp_massey(terms)
+    den = Polynomial(conn)
+    convolved = [
+        sum(conn[i] * terms[n - i] for i in range(min(len(conn), n + 1)))
+        for n in range(len(terms))
     ]
-
-
-def _walk_series(matrix: Sequence[Sequence[int]], start: Sequence[int],
-                 accept: Sequence[int]) -> tuple[Polynomial, Polynomial]:
-    """(numerator, denominator) of s (I - yT)^(-1) a as integer polynomials."""
-    size = len(matrix)
-    base = _identity_minus(matrix, Polynomial.X)
-    bordered = [row + [Polynomial([accept[i]])] for i, row in enumerate(base)]
-    bordered.append([Polynomial([s]) for s in start] + [Polynomial.ZERO])
-    num = -bareiss_determinant(bordered)
-    den = bareiss_determinant(base)
+    num = Polynomial(convolved[:length])
+    if num.degree > degree_bound or den.degree > degree_bound:
+        raise ArithmeticError(
+            f"shortest rational fit of the terms exceeds degree {degree_bound}: "
+            f"numerator degree {num.degree}, denominator degree {den.degree}"
+        )
+    if any(convolved[length:]):
+        raise ArithmeticError("guessed rational function does not reproduce the terms")
     return num, den
+
+
+def _sparse_rows(matrix: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:
+    return [[(j, w) for j, w in enumerate(row) if w] for row in matrix]
+
+
+def _step(vec: list[int], rows: list[list[tuple[int, int]]]) -> list[int]:
+    """Row vector times matrix, over the nonzero entries."""
+    out = [0] * len(vec)
+    for i, v in enumerate(vec):
+        if v:
+            for j, w in rows[i]:
+                out[j] += v * w
+    return out
+
+
+def _board_counts(T: TransferMatrix, count: int) -> list[int]:
+    """Coefficients c_0 .. c_{count-1} of the machine gf, by vector iteration.
+
+    With v = s T^(k-1), width 2k-1 is counted by v . a_odd and width 2k by
+    v . a_even; width 0 has no word.
+    """
+    rows = _sparse_rows(T.entries)
+    vec = list(T.start_vector)
+    out = [0]
+    while len(out) < count:
+        out.append(sum(v * a for v, a in zip(vec, T.accept_odd_vector)))
+        out.append(sum(v * a for v, a in zip(vec, T.accept_even_vector)))
+        vec = _step(vec, rows)
+    return out[:count]
 
 
 def resolvent_sum(T: TransferMatrix) -> RationalFunction:
@@ -335,13 +405,12 @@ def resolvent_sum(T: TransferMatrix) -> RationalFunction:
 
     A word of k symbols encodes a board of width 2k (counted by the even
     accept vector, weight x^2 per symbol) or width 2k-1 (odd accept vector,
-    where the middle column contributes a single x).
+    where the middle column contributes a single x).  Guessed from 4S+4
+    counts and certified by the degree bound 2S; see the module docstring.
     """
-    even_num, den = _walk_series(T.entries, T.start_vector, T.accept_even_vector)
-    odd_num, den_odd = _walk_series(T.entries, T.start_vector, T.accept_odd_vector)
-    assert den == den_odd
-    numerator = even_num.substitute_x_squared().shift_up(2) + odd_num.substitute_x_squared().shift_up(1)
-    return rational_function(numerator, den.substitute_x_squared())
+    bound = 2 * T.order
+    num, den = certified_series(_board_counts(T, 2 * bound + 4), bound)
+    return rational_function(num, den)
 
 
 def generating_function(automaton) -> RationalFunction:
@@ -357,27 +426,26 @@ def generating_function(automaton) -> RationalFunction:
 def resolvent_denominator_lcm(T: TransferMatrix) -> Polynomial:
     """LCM of the reduced entry denominators of (I - xT)^(-1).
 
-    Entry (i, j) is cofactor_ji / det, so the LCM over all entries is
-    det / gcd(det, gcd of all cofactors), as a primitive positive-lead
+    Entry (i, j) is sum_k (T^k)_ij x^k, a rational function whose numerator
+    has degree <= S-1 and denominator degree <= S; its reduced denominator
+    is certified from k = 0..2S.  Returned as a primitive positive-lead
     integer polynomial.
     """
-    base = _identity_minus(T.entries, Polynomial.X)
-    size = len(base)
-    det = bareiss_determinant(base)
-    minors_gcd = Polynomial.ZERO
+    size = T.order
+    rows = _sparse_rows(T.entries)
+    sequences: set[tuple[int, ...]] = set()
     for i in range(size):
-        for j in range(size):
-            minor = [
-                [base[r][c] for c in range(size) if c != j]
-                for r in range(size) if r != i
-            ]
-            minors_gcd = minors_gcd.gcd(bareiss_determinant(minor))
-            if minors_gcd == Polynomial.ONE:
-                break
-        if minors_gcd == Polynomial.ONE:
-            break
-    lcm = det.divexact(det.gcd(minors_gcd)) if not minors_gcd.is_zero() else det
-    return lcm.primitive()[1]
+        vec = [int(j == i) for j in range(size)]
+        powers = [vec]
+        for _ in range(2 * size):
+            vec = _step(vec, rows)
+            powers.append(vec)
+        sequences.update(zip(*powers))
+    lcm = Polynomial.ONE
+    for seq in sequences:
+        den = certified_series(seq, size)[1]
+        lcm = (lcm * den.divexact(lcm.gcd(den))).primitive()[1]
+    return lcm
 
 
 def charpoly(matrix: Sequence[Sequence[int]]) -> Polynomial:
@@ -396,24 +464,32 @@ def charpoly(matrix: Sequence[Sequence[int]]) -> Polynomial:
 def series_terms(G: RationalFunction, count: int) -> list[int]:
     """Exact coefficients c_1..c_count of the power series of G.
 
-    Runs the linear recurrence given by the denominator; requires a nonzero
-    constant term.  Non-integer coefficients mean a corrupted input and raise
-    ArithmeticError rather than rounding.
+    Runs the linear recurrence given by the denominator in integers;
+    requires a nonzero constant term.  Non-integer coefficients mean a
+    corrupted input and raise ArithmeticError rather than rounding.  A
+    fractional c_0 = a/b is allowed: the recurrence then runs on b*c_n.
     """
     num, den = G.numerator.coeffs, G.denominator.coeffs
     if not den or den[0] == 0:
         raise ValueError("denominator must have a nonzero constant term")
-    terms: list[Fraction] = []
-    for n in range(count + 1):
-        value = Fraction(num[n] if n < len(num) else 0)
-        for k in range(1, min(n, len(den) - 1) + 1):
-            value -= den[k] * terms[n - k]
-        terms.append(value / den[0])
+    c0 = Fraction(num[0] if num else 0, den[0])
+    scale = c0.denominator
+    divisor = scale * den[0]
+    tail = den[1:]
+    scaled = [c0.numerator]  # scale * c_n
     out = []
-    for n, value in enumerate(terms[1:], start=1):
-        if value.denominator != 1:
-            raise ArithmeticError(f"coefficient {n} is not an integer: {value}")
-        out.append(int(value))
+    for n in range(1, count + 1):
+        k = min(n, len(tail))
+        acc = scale * (num[n] if n < len(num) else 0) - sum(
+            map(mul, tail[:k], reversed(scaled[n - k : n]))
+        )
+        value, rem = divmod(acc, divisor)
+        if rem:
+            raise ArithmeticError(
+                f"coefficient {n} is not an integer: {Fraction(acc, divisor)}"
+            )
+        out.append(value)
+        scaled.append(scale * value)
     return out
 
 

@@ -270,3 +270,33 @@ class TestSerializationExports:
         nodes = [line for line in dot.splitlines() if "[label=" in line and "->" not in line]
         assert len(nodes) == 9
         assert dot.count("palegreen") == 3  # accept both parities
+
+
+class TestTransferMatrixInvariant:
+    # one state per column of a 1-row board; both symbols lead from state 0 to state 1
+    PARALLEL_EDGES_JSON = """{
+      "m": 1, "mode": "general", "divisor": 1,
+      "alphabet": [[0], [1]],
+      "states": [
+        {"column": [0], "profile": {"zero": [[0]], "one": []}},
+        {"column": [1], "profile": {"zero": [], "one": [[0]]}}
+      ],
+      "start": [0],
+      "edges": [[0, 0, 1], [0, 1, 1]],
+      "accept_even": [1],
+      "accept_odd": []
+    }"""
+
+    def test_parallel_edges_rejected(self):
+        machine = automaton_from_json(self.PARALLEL_EDGES_JSON)
+        assert machine.count_boards(4) == 2  # the 0/1 matrix would say 1
+        with pytest.raises(ValueError, match="more than one transition joins state 0 to state 1"):
+            transfer_matrix(machine)
+
+    @pytest.mark.parametrize("m", [None, 1, 2, 3, 4], ids=lambda m: f"general{m}" if m else "canonical4")
+    def test_count_boards_equals_gf_terms(self, m):
+        from gridcuts.series import generating_function, series_terms
+
+        machine = build_general(m) if m else build_canonical(4)
+        terms = series_terms(generating_function(machine), 20)
+        assert [machine.count_boards(n) for n in range(1, 21)] == terms

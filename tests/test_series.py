@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gridcuts import oracle
 from gridcuts.automaton import TransferMatrix, build_canonical, build_general, transfer_matrix
@@ -13,6 +15,7 @@ from gridcuts.reference import (
 from gridcuts.series import (
     Polynomial,
     bareiss_determinant,
+    certified_series,
     charpoly,
     generating_function,
     product,
@@ -23,9 +26,6 @@ from gridcuts.series import (
     series_terms,
     series_terms_longdiv,
 )
-
-X = Polynomial.X
-
 
 @pytest.fixture(scope="module")
 def machine_gf():
@@ -66,9 +66,6 @@ class TestPolynomialArithmetic:
 
     def test_evaluate(self):
         assert poly(-1, 0, 3, 0, 1)(Fraction(1, 2)) == Fraction(-1) + Fraction(3, 4) + Fraction(1, 16)
-
-    def test_substitute_x_squared(self):
-        assert poly(1, 2, 3).substitute_x_squared() == poly(1, 0, 2, 0, 3)
 
     def test_primitive(self):
         content, prim = poly(Fraction(2, 3), Fraction(4, 3)).primitive()
@@ -141,6 +138,133 @@ class TestResolvent:
         assert resolvent_denominator_lcm(T) == expected
 
 
+# Answers of the retired Bareiss path (bordered-matrix determinants for the gf,
+# 81 cofactor minors for the LCM), recorded before it was removed.
+BAREISS_GF = {
+    "canonical4": (
+        [0, 1, 1, -5, 2, 3, -7, 8, -4, 2],
+        [1, -2, -4, 10, -1, -8, 9, -10, 6, -2, 1],
+    ),
+    "general1": ([0, 0, -1], [-1, 0, 1]),
+    "general2": ([0, 1], [1, -2, 1]),
+    "general3": ([0, 0, -3, 0, 3, 0, -2], [-1, 0, 4, 0, -5, 0, 2]),
+    "general4": (
+        [0, 1, 2, -3, -2, -2, 2, 3, 0, 1],
+        [1, -2, -4, 10, -1, -8, 9, -10, 6, -2, 1],
+    ),
+    "general5": (
+        [0, 0, -5, 0, 41, 0, -129, 0, 191, 0, -115, 0, 8, 0, -43, 0, 47, 0, 97,
+         0, -75, 0, -61, 0, -8],
+        [-1, 0, 16, 0, -98, 0, 296, 0, -478, 0, 387, 0, -65, 0, -152, 0, 134,
+         0, -20, 0, -26, 0, 5, 0, 2],
+    ),
+}
+BAREISS_LCM = {
+    "canonical4": [1, -8, 23, -30, 18, 0, -7, 2, 1],
+    "general3": [-1, 4, -5, 2],
+    "general4": [1, -8, 23, -30, 18, 0, -7, 2, 1],
+}
+
+
+def _machine(name):
+    if name == "canonical4":
+        return build_canonical(4)
+    return build_general(int(name.removeprefix("general")))
+
+
+class TestRetiredPathAnswers:
+    @pytest.mark.parametrize("name", sorted(BAREISS_GF))
+    def test_gf(self, name):
+        gf = generating_function(_machine(name))
+        assert (list(gf.numerator.coeffs), list(gf.denominator.coeffs)) == BAREISS_GF[name]
+
+    @pytest.mark.parametrize("name", sorted(BAREISS_LCM))
+    def test_lcm(self, name):
+        lcm = resolvent_denominator_lcm(transfer_matrix(_machine(name)))
+        assert list(lcm.coeffs) == BAREISS_LCM[name]
+
+
+def _bordered_bareiss_gf(T):
+    """Independent reference: with M = I - x^2 T,
+    s M^(-1) a = -det([[M, a], [s, 0]]) / det(M)."""
+    size = T.order
+    base = [
+        [Polynomial([int(i == j), 0, -T.entries[i][j]]) for j in range(size)]
+        for i in range(size)
+    ]
+
+    def walk(accept):
+        bordered = [row + [Polynomial([accept[i]])] for i, row in enumerate(base)]
+        bordered.append([Polynomial([v]) for v in T.start_vector] + [Polynomial.ZERO])
+        return -bareiss_determinant(bordered)
+
+    num = poly(0, 0, 1) * walk(T.accept_even_vector) + poly(0, 1) * walk(T.accept_odd_vector)
+    return rational_function(num, bareiss_determinant(base))
+
+
+def _direct_counts(T, count):
+    """c_1..c_count by explicit row-vector times matrix products."""
+    size = T.order
+    vec = list(T.start_vector)
+    out = []
+    for n in range(1, count + 1):
+        accept = T.accept_odd_vector if n % 2 else T.accept_even_vector
+        out.append(sum(vec[i] * accept[i] for i in range(size)))
+        if n % 2 == 0:
+            vec = [sum(vec[i] * T.entries[i][j] for i in range(size)) for j in range(size)]
+    return out
+
+
+def _indicator(size):
+    return st.tuples(*([st.integers(0, 1)] * size))
+
+
+transfer_matrices = st.integers(0, 6).flatmap(
+    lambda size: st.builds(
+        TransferMatrix,
+        entries=st.tuples(*([_indicator(size)] * size)),
+        start_vector=_indicator(size),
+        accept_even_vector=_indicator(size),
+        accept_odd_vector=_indicator(size),
+    )
+)
+
+
+class TestGuessAndCertify:
+    @given(transfer_matrices)
+    def test_matches_bordered_bareiss(self, T):
+        assert resolvent_sum(T) == _bordered_bareiss_gf(T)
+
+    @given(transfer_matrices)
+    def test_series_terms_match_vector_iteration(self, T):
+        assert series_terms(resolvent_sum(T), 40) == _direct_counts(T, 40)
+
+    def test_empty_machine(self):
+        T = TransferMatrix(entries=(), start_vector=(), accept_even_vector=(), accept_odd_vector=())
+        gf = resolvent_sum(T)
+        assert gf.numerator == Polynomial.ZERO and gf.denominator == Polynomial.ONE
+        assert resolvent_denominator_lcm(T) == Polynomial.ONE
+
+    def test_recovers_known_function(self):
+        terms = [1, 1, 2, 3, 5, 8, 13]
+        num, den = certified_series(terms, 2)
+        assert rational_function(num, den) == rational_function(poly(1), poly(1, -1, -1))
+
+    def test_term_budget_below_bound_raises(self, machine_gf):
+        S = 9  # canonical states
+        terms = [0] + series_terms(machine_gf, 4 * S)
+        certified_series(terms, 2 * S)
+        with pytest.raises(ValueError):
+            certified_series(terms[:-1], 2 * S)
+
+    def test_guess_above_degree_bound_raises(self):
+        # 1/(1-x)^5 needs a degree-5 denominator
+        terms = [1, 5, 15, 35, 70, 126, 210, 330, 495, 715, 1001, 1365]
+        assert certified_series(terms, 5)[1].degree == 5
+        with pytest.raises(ArithmeticError):
+            certified_series(terms, 4)
+
+
 class TestSeriesTerms:
     def test_thirty_reference_terms(self, machine_gf):
         assert tuple(series_terms(machine_gf, 30)) == REFERENCE_TERMS
@@ -164,6 +288,20 @@ class TestSeriesTerms:
         half = rational_function(poly(1), poly(2, -2))
         with pytest.raises(ArithmeticError):
             series_terms(half, 3)
+
+    def test_non_integer_message_names_first_bad_coefficient(self):
+        # (3 + x)/(3 + 2x): c_0 = 1, c_1 = -1/3
+        gf = rational_function(poly(3, 1), poly(3, 2))
+        with pytest.raises(ArithmeticError, match=r"^coefficient 1 is not an integer: -1/3$"):
+            series_terms(gf, 5)
+
+    def test_fractional_constant_term_is_dropped(self):
+        # (1 + 2x)/2: c_0 = 1/2 is not reported, c_1 = 1
+        assert series_terms(rational_function(poly(1, 2), poly(2)), 4) == [1, 0, 0, 0]
+
+    def test_fractional_constant_term_feeds_recurrence(self):
+        # (1 + x)/(2 - 2x): c_0 = 1/2, then c_n = 1 for n >= 1
+        assert series_terms(rational_function(poly(1, 1), poly(2, -2)), 5) == [1] * 5
 
 
 class TestNormalization:
