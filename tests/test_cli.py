@@ -43,6 +43,12 @@ class TestCount:
         assert code == 2
         assert "budget" in err
 
+    def test_board_too_big_for_bitboard(self, capsys):
+        code, out, err = run_cli(capsys, "count", "--m", "6", "--n", "11", "--budget", "100000000000")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "64" in err
+
     def test_budget_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("GRIDCUTS_BUDGET", "16")
         code, _, err = run_cli(capsys, "count", "--n", "4")

@@ -1,7 +1,18 @@
+import hashlib
+import itertools
+import warnings
+
 import pytest
 
 from gridcuts import oracle
-from gridcuts.board import Board, ColumnPattern, complete_board, is_canonical, is_graham
+from gridcuts.board import (
+    Board,
+    CanonicalConventionWarning,
+    ColumnPattern,
+    complete_board,
+    is_canonical,
+    is_graham,
+)
 from gridcuts.oracle import BudgetError, board_from_int, board_to_int
 from gridcuts.reference import GALLERY_4X6, REFERENCE_TERMS
 
@@ -113,6 +124,15 @@ class TestCountReport:
         duo = oracle.count_report(4, 6, workers=2, use_cache=False)
         assert (solo.canonical, solo.cuts, solo.orbits) == (duo.canonical, duo.cuts, duo.orbits)
 
+    def test_elapsed_ms_times_this_call(self, monkeypatch):
+        oracle.count_report(4, 5)
+        ticks = itertools.count()
+        monkeypatch.setattr(oracle.time, "perf_counter", lambda: next(ticks) * 0.25)
+        # a cache hit reads the clock twice: this call's start and end only
+        assert oracle.count_report(4, 5).elapsed_ms == 250.0
+        # a fresh sweep is part of this call's work
+        assert oracle.count_report(4, 5, use_cache=False).elapsed_ms == 750.0
+
     def test_json_shape(self):
         data = oracle.count_report(4, 2).to_json_dict()
         assert set(data) == {"m", "n", "canonical", "cuts", "orbits", "elapsed_ms"}
@@ -124,11 +144,14 @@ class TestCountReport:
 class TestSweepAgainstPurePython:
     """The numpy sweep must agree with the plain flood-fill path."""
 
-    @pytest.mark.parametrize("m,n", [(2, 3), (3, 4), (4, 3), (4, 4), (5, 2)])
+    @pytest.mark.parametrize("m,n", [
+        (1, 4), (1, 5), (2, 3), (2, 5), (2, 6), (3, 4), (4, 3), (4, 4), (4, 5),
+        (5, 2), (6, 2), (6, 3),
+    ])
     def test_counts_match(self, m, n):
         from itertools import product
 
-        valid = 0
+        graham, canonical = [], []
         k = (n + 1) // 2
         for values in product(range(1 << m), repeat=k):
             left = tuple(ColumnPattern.decode(m, v) for v in values)
@@ -137,12 +160,43 @@ class TestSweepAgainstPurePython:
             except ValueError:
                 continue
             if is_graham(board):
-                valid += 1
-        assert len(oracle.sweep(m, n).graham) == valid
+                graham.append(board_to_int(board))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", CanonicalConventionWarning)
+                    if is_canonical(board):
+                        canonical.append(board_to_int(board))
+        result = oracle.sweep(m, n)
+        assert result.graham == tuple(sorted(graham))
+        assert result.canonical == tuple(sorted(canonical))
 
     def test_every_swept_board_is_graham(self):
         for value in oracle.sweep(4, 5).graham:
             assert is_graham(board_from_int(4, 5, value))
+
+    def test_workers_do_not_change_odd_width_sweep(self):
+        solo = oracle.sweep(4, 7, use_cache=False)
+        duo = oracle.sweep(4, 7, workers=2, use_cache=False)
+        assert (solo.graham, solo.canonical) == (duo.graham, duo.canonical)
+
+    def test_too_many_cells_rejected(self):
+        with pytest.raises(ValueError, match="64"):
+            oracle.sweep(6, 11, budget=1 << 40)
+
+
+# SHA-256 of ",".join(map(str, sweep(m, n).graham)), computed with the sweep
+# that filtered all 2^(m*ceil(n/2)) left halves and flood-filled every one
+GRAHAM_SHA256 = {
+    (4, 10): "00d6b95831191db401add121d1a04dbad4f1fd94a2ac46ad212d2623309b3aa2",
+    (4, 11): "13a274ba179b39b9113ab67e9a449889f3573403cce709f75e7965027526ba73",
+    (6, 7): "90188fd5609f4865ed60b47e1ea0ee22d05dfce3353985e20af810e2fa9451ca",
+}
+
+
+class TestFullSweepAnswers:
+    @pytest.mark.parametrize("shape", sorted(GRAHAM_SHA256))
+    def test_graham_digest(self, shape):
+        graham = oracle.sweep(*shape).graham
+        assert hashlib.sha256(",".join(map(str, graham)).encode()).hexdigest() == GRAHAM_SHA256[shape]
 
 
 class TestDelahaye:
