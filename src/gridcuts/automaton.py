@@ -24,13 +24,13 @@ one canonical board.  The general machine uses all 2^m columns and every
 column as a start, so each cut is accepted twice, once per labelling
 (divisor 2).  After construction, states from which no accepting state is
 reachable are trimmed; this never removes a state that lies on some
-accepting path.
+accepting path.  `live_words` is the one walk over a built machine: it
+yields every word not yet rejected, with its state, shortest first.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -46,10 +46,10 @@ __all__ = [
     "acceptance",
     "accepted_words",
     "always_rejected_columns",
-    "automaton_from_dot",
     "automaton_from_json",
     "build_canonical",
     "build_general",
+    "live_words",
     "permutation_similarity_witness",
     "start_state",
     "step_state",
@@ -75,16 +75,14 @@ class ConnectivityProfile:
     """Partition of one column's cells into live components, per label.
 
     Blocks hold row indices; every cell of the column sits in exactly one
-    block of its label's partition.  `dead` marks the reject sink; it never
-    appears in a built machine (rejection is immediate).
+    block of its label's partition.
     """
 
     zero_blocks: Blocks
     one_blocks: Blocks
-    dead: bool = False
 
     def sort_key(self) -> tuple:
-        return (self.zero_blocks, self.one_blocks, self.dead)
+        return (self.zero_blocks, self.one_blocks)
 
 
 @dataclass(frozen=True)
@@ -241,56 +239,6 @@ class Automaton:
     def _edge_map(self) -> dict[tuple[int, int], int]:
         return {(src, sym): dst for src, sym, dst in self.transitions}
 
-    @cached_property
-    def _alphabet_set(self) -> frozenset[ColumnPattern]:
-        return frozenset(self.alphabet)
-
-    @cached_property
-    def _state_index(self) -> dict[State, int]:
-        return {state: idx for idx, state in enumerate(self.states)}
-
-    def step(self, state: State, col: ColumnPattern) -> State | None:
-        """One transition; None when the word can no longer be completed.
-
-        Uses the trimmed transition table, so this also returns None for
-        moves whose profile survives but can never reach acceptance (the raw
-        profile update is `step_state`).
-        """
-        if col not in self._alphabet_set:
-            raise ValueError(f"column {col} is not in the machine's alphabet")
-        src = self._state_index.get(state)
-        if src is None:
-            return step_state(state, col)
-        dst = self._edge_map.get((src, col.encode()))
-        return None if dst is None else self.states[dst]
-
-    def run(self, word: Sequence[ColumnPattern]) -> State | None:
-        """Final state after a non-empty word, or None once rejected."""
-        if not word:
-            raise ValueError("empty word")
-        for col in word:
-            if col not in self._alphabet_set:
-                raise ValueError(f"column {col} is not in the machine's alphabet")
-        state = start_state(word[0])
-        idx = self._state_index.get(state)
-        if idx is None or idx not in self.start:
-            return None
-        for col in word[1:]:
-            state = self.step(state, col)
-            if state is None:
-                return None
-        return state
-
-    def accepts(self, word: Sequence[ColumnPattern], n: int) -> bool:
-        """Does the word encode a valid board of width n?"""
-        if len(word) != (n + 1) // 2:
-            return False
-        state = self.run(word)
-        if state is None:
-            return False
-        even, odd = acceptance(state)
-        return even if n % 2 == 0 else odd
-
     def count_boards(self, n: int) -> int:
         """Number of width-n boards this machine accepts, over its divisor."""
         if n <= 0:
@@ -410,31 +358,37 @@ def build_general(m: int, *, state_cap: int = DEFAULT_STATE_CAP) -> Automaton:
     return _build(m, "general", alphabet, alphabet, 2, state_cap)
 
 
+def live_words(a: Automaton, upto: int) -> Iterator[tuple[tuple[ColumnPattern, ...], int]]:
+    """Every word of length 1..upto the machine has not rejected, with the
+    index of the state it ends in; shorter words first, each length in
+    alphabet order."""
+    start_index = {a.states[i]: i for i in a.start}
+    edges = a._edge_map
+    frontier = []
+    for col in a.alphabet:
+        idx = start_index.get(start_state(col))
+        if idx is not None:
+            frontier.append(((col,), idx))
+    for length in range(1, upto + 1):
+        if length > 1:
+            frontier = [
+                (word + (col,), edges[(idx, col.encode())])
+                for word, idx in frontier
+                for col in a.alphabet
+                if (idx, col.encode()) in edges
+            ]
+        yield from frontier
+
+
 def accepted_words(a: Automaton, length: int, parity: str) -> list[tuple[ColumnPattern, ...]]:
     """All accepted words of the given length ('even' or 'odd' width)."""
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
     accept = set(a.accept_even if parity == "even" else a.accept_odd)
-    start_states = {a.states[i]: i for i in a.start}
-    out: list[tuple[ColumnPattern, ...]] = []
-    edge_map = a._edge_map
-
-    def extend(idx: int, word: tuple[ColumnPattern, ...]) -> None:
-        if len(word) == length:
-            if idx in accept:
-                out.append(word)
-            return
-        for col in a.alphabet:
-            dst = edge_map.get((idx, col.encode()))
-            if dst is not None:
-                extend(dst, word + (col,))
-
-    for col in a.alphabet:
-        state = start_state(col)
-        if state in start_states:
-            extend(start_states[state], (col,))
-    out.sort(key=lambda w: tuple(c.encode() for c in w))
-    return out
+    return sorted(
+        (word for word, idx in live_words(a, length) if len(word) == length and idx in accept),
+        key=lambda w: tuple(c.encode() for c in w),
+    )
 
 
 # -- transfer matrix ---------------------------------------------------------
@@ -611,7 +565,8 @@ def automaton_from_json(text: str) -> Automaton:
 
 def to_dot(a: Automaton) -> str:
     """Graphviz rendering: rectangles start, green always-accepts, purple
-    accepts on even widths only.  Metadata comments keep it loadable."""
+    accepts on even widths only, khaki odd widths only.  The comments record
+    the mode and alphabet for a human reader."""
     alphabet = ",".join(str(c) for c in a.alphabet)
     lines = [
         "digraph cuts {",
@@ -641,57 +596,3 @@ def to_dot(a: Automaton) -> str:
         lines.append(f'  s{src} -> s{dst} [label="{sym_col}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-_DOT_META_RE = re.compile(r"//\s*mode=(\w+)\s+m=(\d+)\s+divisor=(\d+)")
-_DOT_ALPHABET_RE = re.compile(r"//\s*alphabet=([01,]+)")
-_DOT_NODE_RE = re.compile(
-    r's(\d+) \[label="([01]+)\\n\[([0-9;]*)\]", shape=(\w+), fillcolor=(\w+)\]'
-)
-_DOT_EDGE_RE = re.compile(r's(\d+) -> s(\d+) \[label="([01]+)"\]')
-
-
-def automaton_from_dot(text: str) -> Automaton:
-    """Rebuild a machine from DOT produced by to_dot."""
-    meta = _DOT_META_RE.search(text)
-    alpha = _DOT_ALPHABET_RE.search(text)
-    if meta is None or alpha is None:
-        raise ValueError("not a machine rendering produced by to_dot")
-    mode, m, divisor = meta.group(1), int(meta.group(2)), int(meta.group(3))
-    alphabet = tuple(
-        ColumnPattern(tuple(int(b) for b in word)) for word in alpha.group(1).split(",")
-    )
-
-    states: dict[int, State] = {}
-    start, accept_even, accept_odd = [], [], []
-    for idx_str, col_str, profile_str, shape, fill in _DOT_NODE_RE.findall(text):
-        idx = int(idx_str)
-        col = ColumnPattern(tuple(int(b) for b in col_str))
-        blocks = [tuple(int(ch) for ch in part) for part in profile_str.split(";") if part]
-        labelled = [(col.bits[rows[0]], rows) for rows in blocks]
-        states[idx] = State(col, _profile_from_blocks(labelled))
-        if shape == "box":
-            start.append(idx)
-        if fill in ("palegreen", "plum"):
-            accept_even.append(idx)
-        if fill in ("palegreen", "khaki"):
-            accept_odd.append(idx)
-
-    transitions = tuple(
-        sorted(
-            (int(src), ColumnPattern(tuple(int(b) for b in sym)).encode(), int(dst))
-            for src, dst, sym in _DOT_EDGE_RE.findall(text)
-        )
-    )
-    ordered = tuple(states[i] for i in range(len(states)))
-    return Automaton(
-        m=m,
-        mode=mode,
-        divisor=divisor,
-        alphabet=alphabet,
-        states=ordered,
-        start=tuple(sorted(start)),
-        transitions=transitions,
-        accept_even=tuple(sorted(accept_even)),
-        accept_odd=tuple(sorted(accept_odd)),
-    )

@@ -15,7 +15,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import oracle, reference, verify
@@ -39,21 +38,11 @@ EXIT_VERIFY_FAILED = 1
 EXIT_RESOURCE = 2
 
 
-@dataclass
-class RunConfig:
-    """One parsed invocation; validated before any computation starts."""
-
-    command: str
-    m: int = 4
-    n_values: tuple[int, ...] = ()
-    limit: int = 30
-    mode: str = "canonical"
-    fmt: str = "text"
-    budget: int | None = None
-    workers: int = 1
-    out: str | None = None
-    timings: bool = False
-    only: tuple[str, ...] | None = None
+# every subcommand's namespace carries every field, so commands read args.X freely
+_DEFAULTS = {
+    "m": 4, "n": None, "limit": 30, "mode": "canonical", "fmt": "text",
+    "budget": None, "workers": 1, "out": None, "timings": False, "only": None,
+}
 
 
 _FORMATS = {
@@ -70,16 +59,16 @@ _FORMATS = {
 }
 
 
-def _parse_n_values(value: str) -> tuple[int, ...]:
+def _parse_n_values(value: str) -> range:
     text = value.strip()
     matched = re.fullmatch(r"(\d+)-(\d+)", text)
     if matched:
         lo, hi = int(matched.group(1)), int(matched.group(2))
         if hi < lo:
             raise ValueError(f"empty width range {value!r}")
-        return tuple(range(lo, hi + 1))
+        return range(lo, hi + 1)
     if re.fullmatch(r"\d+", text):
-        return (int(text),)
+        return range(int(text), int(text) + 1)
     raise ValueError(f"bad width {value!r}; use a number or a range like 1-12")
 
 
@@ -92,192 +81,178 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", dest="fmt", default="text",
-                       choices=sorted(_FORMATS[name]))
-        p.add_argument("--out", default=None, help="write output to this path")
+        p.set_defaults(**_DEFAULTS)  # also the default of each option added below
+        p.add_argument("--format", dest="fmt", choices=sorted(_FORMATS[name]))
+        p.add_argument("--out", help="write output to this path")
         return p
 
     p = add("count", "count boards of the given width(s) by exhaustive sweep")
-    p.add_argument("--m", type=int, default=4)
+    p.add_argument("--m", type=int)
     p.add_argument("--n", required=True, help="width, or inclusive range like 1-12")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--budget", type=int)
+    p.add_argument("--workers", type=int)
     p.add_argument("--timings", action="store_true")
 
     p = add("enumerate", "list every canonical board of one width")
-    p.add_argument("--m", type=int, default=4)
+    p.add_argument("--m", type=int)
     p.add_argument("--n", required=True)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--budget", type=int)
+    p.add_argument("--workers", type=int)
 
     p = add("gf", "print the generating function of the chosen machine")
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--mode", default="canonical", choices=("canonical", "general"))
+    p.add_argument("--m", type=int)
+    p.add_argument("--mode", choices=("canonical", "general"))
 
     p = add("terms", "series terms of the canonical generating function")
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--mode", default="canonical", choices=("canonical", "general"))
-    p.add_argument("--limit", type=int, default=30)
+    p.add_argument("--m", type=int)
+    p.add_argument("--mode", choices=("canonical", "general"))
+    p.add_argument("--limit", type=int)
 
     p = add("recurrence", "linear recurrence satisfied by the terms")
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--mode", default="canonical", choices=("canonical", "general"))
+    p.add_argument("--m", type=int)
+    p.add_argument("--mode", choices=("canonical", "general"))
 
     p = add("automaton", "build the column machine and report its structure")
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--mode", default="canonical", choices=("canonical", "general"))
+    p.add_argument("--m", type=int)
+    p.add_argument("--mode", choices=("canonical", "general"))
 
     p = add("asymptotics", "dominant-pole growth and amplitudes")
-    p.add_argument("--limit", type=int, default=30, help="error profile length")
+    p.add_argument("--limit", type=int, help="error profile length")
 
     add("figures", "verify and emit the two reference galleries")
 
     p = add("delahaye", "closed-form 3 x 2n count next to oracle counts")
     p.add_argument("--n", required=True, help="half-width, 1..6")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--budget", type=int)
+    p.add_argument("--workers", type=int)
 
     p = add("verify", "run the acceptance suite")
-    p.add_argument("--only", default=None,
-                   help="comma-separated criterion names (default: all)")
+    p.add_argument("--only", help="comma-separated criterion names (default: all)")
     return parser
 
 
-def parse_config(argv: list[str]) -> RunConfig:
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """The parsed invocation; validated before any computation starts."""
     args = build_parser().parse_args(argv)
-    config = RunConfig(command=args.command, fmt=args.fmt, out=args.out)
-    if hasattr(args, "m"):
-        config.m = args.m
-    if hasattr(args, "n"):
-        config.n_values = _parse_n_values(args.n)
-    if hasattr(args, "limit"):
-        config.limit = args.limit
-    if hasattr(args, "mode"):
-        config.mode = args.mode
-    if hasattr(args, "budget"):
-        config.budget = args.budget
-    if hasattr(args, "workers"):
-        config.workers = args.workers
-    if hasattr(args, "timings"):
-        config.timings = args.timings
-    if getattr(args, "only", None):
-        config.only = tuple(name.strip() for name in args.only.split(",") if name.strip())
-    _validate(config)
-    return config
+    if args.n is not None:
+        args.n = _parse_n_values(args.n)
+    if args.only is not None:
+        args.only = tuple(name.strip() for name in args.only.split(",") if name.strip())
+    _validate(args)
+    return args
 
 
-def _validate(config: RunConfig) -> None:
-    if config.fmt not in _FORMATS[config.command]:
-        raise ValueError(f"format {config.fmt!r} is not valid for {config.command}")
-    if config.command in ("count", "enumerate", "delahaye") and not config.n_values:
-        raise ValueError("--n is required")
-    if any(n < 0 for n in config.n_values):
-        raise ValueError("widths must be nonnegative")
-    if config.command == "enumerate" and config.m != 4:
+def _validate(args: argparse.Namespace) -> None:
+    if args.command == "count":
+        # the widest width decides whether the whole range fits the budget
+        oracle.check_shape(args.m, args.n[-1], args.budget)
+    if args.command == "enumerate" and args.m != 4:
         raise ValueError("canonical enumeration is defined for --m 4")
-    if config.command in ("terms", "asymptotics") and config.limit < 1:
+    if args.command in ("terms", "asymptotics") and args.limit < 1:
         raise ValueError("--limit must be at least 1")
-    if config.workers < 1:
+    if args.workers < 1:
         raise ValueError("--workers must be at least 1")
-    if config.mode == "canonical" and config.m != 4 and config.command in (
+    if args.mode == "canonical" and args.m != 4 and args.command in (
         "gf", "terms", "recurrence", "automaton",
     ):
         raise ValueError("the canonical machine is defined for --m 4; use --mode general")
+    if args.only == ():
+        raise ValueError("--only names no criterion")
 
 
-def _machine(config: RunConfig) -> Automaton:
-    if config.mode == "canonical":
-        return build_canonical(config.m)
-    return build_general(config.m)
+def _machine(args: argparse.Namespace) -> Automaton:
+    if args.mode == "canonical":
+        return build_canonical(args.m)
+    return build_general(args.m)
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.out:
-        Path(config.out).write_text(text)
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(config: RunConfig, data) -> None:
-    _emit(config, json.dumps(data, indent=2) + "\n")
+def _emit_json(args: argparse.Namespace, data) -> None:
+    _emit(args, json.dumps(data, indent=2) + "\n")
 
 
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_count(config: RunConfig) -> int:
+def cmd_count(args: argparse.Namespace) -> int:
     reports = [
-        oracle.count_report(config.m, n, budget=config.budget, workers=config.workers)
-        for n in config.n_values
+        oracle.count_report(args.m, n, budget=args.budget, workers=args.workers)
+        for n in args.n
     ]
-    if config.fmt == "json":
-        data = [r.to_json_dict(timings=config.timings) for r in reports]
-        _emit_json(config, data[0] if len(data) == 1 else data)
+    if args.fmt == "json":
+        data = [r.to_json_dict(timings=args.timings) for r in reports]
+        _emit_json(args, data[0] if len(data) == 1 else data)
     else:
         lines = [
             str(r.canonical) if len(reports) == 1 else f"{r.n} {r.canonical}"
             for r in reports
         ]
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_enumerate(config: RunConfig) -> int:
-    (n,) = config.n_values
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    (n,) = args.n
     boards = oracle.enumerate_canonical(
-        config.m, n, budget=config.budget, workers=config.workers
+        args.m, n, budget=args.budget, workers=args.workers
     )
-    if config.fmt == "json":
-        _emit_json(config, {
-            "m": config.m, "n": n, "count": len(boards),
+    if args.fmt == "json":
+        _emit_json(args, {
+            "m": args.m, "n": n, "count": len(boards),
             "boards": [b.to_json_dict() for b in boards],
         })
     elif not boards:
-        _emit(config, "")
-    elif config.fmt == "ascii":
-        _emit(config, "\n\n".join(b.to_ascii() for b in boards) + "\n")
-    elif config.fmt == "svg":
-        _emit_svg(config, boards)
+        _emit(args, "")
+    elif args.fmt == "ascii":
+        _emit(args, "\n\n".join(b.to_ascii() for b in boards) + "\n")
+    elif args.fmt == "svg":
+        _emit_svg(args, boards)
     else:
         lines = ["/".join("".join(map(str, row)) for row in b.cells) for b in boards]
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def _emit_svg(config: RunConfig, boards: list[Board]) -> None:
-    if config.out and not config.out.endswith(".svg"):
-        directory = Path(config.out)
+def _emit_svg(args: argparse.Namespace, boards: list[Board]) -> None:
+    if args.out and not args.out.endswith(".svg"):
+        directory = Path(args.out)
         directory.mkdir(parents=True, exist_ok=True)
         width = len(str(len(boards) - 1))
         for idx, board in enumerate(boards):
             (directory / f"board_{idx:0{width}d}.svg").write_text(board.to_svg())
     else:
-        _emit(config, boards_to_svg(boards))
+        _emit(args, boards_to_svg(boards))
 
 
-def cmd_gf(config: RunConfig) -> int:
-    gf = generating_function(_machine(config))
-    if config.fmt == "json":
-        _emit_json(config, gf.to_json_dict())
+def cmd_gf(args: argparse.Namespace) -> int:
+    gf = generating_function(_machine(args))
+    if args.fmt == "json":
+        _emit_json(args, gf.to_json_dict())
     else:
-        _emit(config, f"numerator:   {gf.numerator}\ndenominator: {gf.denominator}\n")
+        _emit(args, f"numerator:   {gf.numerator}\ndenominator: {gf.denominator}\n")
     return EXIT_OK
 
 
-def cmd_terms(config: RunConfig) -> int:
-    terms = series_terms(generating_function(_machine(config)), config.limit)
-    if config.fmt == "json":
-        _emit_json(config, terms)
+def cmd_terms(args: argparse.Namespace) -> int:
+    terms = series_terms(generating_function(_machine(args)), args.limit)
+    if args.fmt == "json":
+        _emit_json(args, terms)
     else:
         # text and b-file agree: "n value" lines, n from 1, newline-terminated
-        _emit(config, format_bfile(terms))
+        _emit(args, format_bfile(terms))
     return EXIT_OK
 
 
-def cmd_recurrence(config: RunConfig) -> int:
-    rec = recurrence_of(generating_function(_machine(config)))
-    if config.fmt == "json":
-        _emit_json(config, rec.to_json_dict())
+def cmd_recurrence(args: argparse.Namespace) -> int:
+    rec = recurrence_of(generating_function(_machine(args)))
+    if args.fmt == "json":
+        _emit_json(args, rec.to_json_dict())
     else:
         terms = " + ".join(
             f"{-c}*c[n-{i}]" for i, c in enumerate(rec.coefficients[1:], start=1)
@@ -287,14 +262,14 @@ def cmd_recurrence(config: RunConfig) -> int:
             f"{rec.coefficients[0]}*c[n] = {terms}",
             "initial " + " ".join(f"c{i}={v}" for i, v in enumerate(rec.initial)),
         ]
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_automaton(config: RunConfig) -> int:
-    machine = _machine(config)
-    if config.fmt == "dot":
-        _emit(config, to_dot(machine))
+def cmd_automaton(args: argparse.Namespace) -> int:
+    machine = _machine(args)
+    if args.fmt == "dot":
+        _emit(args, to_dot(machine))
         return EXIT_OK
     data = automaton_json_dict(machine)
     data["always_rejected_columns"] = [
@@ -312,8 +287,8 @@ def cmd_automaton(config: RunConfig) -> int:
             "similar": witness is not None,
             "permutation": witness,
         }
-    if config.fmt == "json":
-        _emit_json(config, data)
+    if args.fmt == "json":
+        _emit_json(args, data)
     else:
         lines = [
             f"mode {machine.mode}, m={machine.m}, {len(machine.states)} states, "
@@ -332,16 +307,16 @@ def cmd_automaton(config: RunConfig) -> int:
             lines.append(
                 f"reference matrix similarity: {sim['similar']}, permutation {sim['permutation']}"
             )
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_asymptotics(config: RunConfig) -> int:
+def cmd_asymptotics(args: argparse.Namespace) -> int:
     gf = generating_function(build_canonical(4))
     est = dominant_form(gf, amplitude_reference=reference.reference_amplitudes)
-    errors = error_profile(gf, est, config.limit)
-    if config.fmt == "json":
-        _emit_json(config, est.to_json_dict(errors=errors))
+    errors = error_profile(gf, est, args.limit)
+    if args.fmt == "json":
+        _emit_json(args, est.to_json_dict(errors=errors))
     else:
         lines = [
             f"growth      {est.growth:.10f}",
@@ -351,50 +326,50 @@ def cmd_asymptotics(config: RunConfig) -> int:
             "n  relative error",
         ]
         lines += [f"{n}  {err:.3e}" for n, err in errors]
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_figures(config: RunConfig) -> int:
-    galleries = oracle.regenerate_figures(budget=config.budget)
+def cmd_figures(args: argparse.Namespace) -> int:
+    galleries = oracle.regenerate_figures(budget=args.budget)
     boards = galleries["three_by_six"] + galleries["four_by_six"]
-    if config.fmt == "json":
-        _emit_json(config, {
+    if args.fmt == "json":
+        _emit_json(args, {
             "three_by_six": [b.to_json_dict() for b in galleries["three_by_six"]],
             "four_by_six": [b.to_json_dict() for b in galleries["four_by_six"]],
         })
-    elif config.fmt == "ascii":
-        _emit(config, "\n\n".join(b.to_ascii() for b in boards) + "\n")
-    elif config.fmt == "svg":
-        _emit_svg(config, boards)
+    elif args.fmt == "ascii":
+        _emit(args, "\n\n".join(b.to_ascii() for b in boards) + "\n")
+    elif args.fmt == "svg":
+        _emit_svg(args, boards)
     else:
         lines = ["/".join("".join(map(str, row)) for row in b.cells) for b in boards]
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_delahaye(config: RunConfig) -> int:
+def cmd_delahaye(args: argparse.Namespace) -> int:
     reports = [
-        oracle.delahaye_report(n, budget=config.budget, workers=config.workers)
-        for n in config.n_values
+        oracle.delahaye_report(n, budget=args.budget, workers=args.workers)
+        for n in args.n
     ]
-    if config.fmt == "json":
-        _emit_json(config, reports[0] if len(reports) == 1 else reports)
+    if args.fmt == "json":
+        _emit_json(args, reports[0] if len(reports) == 1 else reports)
     else:
         lines = [
             f"n={r['n']}: formula {r['formula']}, cuts {r['cuts']}, "
             f"orbits {r['orbits']}, canonical {r['canonical']}"
             for r in reports
         ]
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
-    results = verify.run(config.only)
+def cmd_verify(args: argparse.Namespace) -> int:
+    results = verify.run(args.only)
     ok = all(r.ok for r in results)
-    if config.fmt == "json":
-        _emit_json(config, {
+    if args.fmt == "json":
+        _emit_json(args, {
             "ok": ok,
             "criteria": [r.to_json_dict() for r in results],
         })
@@ -405,7 +380,7 @@ def cmd_verify(config: RunConfig) -> int:
             lines.append(f"{status}  {r.name}  ({r.elapsed_s:.2f}s)")
             lines.extend(f"      {msg}" for msg in r.failures)
         lines.append("verification " + ("passed" if ok else "FAILED"))
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
@@ -425,22 +400,16 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        config = parse_config(sys.argv[1:] if argv is None else list(argv))
-    except ValueError as exc:
-        print(f"gridcuts: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    try:
-        return _COMMANDS[config.command](config)
-    except BudgetError as exc:
-        print(f"gridcuts: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except ValueError as exc:
-        print(f"gridcuts: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
+        return _COMMANDS[args.command](args)
     except BrokenPipeError:
         # downstream (e.g. `| head`) closed stdout; leave quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
+    except (BudgetError, ValueError, OSError) as exc:
+        # OSError: --out names a missing directory, a directory, or an unwritable path
+        print(f"gridcuts: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

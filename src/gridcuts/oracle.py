@@ -14,11 +14,12 @@ skips work it can prove redundant without knowing anything about cuts:
 * completed boards are built block by block as ORs of two precomputed
   tables of partial boards.
 
-Connectivity of each label is then checked per candidate by a vectorized
-flood fill: grow the lowest set bit to its 4-neighbourhood, dropping each
-candidate from the working set as soon as it fills its label mask or stops
-growing.  This stays a per-candidate brute-force check; nothing here shares
-logic with the column automaton it is used to validate.
+Connectivity is then checked per candidate by a vectorized flood fill of the
+1-region (the 0-region is its half-turn image, so it is connected exactly
+when the 1-region is): grow the lowest set bit to its 4-neighbourhood,
+dropping each candidate from the working set as soon as it fills its label
+mask or stops growing.  This stays a per-candidate brute-force check;
+nothing here shares logic with the column automaton it is used to validate.
 
 Three counting conventions are reported side by side because they genuinely
 differ: `canonical` counts matrices satisfying the stipulations (the
@@ -46,6 +47,7 @@ __all__ = [
     "FigureMismatch",
     "board_from_int",
     "board_to_int",
+    "check_shape",
     "count_report",
     "delahaye_formula",
     "delahaye_report",
@@ -151,10 +153,6 @@ class SweepResult:
 _SWEEP_CACHE: dict[tuple[int, int], SweepResult] = {}
 
 
-def _candidate_count(m: int, n: int) -> int:
-    return 1 << (m * ((n + 1) // 2))
-
-
 def _outer_or(parts: list[np.ndarray]) -> np.ndarray:
     """Every OR of one entry from each array, as one flat array."""
     table = np.zeros(1, dtype=np.uint64)
@@ -196,43 +194,51 @@ def _candidate_blocks(m: int, n: int, start: int, step: int):
 
 def _sweep_range(m: int, n: int, start: int, step: int) -> np.ndarray:
     """Graham bitboards whose first column is start, start+step, ... (< 2^m)."""
-    u = np.uint64
     full = (1 << (m * n)) - 1
     top = sum(1 << (j * m) for j in range(n))
     not_top = full & ~top
     not_bottom = full & ~(top << (m - 1))
 
+    # the 0-region is the half-turn image of the 1-region, so it is connected
+    # exactly when the 1-region is; only the 1s need a flood fill
     found = [np.zeros(0, dtype=np.uint64)]
     for boards in _candidate_blocks(m, n, start, step):
-        boards = boards[_connected(boards, m, not_top, not_bottom)]
-        ok0 = _connected(~boards & u(full), m, not_top, not_bottom)
-        found.append(boards[ok0])
+        found.append(boards[_connected(boards, m, not_top, not_bottom)])
     return np.concatenate(found)
 
 
-def sweep(m: int, n: int, *, budget: int | None = None, workers: int = 1,
-          use_cache: bool = True) -> SweepResult:
-    """Enumerate every complement-rule two-component board of the given shape.
+def check_shape(m: int, n: int, budget: int | None = None) -> None:
+    """Raise what sweep(m, n, budget=budget) would raise before sweeping.
 
-    Raises BudgetError (never truncates) if 2^(m*ceil(n/2)) exceeds the
-    budget, and ValueError if the board does not fit a 64-bit bitboard.
-    The sweep is partitioned by the first column's value when
-    workers > 1 and merged into one sorted list, so results do not depend on
-    the worker count.
+    BudgetError if the 2^(m*ceil(n/2)) candidates exceed the budget (the
+    exponent is compared, so huge shapes cost nothing), ValueError for a bad
+    shape or one that does not fit a 64-bit bitboard.
     """
     if m < 1 or n < 0:
         raise ValueError(f"bad shape {m}x{n}")
     budget = default_budget() if budget is None else budget
-    raw = _candidate_count(m, n)
-    if n > 0 and raw > budget:
-        # checked before the cache so exit codes do not depend on prior calls
+    bits = m * ((n + 1) // 2)
+    # 2^bits > budget exactly when bits >= budget.bit_length(), for budget >= 0
+    if n > 0 and bits >= max(budget, 0).bit_length():
         raise BudgetError(
-            f"shape {m}x{n} needs {raw} candidates, budget is {budget}; "
+            f"shape {m}x{n} needs 2^{bits} candidates, budget is {budget}; "
             f"raise --budget or {BUDGET_ENV_VAR} to run it"
         )
     if m * n > 64:
         raise ValueError(f"shape {m}x{n} has {m * n} cells; a bitboard holds at most 64")
-    if use_cache and (m, n) in _SWEEP_CACHE:
+
+
+def sweep(m: int, n: int, *, budget: int | None = None, workers: int = 1) -> SweepResult:
+    """Enumerate every complement-rule two-component board of the given shape.
+
+    Raises BudgetError (never truncates) or ValueError as check_shape does.
+    The sweep is partitioned by the first column's value when
+    workers > 1 and merged into one sorted list, so results do not depend on
+    the worker count.
+    """
+    # checked before the cache so exit codes do not depend on prior calls
+    check_shape(m, n, budget)
+    if (m, n) in _SWEEP_CACHE:
         return _SWEEP_CACHE[(m, n)]
     started = time.perf_counter()
     if n == 0:
@@ -242,7 +248,8 @@ def sweep(m: int, n: int, *, budget: int | None = None, workers: int = 1,
     else:
         # one task per first-column value with cell (0, 0) = 0, merged in a fixed order
         tasks = [(m, n, first, 1 << m) for first in range(0, 1 << m, 2)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork-based pool starts all its workers up front, so never ask for idle ones
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             half = np.concatenate(list(pool.map(_sweep_worker, tasks)))
     both = np.concatenate([half, half ^ np.uint64((1 << (m * n)) - 1)])
     graham = np.sort(both).tolist()
@@ -259,8 +266,7 @@ def sweep(m: int, n: int, *, budget: int | None = None, workers: int = 1,
     ]
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     result = SweepResult(m, n, tuple(graham), tuple(canonical), elapsed_ms)
-    if use_cache:
-        _SWEEP_CACHE[(m, n)] = result
+    _SWEEP_CACHE[(m, n)] = result
     return result
 
 
@@ -295,13 +301,12 @@ class CountReport:
         return data
 
 
-def count_report(m: int, n: int, *, budget: int | None = None, workers: int = 1,
-                 use_cache: bool = True) -> CountReport:
+def count_report(m: int, n: int, *, budget: int | None = None, workers: int = 1) -> CountReport:
     """Count canonical matrices, cuts and reflection orbits by full sweep."""
     if not 1 <= m <= 6:
         raise ValueError(f"row count {m} outside the validated sweep range 1..6")
     started = time.perf_counter()
-    result = sweep(m, n, budget=budget, workers=workers, use_cache=use_cache)
+    result = sweep(m, n, budget=budget, workers=workers)
     cuts = len(result.graham) // 2
 
     # a cut is represented by whichever of its two boards is the smaller integer
@@ -328,7 +333,7 @@ def count_report(m: int, n: int, *, budget: int | None = None, workers: int = 1,
 
 
 def enumerate_canonical(m: int, n: int, *, budget: int | None = None,
-                        workers: int = 1, use_cache: bool = True) -> list[Board]:
+                        workers: int = 1) -> list[Board]:
     """All canonical boards of shape m x n, sorted by their cell arrays.
 
     The stipulations are validated for m = 4 only, so other row counts are
@@ -336,7 +341,7 @@ def enumerate_canonical(m: int, n: int, *, budget: int | None = None,
     """
     if m != 4:
         raise ValueError("canonical enumeration is defined for m=4 boards")
-    result = sweep(m, n, budget=budget, workers=workers, use_cache=use_cache)
+    result = sweep(m, n, budget=budget, workers=workers)
     boards = [board_from_int(m, n, b) for b in result.canonical]
     boards.sort(key=lambda b: b.cells)
     return boards

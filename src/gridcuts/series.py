@@ -70,10 +70,6 @@ class Polynomial:
             items.pop()
         object.__setattr__(self, "coeffs", tuple(items))
 
-    @classmethod
-    def monomial(cls, degree: int, coeff: Coeff = 1) -> "Polynomial":
-        return cls([0] * degree + [coeff])
-
     ZERO: "Polynomial"
     ONE: "Polynomial"
 

@@ -27,8 +27,8 @@ from .automaton import (
     always_rejected_columns,
     build_canonical,
     build_general,
+    live_words,
     permutation_similarity_witness,
-    start_state,
     transfer_matrix,
 )
 from .asymptotics import dominant_form, error_profile
@@ -277,26 +277,6 @@ def _word_oracle_equivalence(check: _Check, machine: Automaton, canonical: bool)
             )
 
 
-def _live_words(machine: Automaton, upto: int):
-    """Every word the machine has not rejected, with its state index."""
-    start_index = {machine.states[i]: i for i in machine.start}
-    edge_map = {(src, sym): dst for src, sym, dst in machine.transitions}
-    frontier = []
-    for col in machine.alphabet:
-        idx = start_index.get(start_state(col))
-        if idx is not None:
-            frontier.append(((col,), idx))
-    for _ in range(upto):
-        for word, idx in frontier:
-            yield word, idx
-        frontier = [
-            (word + (col,), edge_map[(idx, col.encode())])
-            for word, idx in frontier
-            for col in machine.alphabet
-            if (idx, col.encode()) in edge_map
-        ]
-
-
 def _board_valid(word, n: int, canonical: bool) -> bool:
     board = complete_board(word, n)
     return is_canonical(board) if canonical else is_graham(board)
@@ -309,7 +289,7 @@ def _acceptance_is_state_function(check: _Check, machine: Automaton, canonical: 
     different code path from both the sweep and the profile algebra.
     """
     seen: dict[int, tuple[bool, bool]] = {}
-    for word, idx in _live_words(machine, 6):
+    for word, idx in live_words(machine, 6):
         even, odd = acceptance(machine.states[idx])
         if idx in seen:
             check.expect(

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from gridcuts import oracle
 from gridcuts.board import boards_from_svg
 from gridcuts.cli import main
 from gridcuts.reference import GALLERY_4X6, REFERENCE_TERMS
@@ -55,6 +57,14 @@ class TestCount:
         assert code == 2 and "budget" in err
         code, out, _ = run_cli(capsys, "count", "--n", "4", "--budget", str(1 << 20))
         assert code == 0 and out == "14\n"
+
+    @pytest.mark.parametrize("width", ["99999999999999999999", "9000", "1-99999999999", "1-40"])
+    def test_huge_width_fails_before_any_sweep(self, capsys, monkeypatch, width):
+        monkeypatch.setattr(oracle, "_SWEEP_CACHE", {})
+        code, out, err = run_cli(capsys, "count", "--n", width)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("gridcuts: ") and "budget" in err
+        assert oracle._SWEEP_CACHE == {}
 
     def test_deterministic_across_workers(self, capsys):
         _, solo, _ = run_cli(capsys, "count", "--n", "5", "--workers", "1")
@@ -237,6 +247,12 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--only", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize("only", [",", " , ", ""])
+    def test_selection_naming_no_criterion(self, capsys, only):
+        code, out, err = run_cli(capsys, "verify", "--only", only)
+        assert code == 2 and out == ""
+        assert err == "gridcuts: --only names no criterion\n"
+
 
 class TestOutputDeterminism:
     @pytest.mark.parametrize("argv", [
@@ -256,3 +272,61 @@ class TestOutputDeterminism:
         out_file = tmp_path / "terms.txt"
         run_cli(capsys, "terms", "--limit", "5", "--out", str(out_file))
         assert out_file.read_text() == stdout
+
+
+class TestBadOutputPath:
+    COUNT = ("count", "--n", "3")
+    SVG = ("enumerate", "--n", "2", "--format", "svg")
+
+    @pytest.mark.parametrize("argv,target", [
+        (COUNT, "missing/x"),
+        (COUNT, "."),  # a directory
+        (COUNT, "file/x"),
+        (SVG, "missing/boards.svg"),
+        (SVG, "file"),  # the per-board directory would replace a file
+        (SVG, "file/boards"),
+    ], ids=["missing-dir", "is-dir", "under-file", "svg-missing-dir", "svg-dir-is-file",
+            "svg-dir-under-file"])
+    def test_one_line_and_exit_2(self, capsys, tmp_path, argv, target):
+        (tmp_path / "file").write_text("")
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / target))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("gridcuts: ")
+
+
+# (argv, byte count, SHA-256) of stdout for outputs the benchmark does not pin,
+# recorded before the CLI moved from a config dataclass to the argparse namespace
+GOLDEN_STDOUT = [
+    (("automaton", "--format", "dot"), 1707,
+     "438cf51c76d2435bc0a32a5c1c670900d0e3da842588a231bc204390c2d031a7"),
+    (("automaton",), 265,
+     "0b095eeadc2879ce9a610dd623ae8016fb6aaac7bd5527184a787c6db58eb709"),
+    (("automaton", "--format", "dot", "--mode", "general", "--m", "2"), 571,
+     "7729957268ee0de70730b848ba0526a7a2c988309a2d75ac7449f4acd1d93d4c"),
+    (("automaton", "--mode", "general", "--m", "2"), 115,
+     "21fad4424cb788e8c2aeefa1b7b201373df2bbc7e21dca965cf09dc5d9357e8c"),
+    (("enumerate", "--n", "6"), 1512,
+     "fe3c3cf29e1d6036ec37391ab4e9fd4b9c4a83fc3a743649e167fee1c4799b3d"),
+    (("enumerate", "--n", "6", "--format", "json"), 24680,
+     "a50ae27d01cf3ad823774fdbc408ff37232e7b202f7822198cd91dd9217be728"),
+    (("enumerate", "--n", "6", "--format", "ascii"), 1565,
+     "20287ee542724318fce21495bf2fb1c6cb109c8dbe8f5744f2d98fc4a3764df7"),
+    (("enumerate", "--n", "6", "--format", "svg"), 119520,
+     "e6388a68cdaa964a34898395c907b9caeeccc95de15426b5e637bc9a099fc2f4"),
+    (("figures", "--format", "json"), 9818,
+     "b0397505c8772de0a8ca66f759b98fa1184cef2aa17433ef97764af39bdbecef"),
+    (("delahaye", "--n", "1-3", "--format", "json"), 490,
+     "fb8afa2b8e9ac1ec5301e1f23bce8bd098ad42f4cd653650318e9c4bd3aad386"),
+    (("count", "--n", "1-10"), 51,
+     "d31ecc505c796ebb054e26a1175243b3a2ea23d99151cd4cdafd71793c3370b9"),
+]
+
+
+class TestGoldenStdout:
+    @pytest.mark.parametrize("argv,size,digest", GOLDEN_STDOUT,
+                             ids=[" ".join(argv) for argv, _, _ in GOLDEN_STDOUT])
+    def test_stdout_unchanged(self, capsys, argv, size, digest):
+        code, out, _ = run_cli(capsys, *argv)
+        data = out.encode()
+        assert code == 0
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)

@@ -117,11 +117,13 @@ class TestCountReport:
 
     def test_budget_error_is_raised_before_sweeping(self):
         with pytest.raises(BudgetError):
-            oracle.count_report(4, 9, budget=1 << 10, use_cache=False)
+            oracle.count_report(4, 9, budget=1 << 10)
 
-    def test_workers_do_not_change_results(self):
-        solo = oracle.count_report(4, 6, use_cache=False)
-        duo = oracle.count_report(4, 6, workers=2, use_cache=False)
+    def test_workers_do_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_SWEEP_CACHE", {})
+        solo = oracle.count_report(4, 6)
+        monkeypatch.setattr(oracle, "_SWEEP_CACHE", {})
+        duo = oracle.count_report(4, 6, workers=2)
         assert (solo.canonical, solo.cuts, solo.orbits) == (duo.canonical, duo.cuts, duo.orbits)
 
     def test_elapsed_ms_times_this_call(self, monkeypatch):
@@ -131,7 +133,8 @@ class TestCountReport:
         # a cache hit reads the clock twice: this call's start and end only
         assert oracle.count_report(4, 5).elapsed_ms == 250.0
         # a fresh sweep is part of this call's work
-        assert oracle.count_report(4, 5, use_cache=False).elapsed_ms == 750.0
+        monkeypatch.setattr(oracle, "_SWEEP_CACHE", {})
+        assert oracle.count_report(4, 5).elapsed_ms == 750.0
 
     def test_json_shape(self):
         data = oracle.count_report(4, 2).to_json_dict()
@@ -173,10 +176,46 @@ class TestSweepAgainstPurePython:
         for value in oracle.sweep(4, 5).graham:
             assert is_graham(board_from_int(4, 5, value))
 
-    def test_workers_do_not_change_odd_width_sweep(self):
-        solo = oracle.sweep(4, 7, use_cache=False)
-        duo = oracle.sweep(4, 7, workers=2, use_cache=False)
+    def test_workers_do_not_change_odd_width_sweep(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_SWEEP_CACHE", {})
+        solo = oracle.sweep(4, 7)
+        monkeypatch.setattr(oracle, "_SWEEP_CACHE", {})
+        duo = oracle.sweep(4, 7, workers=2)
         assert (solo.graham, solo.canonical) == (duo.graham, duo.canonical)
+
+    def test_pool_is_no_larger_than_the_task_list(self, monkeypatch):
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(oracle, "_SWEEP_CACHE", {})
+        solo = oracle.sweep(4, 5)
+        monkeypatch.setattr(oracle, "_SWEEP_CACHE", {})
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", SerialPool)
+        # one task per even first column: 8 of them at m = 4
+        assert oracle.sweep(4, 5, workers=10**6).graham == solo.graham
+        assert asked == [8]
+
+    def test_budget_compares_exponents(self):
+        # 2^(4*5e19) candidates: the check must not build that integer
+        with pytest.raises(BudgetError, match=r"2\^200000000000000000000 candidates"):
+            oracle.check_shape(4, 10**20 - 1)
+        oracle.check_shape(4, 8, budget=1 << 16)  # exactly at the budget
+        with pytest.raises(BudgetError):
+            oracle.check_shape(4, 8, budget=(1 << 16) - 1)
+        with pytest.raises(BudgetError):
+            oracle.check_shape(1, 1, budget=-5)
 
     def test_too_many_cells_rejected(self):
         with pytest.raises(ValueError, match="64"):
