@@ -146,8 +146,14 @@ def _validate(args: argparse.Namespace) -> None:
     if args.command == "count":
         # the widest width decides whether the whole range fits the budget
         oracle.check_shape(args.m, args.n[-1], args.budget)
+    if args.command == "delahaye":
+        # checked for the whole range before the first 3 x 2n sweep
+        oracle.check_half_width(args.n[0])
+        oracle.check_half_width(args.n[-1])
     if args.command == "enumerate" and args.m != 4:
         raise ValueError("canonical enumeration is defined for --m 4")
+    if args.command == "enumerate" and len(args.n) != 1:
+        raise ValueError("enumerate takes a single width, not a range")
     if args.command in ("terms", "asymptotics") and args.limit < 1:
         raise ValueError("--limit must be at least 1")
     if args.workers < 1:

@@ -14,12 +14,22 @@ skips work it can prove redundant without knowing anything about cuts:
 * completed boards are built block by block as ORs of two precomputed
   tables of partial boards.
 
-Connectivity is then checked per candidate by a vectorized flood fill of the
-1-region (the 0-region is its half-turn image, so it is connected exactly
-when the 1-region is): grow the lowest set bit to its 4-neighbourhood,
-dropping each candidate from the working set as soon as it fills its label
-mask or stops growing.  This stays a per-candidate brute-force check;
-nothing here shares logic with the column automaton it is used to validate.
+Most candidates are rejected before any flood fill by an isolated-cell
+sieve: a 1-cell with no 1-neighbour is a component of its own, and the
+1-label has m*n/2 >= 2 cells, so such a board is no cut.  The sieve runs on
+each table of partial boards (on the cells whose four neighbours the table
+already fixes) and on each completed block.  It is exact because it only
+rejects; an isolated 0-cell is the half-turn image of an isolated 1-cell, so
+testing the 1s covers both labels; and it is skipped when m*n = 2, where
+each label is a single cell.
+
+Connectivity of the survivors is then checked per candidate by a vectorized
+flood fill of the 1-region (the 0-region is its half-turn image, so it is
+connected exactly when the 1-region is): grow the lowest set bit to its
+4-neighbourhood, dropping each candidate from the working set as soon as it
+fills its label mask or stops growing.  The flood fill is the only test that
+accepts a board.  This stays a per-candidate brute-force check; nothing here
+shares logic with the column automaton it is used to validate.
 
 Three counting conventions are reported side by side because they genuinely
 differ: `canonical` counts matrices satisfying the stipulations (the
@@ -47,6 +57,7 @@ __all__ = [
     "FigureMismatch",
     "board_from_int",
     "board_to_int",
+    "check_half_width",
     "check_shape",
     "count_report",
     "delahaye_formula",
@@ -74,7 +85,12 @@ class FigureMismatch(RuntimeError):
 
 def default_budget() -> int:
     value = os.environ.get(BUDGET_ENV_VAR)
-    return int(value) if value else DEFAULT_BUDGET
+    if not value:
+        return DEFAULT_BUDGET
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {value!r}") from None
 
 
 def board_to_int(board: Board) -> int:
@@ -113,6 +129,45 @@ def _self_revcomp_columns(m: int) -> np.ndarray:
     return top | (_revcomp_columns(top, m) >> np.uint64(half) << np.uint64(half))
 
 
+def _row_masks(m: int, n: int) -> tuple[int, int]:
+    """Masks of the cells not in the top row and not in the bottom row."""
+    full = (1 << (m * n)) - 1
+    top = sum(1 << (j * m) for j in range(n))
+    return full & ~top, full & ~(top << (m - 1))
+
+
+def _neighbours(bits: np.ndarray, m: int, not_top: int, not_bottom: int) -> np.ndarray:
+    """Element-wise: the cells 4-adjacent to a set cell (bits past m*n may be set)."""
+    u = np.uint64
+    return (((bits & u(not_top)) >> u(1))
+            | ((bits & u(not_bottom)) << u(1))
+            | (bits >> u(m))
+            | (bits << u(m)))
+
+
+def _sieve_cells(m: int, n: int, columns) -> int:
+    """Mask of the cells in these columns that the isolated-cell sieve tests.
+
+    Empty when m*n = 2: each label is then one cell, so a lone 1 is the
+    whole 1-label rather than proof of a second component.
+    """
+    if m * n <= 2:
+        return 0
+    # a set: the middle column of an odd width is its own mirror
+    return sum(((1 << m) - 1) << (j * m) for j in set(columns))
+
+
+def _isolated(bits: np.ndarray, cells: int, m: int, not_top: int, not_bottom: int) -> np.ndarray:
+    """Element-wise: some 1-cell inside the cells mask has no 1-neighbour.
+
+    Such a cell is a component of its own, and the 1-label has m*n/2 >= 2
+    cells, so the board cannot be a cut.  The cells mask must only hold
+    cells whose four neighbours are all determined by bits.
+    """
+    lonely = bits & np.uint64(cells) & ~_neighbours(bits, m, not_top, not_bottom)
+    return lonely != 0
+
+
 def _connected(bits: np.ndarray, m: int, not_top: int, not_bottom: int) -> np.ndarray:
     """Element-wise: bits is nonzero and forms one 4-connected region.
 
@@ -127,11 +182,7 @@ def _connected(bits: np.ndarray, m: int, not_top: int, not_bottom: int) -> np.nd
     mask = bits[idx]
     cur = mask & (~mask + u(1))
     while idx.size:
-        grown = (cur
-                 | ((cur & u(not_top)) >> u(1))
-                 | ((cur & u(not_bottom)) << u(1))
-                 | (cur >> u(m))
-                 | (cur << u(m))) & mask
+        grown = (cur | _neighbours(cur, m, not_top, not_bottom)) & mask
         full = grown == mask
         ok[idx[full]] = True
         growing = (grown != cur) & ~full
@@ -187,6 +238,13 @@ def _candidate_blocks(m: int, n: int, start: int, step: int):
         size *= parts[split].size
         split += 1
     lo, hi = _outer_or(parts[:split]), _outer_or(parts[split:])
+    # sieve each table on the cells whose four neighbours lie in its own
+    # column groups: columns 0..split-2 for lo, split+1..k-1 for hi, and mirrors
+    not_top, not_bottom = _row_masks(m, n)
+    lo_cells = _sieve_cells(m, n, [c for j in range(split - 1) for c in (j, n - 1 - j)])
+    hi_cells = _sieve_cells(m, n, [c for j in range(split + 1, k) for c in (j, n - 1 - j)])
+    lo = lo[~_isolated(lo, lo_cells, m, not_top, not_bottom)]
+    hi = hi[~_isolated(hi, hi_cells, m, not_top, not_bottom)]
     rows = max(1, _CHUNK // max(lo.size, 1))
     for r in range(0, hi.size, rows):
         yield (hi[r:r + rows, None] | lo[None, :]).ravel()
@@ -194,15 +252,14 @@ def _candidate_blocks(m: int, n: int, start: int, step: int):
 
 def _sweep_range(m: int, n: int, start: int, step: int) -> np.ndarray:
     """Graham bitboards whose first column is start, start+step, ... (< 2^m)."""
-    full = (1 << (m * n)) - 1
-    top = sum(1 << (j * m) for j in range(n))
-    not_top = full & ~top
-    not_bottom = full & ~(top << (m - 1))
+    not_top, not_bottom = _row_masks(m, n)
+    cells = _sieve_cells(m, n, range(n))
 
     # the 0-region is the half-turn image of the 1-region, so it is connected
     # exactly when the 1-region is; only the 1s need a flood fill
     found = [np.zeros(0, dtype=np.uint64)]
     for boards in _candidate_blocks(m, n, start, step):
+        boards = boards[~_isolated(boards, cells, m, not_top, not_bottom)]
         found.append(boards[_connected(boards, m, not_top, not_bottom)])
     return np.concatenate(found)
 
@@ -352,6 +409,12 @@ def delahaye_formula(n: int) -> int:
     return (1 << (n + 1)) - n - 1
 
 
+def check_half_width(n: int) -> None:
+    """Raise ValueError unless delahaye_report accepts half-width n."""
+    if n < 1 or n > 6:
+        raise ValueError("half-width n must be in 1..6")
+
+
 def delahaye_report(n: int, *, budget: int | None = None, workers: int = 1) -> dict:
     """Put the 3 x 2n closed form next to the oracle's own counts.
 
@@ -360,8 +423,7 @@ def delahaye_report(n: int, *, budget: int | None = None, workers: int = 1) -> d
     reflection-orbit and stipulation counts, not the raw cut count: at
     n = 3 the formula gives 12 while the sweep finds 23 cuts in 12 orbits.
     """
-    if n < 1 or n > 6:
-        raise ValueError("half-width n must be in 1..6")
+    check_half_width(n)
     report = count_report(3, 2 * n, budget=budget, workers=workers)
     formula = delahaye_formula(n)
     return {

@@ -58,6 +58,12 @@ class TestCount:
         code, out, _ = run_cli(capsys, "count", "--n", "4", "--budget", str(1 << 20))
         assert code == 0 and out == "14\n"
 
+    def test_budget_env_var_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("GRIDCUTS_BUDGET", "abc")
+        code, out, err = run_cli(capsys, "count", "--n", "3")
+        assert code == 2 and out == ""
+        assert err == "gridcuts: GRIDCUTS_BUDGET must be an integer, got 'abc'\n"
+
     @pytest.mark.parametrize("width", ["99999999999999999999", "9000", "1-99999999999", "1-40"])
     def test_huge_width_fails_before_any_sweep(self, capsys, monkeypatch, width):
         monkeypatch.setattr(oracle, "_SWEEP_CACHE", {})
@@ -110,6 +116,13 @@ class TestEnumerate:
     def test_rejects_other_row_counts(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--n", "4", "--m", "3")
         assert code == 2
+
+    def test_rejects_width_range(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "_SWEEP_CACHE", {})
+        code, out, err = run_cli(capsys, "enumerate", "--n", "1-3")
+        assert code == 2 and out == ""
+        assert err == "gridcuts: enumerate takes a single width, not a range\n"
+        assert oracle._SWEEP_CACHE == {}
 
     def test_empty_width_zero(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "--n", "0")
@@ -216,6 +229,15 @@ class TestFiguresAndDelahaye:
         assert data["formula"] == 12
         assert data["cuts"] == 23
         assert data["formula_matches_orbits"] is True
+
+
+    @pytest.mark.parametrize("half_widths", ["1-7", "0-2"])
+    def test_delahaye_range_checked_before_sweeping(self, capsys, monkeypatch, half_widths):
+        monkeypatch.setattr(oracle, "_SWEEP_CACHE", {})
+        code, out, err = run_cli(capsys, "delahaye", "--n", half_widths)
+        assert code == 2 and out == ""
+        assert err == "gridcuts: half-width n must be in 1..6\n"
+        assert oracle._SWEEP_CACHE == {}
 
 
 class TestVerifyCommand:

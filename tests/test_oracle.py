@@ -147,9 +147,10 @@ class TestCountReport:
 class TestSweepAgainstPurePython:
     """The numpy sweep must agree with the plain flood-fill path."""
 
+    # (1, 2) and (2, 1) have one-cell labels, which the isolated-cell sieve must skip
     @pytest.mark.parametrize("m,n", [
-        (1, 4), (1, 5), (2, 3), (2, 5), (2, 6), (3, 4), (4, 3), (4, 4), (4, 5),
-        (5, 2), (6, 2), (6, 3),
+        (1, 2), (1, 4), (1, 5), (2, 1), (2, 2), (2, 3), (2, 5), (2, 6), (3, 2),
+        (3, 4), (4, 3), (4, 4), (4, 5), (5, 2), (6, 2), (6, 3),
     ])
     def test_counts_match(self, m, n):
         from itertools import product
@@ -222,11 +223,14 @@ class TestSweepAgainstPurePython:
             oracle.sweep(6, 11, budget=1 << 40)
 
 
-# SHA-256 of ",".join(map(str, sweep(m, n).graham)), computed with the sweep
-# that filtered all 2^(m*ceil(n/2)) left halves and flood-filled every one
+# SHA-256 of ",".join(map(str, sweep(m, n).graham)), computed with a sweep
+# that flood-filled every candidate: (4, 10), (4, 11) and (6, 7) with the one
+# that filtered all 2^(m*ceil(n/2)) left halves, (4, 12) with the last one
+# before the isolated-cell sieve
 GRAHAM_SHA256 = {
     (4, 10): "00d6b95831191db401add121d1a04dbad4f1fd94a2ac46ad212d2623309b3aa2",
     (4, 11): "13a274ba179b39b9113ab67e9a449889f3573403cce709f75e7965027526ba73",
+    (4, 12): "d09b768f089247909c3d2c8ec7f47fe288f7a9d2b8321c6d811b4bdbdc300ab0",
     (6, 7): "90188fd5609f4865ed60b47e1ea0ee22d05dfce3353985e20af810e2fa9451ca",
 }
 
@@ -236,6 +240,14 @@ class TestFullSweepAnswers:
     def test_graham_digest(self, shape):
         graham = oracle.sweep(*shape).graham
         assert hashlib.sha256(",".join(map(str, graham)).encode()).hexdigest() == GRAHAM_SHA256[shape]
+
+    def test_4x13_cuts_match_the_general_series(self):
+        from gridcuts.automaton import build_general
+        from gridcuts.series import generating_function, series_terms
+
+        term = series_terms(generating_function(build_general(4)), 13)[12]
+        assert term == 6807
+        assert oracle.count_report(4, 13).cuts == term
 
 
 class TestDelahaye:

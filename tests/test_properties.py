@@ -2,9 +2,11 @@
 
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gridcuts import oracle
 from gridcuts.board import (
     Board,
     ColumnPattern,
@@ -107,6 +109,41 @@ class TestCompletionProperties:
     def test_completion_is_graham_iff_flood_fill_agrees(self, left):
         board = complete_board(left, 2 * len(left))
         assert is_graham(board) == (component_counts(board) == (1, 1))
+
+
+@st.composite
+def sieve_boards(draw):
+    """Boards of 4..24 cells; half of them satisfy the complement rule off the middle."""
+    m, n = draw(st.sampled_from(
+        [(m, n) for m in range(1, 7) for n in range(1, 25) if 4 <= m * n <= 24]
+    ))
+    board = oracle.board_from_int(m, n, draw(st.integers(0, (1 << (m * n)) - 1)))
+    if draw(st.booleans()):
+        cols = list(board.columns())
+        for j in range(n // 2):
+            cols[n - 1 - j] = revcomp(cols[j])
+        board = Board.from_columns(cols)
+    return board
+
+
+class TestIsolatedCellSieve:
+    @given(sieve_boards())
+    def test_flags_exactly_lone_ones_and_only_non_cuts(self, board):
+        m, n = board.m, board.n
+        grid = board.cells
+        lone = any(
+            grid[i][j] and not any(
+                0 <= a < m and 0 <= b < n and grid[a][b]
+                for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
+            )
+            for i in range(m) for j in range(n)
+        )
+        bits = np.array([oracle.board_to_int(board)], dtype=np.uint64)
+        cells = oracle._sieve_cells(m, n, range(n))
+        flagged = bool(oracle._isolated(bits, cells, m, *oracle._row_masks(m, n))[0])
+        assert flagged == lone
+        if flagged:
+            assert not is_graham(board)
 
 
 small_polys = st.lists(st.integers(-9, 9), min_size=0, max_size=6).map(Polynomial)
