@@ -8,20 +8,19 @@ checks all of it against a brute-force bitboard oracle.
 
 from .board import (
     Board,
-    ColumnPattern,
-    Cut,
     complete_board,
     component_counts,
     is_canonical,
     is_graham,
-    revcomp,
     transform,
 )
 from .automaton import (
     Automaton,
+    ColumnPattern,
     acceptance,
     build_canonical,
     build_general,
+    revcomp,
     transfer_matrix,
 )
 from .oracle import (
@@ -52,7 +51,6 @@ __all__ = [
     "BudgetError",
     "ColumnPattern",
     "CountReport",
-    "Cut",
     "Polynomial",
     "RationalFunction",
     "Recurrence",

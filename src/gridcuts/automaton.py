@@ -35,10 +35,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .board import ColumnPattern, revcomp
-
 __all__ = [
     "Automaton",
+    "ColumnPattern",
     "ConnectivityProfile",
     "State",
     "StateExplosionError",
@@ -49,8 +48,10 @@ __all__ = [
     "automaton_from_json",
     "build_canonical",
     "build_general",
+    "is_self_revcomp",
     "live_words",
     "permutation_similarity_witness",
+    "revcomp",
     "start_state",
     "step_state",
     "to_dot",
@@ -65,6 +66,57 @@ DEFAULT_STATE_CAP = 20_000
 
 class StateExplosionError(RuntimeError):
     """State closure exceeded the configured cap."""
+
+
+@dataclass(frozen=True)
+class ColumnPattern:
+    """One grid column, read top to bottom; labels are 0 or 1.
+
+    The machine's symbol and state column.  Bit 0 of the integer encoding is
+    the top row, so the encoding is the column's slice of a board's bits.
+    """
+
+    bits: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not 1 <= len(self.bits) <= 8:
+            raise ValueError(f"column height {len(self.bits)} outside 1..8")
+        if any(b not in (0, 1) for b in self.bits):
+            raise ValueError(f"column bits must be 0/1: {self.bits}")
+
+    @property
+    def m(self) -> int:
+        return len(self.bits)
+
+    def encode(self) -> int:
+        value = 0
+        for i, b in enumerate(self.bits):
+            value |= b << i
+        return value
+
+    @classmethod
+    def decode(cls, m: int, value: int) -> "ColumnPattern":
+        if not 0 <= value < (1 << m):
+            raise ValueError(f"column value {value} outside [0, 2^{m})")
+        return cls(tuple((value >> i) & 1 for i in range(m)))
+
+    def __str__(self) -> str:
+        return "".join(str(b) for b in self.bits)
+
+
+def revcomp(col: ColumnPattern) -> ColumnPattern:
+    """Reverse a column top-to-bottom and flip every label.
+
+    This is the central-complement rule restricted to one column: column j of
+    a valid board determines column n-1-j as its reversed complement.  It is
+    an involution.
+    """
+    return ColumnPattern(tuple(1 - b for b in reversed(col.bits)))
+
+
+def is_self_revcomp(col: ColumnPattern) -> bool:
+    """True for columns that may sit in the middle of an odd-width board."""
+    return revcomp(col) == col
 
 
 Blocks = tuple[tuple[int, ...], ...]
@@ -364,6 +416,7 @@ def live_words(a: Automaton, upto: int) -> Iterator[tuple[tuple[ColumnPattern, .
     alphabet order."""
     start_index = {a.states[i]: i for i in a.start}
     edges = a._edge_map
+    symbols = [(col, col.encode()) for col in a.alphabet]
     frontier = []
     for col in a.alphabet:
         idx = start_index.get(start_state(col))
@@ -372,10 +425,10 @@ def live_words(a: Automaton, upto: int) -> Iterator[tuple[tuple[ColumnPattern, .
     for length in range(1, upto + 1):
         if length > 1:
             frontier = [
-                (word + (col,), edges[(idx, col.encode())])
+                (word + (col,), edges[idx, sym])
                 for word, idx in frontier
-                for col in a.alphabet
-                if (idx, col.encode()) in edges
+                for col, sym in symbols
+                if (idx, sym) in edges
             ]
         yield from frontier
 

@@ -4,13 +4,22 @@ A cut of an m x n grid into two congruent connected pieces is modelled as a
 0/1 matrix in which the two labels mark the two pieces.  Congruence is the
 central-complement rule
 
-    cells[i][j] = 1 - cells[m-1-i][n-1-j]
+    cell (i, j) = 1 - cell (m-1-i, n-1-j)
 
 (the two pieces are swapped by a half-turn of the board), and validity
 additionally requires each label to form a single 4-adjacent component.
 Matrices with both properties are called Graham matrices here.
 
-Such a matrix is determined by its left half (columns 0..ceil(n/2)-1; for odd
+A board is an immutable bitboard (m, n, bits): cell (i, j), row i of column
+j, is bit j*m + i.  Column j is then the m-bit integer
+(bits >> j*m) & (2^m - 1) with the top row in bit 0, which is how the oracle
+packs its candidates and how the automaton encodes its column symbols; this
+module takes and returns columns as such integers.  Under this packing the
+half-turn maps bit p to bit m*n-1-p, so rot180 reverses the m*n-bit string
+and the complement rule reads bits ^ rev(bits) == 2^(m*n) - 1.  The row-major
+`cells` grid is a derived view for the writers.
+
+A rule board is determined by its left half (columns 0..ceil(n/2)-1; for odd
 n the middle column must equal its own reversed complement).  The canonical
 representative used for counting fixes two stipulations: the left half of the
 bottom row is all zeros, and the first column has at least as many zeros as
@@ -23,7 +32,6 @@ Everything in this module is an immutable value; all functions are pure.
 from __future__ import annotations
 
 import json
-import re
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -33,16 +41,11 @@ __all__ = [
     "Board",
     "BOARD_TRANSFORMS",
     "CanonicalConventionWarning",
-    "ColumnPattern",
-    "Cut",
-    "boards_from_svg",
     "boards_to_svg",
     "complete_board",
     "component_counts",
     "is_canonical",
     "is_graham",
-    "is_self_revcomp",
-    "revcomp",
     "satisfies_complement_rule",
     "transform",
 ]
@@ -57,101 +60,59 @@ class CanonicalConventionWarning(UserWarning):
     """The canonical stipulations are only validated for 4-row boards."""
 
 
-@dataclass(frozen=True)
-class ColumnPattern:
-    """One grid column, read top to bottom; labels are 0 or 1.
-
-    Bit 0 of the integer encoding is the top row, so a column doubles as an
-    automaton symbol and as a slice of the bitboards used by the oracle.
-    """
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.bits) <= 8:
-            raise ValueError(f"column height {len(self.bits)} outside 1..8")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"column bits must be 0/1: {self.bits}")
-
-    @property
-    def m(self) -> int:
-        return len(self.bits)
-
-    def encode(self) -> int:
-        value = 0
-        for i, b in enumerate(self.bits):
-            value |= b << i
-        return value
-
-    @classmethod
-    def decode(cls, m: int, value: int) -> "ColumnPattern":
-        if not 0 <= value < (1 << m):
-            raise ValueError(f"column value {value} outside [0, 2^{m})")
-        return cls(tuple((value >> i) & 1 for i in range(m)))
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-
-def revcomp(col: ColumnPattern) -> ColumnPattern:
-    """Reverse a column top-to-bottom and flip every label.
-
-    This is the central-complement rule restricted to one column: column j of
-    a valid board determines column n-1-j as its reversed complement.  It is
-    an involution.
-    """
-    return ColumnPattern(tuple(1 - b for b in reversed(col.bits)))
-
-
-def is_self_revcomp(col: ColumnPattern) -> bool:
-    """True for columns that may sit in the middle of an odd-width board."""
-    return revcomp(col) == col
+def _reverse(bits: int, width: int) -> int:
+    """The low `width` bits of `bits` in reverse order."""
+    # a sentinel bit keeps leading zeros; [:2:-1] drops "0b1" and reverses
+    return int(bin(bits | (1 << width))[:2:-1], 2)
 
 
 @dataclass(frozen=True)
 class Board:
-    """An m x n grid of 0/1 labels, row-major, cells[i][j] = row i, column j."""
+    """An m x n grid of 0/1 labels; cell (i, j) is bit j*m + i of `bits`."""
 
-    cells: tuple[tuple[int, ...], ...]
+    m: int
+    n: int
+    bits: int
 
     def __post_init__(self) -> None:
-        if not self.cells or not self.cells[0]:
+        if self.m < 1 or self.n < 1:
             raise ValueError("board must have at least one row and one column")
-        width = len(self.cells[0])
-        for row in self.cells:
-            if len(row) != width:
-                raise ValueError("ragged board")
-            if any(c not in (0, 1) for c in row):
-                raise ValueError("board cells must be 0/1")
+        if not 0 <= self.bits < 1 << (self.m * self.n):
+            raise ValueError(f"bits {self.bits} do not fit a {self.m}x{self.n} board")
 
     @property
-    def m(self) -> int:
-        return len(self.cells)
+    def full(self) -> int:
+        """The all-ones board of this shape, as bits."""
+        return (1 << (self.m * self.n)) - 1
 
     @property
-    def n(self) -> int:
-        return len(self.cells[0])
+    def cells(self) -> tuple[tuple[int, ...], ...]:
+        """Row-major view, cells[i][j] = row i, column j."""
+        m, n, bits = self.m, self.n, self.bits
+        return tuple(tuple((bits >> (j * m + i)) & 1 for j in range(n)) for i in range(m))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "Board":
-        return cls(tuple(tuple(int(c) for c in row) for row in rows))
+        grid = [[int(c) for c in row] for row in rows]
+        if not grid or not grid[0]:
+            raise ValueError("board must have at least one row and one column")
+        m, n = len(grid), len(grid[0])
+        bits = 0
+        for i, row in enumerate(grid):
+            if len(row) != n:
+                raise ValueError("ragged board")
+            for j, c in enumerate(row):
+                if c not in (0, 1):
+                    raise ValueError("board cells must be 0/1")
+                bits |= c << (j * m + i)
+        return cls(m, n, bits)
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[ColumnPattern]) -> "Board":
-        if not columns:
-            raise ValueError("board must have at least one column")
-        m = columns[0].m
-        if any(col.m != m for col in columns):
-            raise ValueError("columns of mixed height")
-        return cls(tuple(tuple(col.bits[i] for col in columns) for i in range(m)))
+    def columns(self) -> tuple[int, ...]:
+        """Each column as an m-bit integer, top row in bit 0."""
+        m, bits, mask = self.m, self.bits, (1 << self.m) - 1
+        return tuple([(bits >> shift) & mask for shift in range(0, m * self.n, m)])
 
-    def columns(self) -> tuple[ColumnPattern, ...]:
-        return tuple(
-            ColumnPattern(tuple(self.cells[i][j] for i in range(self.m)))
-            for j in range(self.n)
-        )
-
-    def left_half(self) -> tuple[ColumnPattern, ...]:
+    def left_half(self) -> tuple[int, ...]:
         """Columns 0..ceil(n/2)-1; for odd n this includes the middle column."""
         return self.columns()[: (self.n + 1) // 2]
 
@@ -186,8 +147,8 @@ class Board:
                 continue
             if set(line) - {"#", "."}:
                 raise ValueError(f"ascii board line {line!r} has characters other than '#' and '.'")
-            rows.append(tuple(1 if ch == "#" else 0 for ch in line))
-        return cls(tuple(rows))
+            rows.append([1 if ch == "#" else 0 for ch in line])
+        return cls.from_rows(rows)
 
     def to_svg(self, *, scale: int = 24) -> str:
         return (
@@ -196,13 +157,6 @@ class Board:
             + svg_board_group(self)
             + "\n</svg>\n"
         )
-
-    @classmethod
-    def from_svg(cls, text: str) -> "Board":
-        boards = boards_from_svg(text)
-        if len(boards) != 1:
-            raise ValueError(f"expected one board in SVG, found {len(boards)}")
-        return boards[0]
 
 
 def svg_board_group(board: Board, *, dx: int = 0, dy: int = 0) -> str:
@@ -237,71 +191,53 @@ def boards_to_svg(boards: Sequence[Board], *, scale: int = 24) -> str:
     return "\n".join(parts)
 
 
-_SVG_GROUP_RE = re.compile(r"<g class=\"board\"[^>]*>(.*?)</g>", re.S)
-_SVG_RECT_RE = re.compile(r'<rect x="(\d+)" y="(\d+)" width="1" height="1" fill="([^"]+)"')
-
-
-def boards_from_svg(text: str) -> list[Board]:
-    """Parse boards back out of SVG produced by this module."""
-    boards = []
-    for group in _SVG_GROUP_RE.findall(text):
-        cells: dict[tuple[int, int], int] = {}
-        for x, y, fill in _SVG_RECT_RE.findall(group):
-            cells[int(y), int(x)] = 1 if fill == SVG_FILL_ONE else 0
-        if not cells:
-            raise ValueError("SVG board group contains no cells")
-        m = max(i for i, _ in cells) + 1
-        n = max(j for _, j in cells) + 1
-        if len(cells) != m * n:
-            raise ValueError("SVG board group is missing cells")
-        boards.append(Board(tuple(tuple(cells[i, j] for j in range(n)) for i in range(m))))
-    return boards
-
-
-def complete_board(left: Sequence[ColumnPattern], n: int) -> Board:
-    """Extend a left half to the full width-n board via the complement rule.
+def complete_board(m: int, n: int, left: Sequence[int]) -> Board:
+    """Extend a left half of m-bit columns to the width-n rule board.
 
     `left` must hold ceil(n/2) columns; for odd n its last column is the
-    middle column and must be its own reversed complement.
+    middle column and must be its own reversed complement.  The right
+    columns are the half-turn image of the left half with labels flipped.
     """
     k = (n + 1) // 2
     if len(left) != k:
         raise ValueError(f"need {k} left columns for width {n}, got {len(left)}")
-    if n % 2 == 1 and not is_self_revcomp(left[-1]):
+    if left and not 0 <= min(left) <= max(left) < 1 << m:
+        raise ValueError(f"column values {list(left)} not all in [0, 2^{m})")
+    half = 0
+    for col in reversed(left):
+        half = (half << m) | col
+    if n % 2 == 1 and _reverse(left[-1], m) ^ ((1 << m) - 1) != left[-1]:
         raise ValueError(f"middle column {left[-1]} is not its own reversed complement")
-    right = [revcomp(left[j]) for j in range(n // 2)]
-    return Board.from_columns(tuple(left) + tuple(reversed(right)))
+    full = (1 << (m * n)) - 1
+    return Board(m, n, half | ((_reverse(half, m * n) ^ full) >> (k * m) << (k * m)))
 
 
 def satisfies_complement_rule(board: Board) -> bool:
-    """True iff cells[i][j] = 1 - cells[m-1-i][n-1-j] everywhere."""
-    m, n, cells = board.m, board.n, board.cells
-    return all(
-        cells[i][j] == 1 - cells[m - 1 - i][n - 1 - j]
-        for i in range(m)
-        for j in range(n)
-    )
+    """True iff cell (i, j) = 1 - cell (m-1-i, n-1-j) everywhere."""
+    return board.bits ^ _reverse(board.bits, board.m * board.n) == board.full
 
 
 def component_counts(board: Board) -> tuple[int, int]:
     """Number of 4-adjacent connected components of each label, (zeros, ones)."""
-    m, n, cells = board.m, board.n, board.cells
-    seen = [[False] * n for _ in range(m)]
+    m, size = board.m, board.m * board.n
+    labels = [(board.bits >> p) & 1 for p in range(size)]
+    seen = [False] * size
     counts = [0, 0]
-    for si in range(m):
-        for sj in range(n):
-            if seen[si][sj]:
-                continue
-            label = cells[si][sj]
-            counts[label] += 1
-            queue = deque([(si, sj)])
-            seen[si][sj] = True
-            while queue:
-                i, j = queue.popleft()
-                for ni, nj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                    if 0 <= ni < m and 0 <= nj < n and not seen[ni][nj] and cells[ni][nj] == label:
-                        seen[ni][nj] = True
-                        queue.append((ni, nj))
+    for start in range(size):
+        if seen[start]:
+            continue
+        label = labels[start]
+        counts[label] += 1
+        queue = deque([start])
+        seen[start] = True
+        while queue:
+            p = queue.popleft()
+            i = p % m
+            # cell p's neighbours: up and down in its column, left and right columns
+            for q, inside in ((p - 1, i > 0), (p + 1, i < m - 1), (p - m, p >= m), (p + m, p + m < size)):
+                if inside and not seen[q] and labels[q] == label:
+                    seen[q] = True
+                    queue.append(q)
     return counts[0], counts[1]
 
 
@@ -316,14 +252,17 @@ def transform(board: Board, op: str) -> Board:
     All four map valid boards to valid boards; rot180 equals complement on
     them, which is just the complement rule restated.
     """
-    if op == "hflip":
-        return Board(tuple(tuple(reversed(row)) for row in board.cells))
-    if op == "vflip":
-        return Board(tuple(reversed(board.cells)))
-    if op == "rot180":
-        return transform(transform(board, "hflip"), "vflip")
+    m, n, bits = board.m, board.n, board.bits
     if op == "complement":
-        return Board(tuple(tuple(1 - c for c in row) for row in board.cells))
+        return Board(m, n, bits ^ board.full)
+    if op == "rot180":
+        return Board(m, n, _reverse(bits, m * n))
+    if op in ("hflip", "vflip"):
+        hflip = 0
+        for j, col in enumerate(board.columns()):
+            hflip |= col << ((n - 1 - j) * m)
+        # vflip = rot180 o hflip
+        return Board(m, n, hflip if op == "hflip" else _reverse(hflip, m * n))
     raise ValueError(f"unknown transform {op!r}; expected one of {BOARD_TRANSFORMS}")
 
 
@@ -335,39 +274,16 @@ def is_canonical(board: Board) -> bool:
     counted by the width-indexed sequence.  Derivation assumes m = 4; other
     row counts are accepted but flagged with a CanonicalConventionWarning.
     """
-    if board.m != 4:
+    m, n, bits = board.m, board.n, board.bits
+    if m != 4:
         warnings.warn(
-            f"canonical stipulations are validated for 4 rows, not m={board.m}",
+            f"canonical stipulations are validated for 4 rows, not m={m}",
             CanonicalConventionWarning,
             stacklevel=2,
         )
-    k = (board.n + 1) // 2
-    if any(board.cells[board.m - 1][j] != 0 for j in range(k)):
+    bottom_left = sum(1 << (j * m + m - 1) for j in range((n + 1) // 2))
+    if bits & bottom_left:
         return False
-    col0 = [board.cells[i][0] for i in range(board.m)]
-    if sum(1 for c in col0 if c == 0) < sum(col0):
+    if 2 * (bits & ((1 << m) - 1)).bit_count() > m:
         return False
     return is_graham(board)
-
-
-@dataclass(frozen=True)
-class Cut:
-    """An unordered bipartition of the grid: a board and its complement.
-
-    Stored as the lexicographically smaller of the two cell arrays, so two
-    boards denote the same cut iff their Cuts compare equal.
-    """
-
-    representative: Board
-
-    @classmethod
-    def from_board(cls, board: Board) -> "Cut":
-        other = transform(board, "complement")
-        return cls(board if board.cells <= other.cells else other)
-
-    @property
-    def boards(self) -> tuple[Board, Board]:
-        return self.representative, transform(self.representative, "complement")
-
-    def hflip(self) -> "Cut":
-        return Cut.from_board(transform(self.representative, "hflip"))

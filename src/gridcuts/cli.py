@@ -37,6 +37,10 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_RESOURCE = 2
 
+# the relative error divides by c_n as a float; c_1188 of the canonical
+# series is past the largest float, so longer error profiles are refused
+ASYMPTOTICS_MAX_LIMIT = 1187
+
 
 # every subcommand's namespace carries every field, so commands read args.X freely
 _DEFAULTS = {
@@ -156,6 +160,11 @@ def _validate(args: argparse.Namespace) -> None:
         raise ValueError("enumerate takes a single width, not a range")
     if args.command in ("terms", "asymptotics") and args.limit < 1:
         raise ValueError("--limit must be at least 1")
+    if args.command == "asymptotics" and args.limit > ASYMPTOTICS_MAX_LIMIT:
+        raise ValueError(
+            f"--limit must be at most {ASYMPTOTICS_MAX_LIMIT}: "
+            f"later terms do not fit the float relative error"
+        )
     if args.workers < 1:
         raise ValueError("--workers must be at least 1")
     if args.mode == "canonical" and args.m != 4 and args.command in (

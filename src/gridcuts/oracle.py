@@ -2,8 +2,9 @@
 
 Every width-n board that satisfies the complement rule is determined by its
 left half of k = ceil(n/2) columns, and the 2^(m*k) left halves are the
-candidates (the budget counts all of them).  Boards are packed into 64-bit
-integers, cell (i, j) at bit j*m + i, so at most 64 cells fit.  The sweep
+candidates (the budget counts all of them).  Candidates are the `bits` of
+a Board, cell (i, j) at bit j*m + i, held in uint64 arrays, so at most 64
+cells fit.  The sweep
 skips work it can prove redundant without knowing anything about cuts:
 
 * the complement of a valid board is valid and differs at cell (0, 0), so
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .board import Board, ColumnPattern, is_graham
+from .board import Board, is_graham
 from . import reference
 
 __all__ = [
@@ -55,8 +56,6 @@ __all__ = [
     "CountReport",
     "DEFAULT_BUDGET",
     "FigureMismatch",
-    "board_from_int",
-    "board_to_int",
     "check_half_width",
     "check_shape",
     "count_report",
@@ -91,19 +90,6 @@ def default_budget() -> int:
         return int(value)
     except ValueError:
         raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {value!r}") from None
-
-
-def board_to_int(board: Board) -> int:
-    value = 0
-    for j, col in enumerate(board.columns()):
-        value |= col.encode() << (j * board.m)
-    return value
-
-
-def board_from_int(m: int, n: int, value: int) -> Board:
-    mask = (1 << m) - 1
-    cols = [ColumnPattern.decode(m, (value >> (j * m)) & mask) for j in range(n)]
-    return Board.from_columns(cols)
 
 
 def _revcomp_columns(cols: np.ndarray, m: int) -> np.ndarray:
@@ -399,7 +385,7 @@ def enumerate_canonical(m: int, n: int, *, budget: int | None = None,
     if m != 4:
         raise ValueError("canonical enumeration is defined for m=4 boards")
     result = sweep(m, n, budget=budget, workers=workers)
-    boards = [board_from_int(m, n, b) for b in result.canonical]
+    boards = [Board(m, n, b) for b in result.canonical]
     boards.sort(key=lambda b: b.cells)
     return boards
 
@@ -447,9 +433,9 @@ def regenerate_figures(*, budget: int | None = None) -> dict[str, list[Board]]:
     """
     bad: list[str] = []
 
-    canonical_4x6 = {b.cells for b in enumerate_canonical(4, 6, budget=budget)}
+    canonical_4x6 = set(enumerate_canonical(4, 6, budget=budget))
     for idx, board in enumerate(reference.GALLERY_4X6):
-        if board.cells not in canonical_4x6:
+        if board not in canonical_4x6:
             bad.append(f"4x6 gallery board {idx} is not in the canonical enumeration:\n{board.to_ascii()}")
 
     k = 3  # left half of width 6

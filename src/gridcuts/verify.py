@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 from . import oracle, reference
 from .automaton import (
     Automaton,
+    ColumnPattern,
     acceptance,
     accepted_words,
     always_rejected_columns,
@@ -29,18 +30,16 @@ from .automaton import (
     build_general,
     live_words,
     permutation_similarity_witness,
+    revcomp,
     transfer_matrix,
 )
 from .asymptotics import dominant_form, error_profile
 from .board import (
     Board,
-    ColumnPattern,
     complete_board,
     component_counts,
     is_canonical,
     is_graham,
-    is_self_revcomp,
-    revcomp,
     satisfies_complement_rule,
     transform,
 )
@@ -61,7 +60,7 @@ class CriterionResult:
     name: str
     ok: bool
     elapsed_s: float
-    time_budget_s: float | None
+    time_budget_s: float
     details: dict = field(default_factory=dict)
     failures: list[str] = field(default_factory=list)
 
@@ -277,27 +276,33 @@ def _word_oracle_equivalence(check: _Check, machine: Automaton, canonical: bool)
             )
 
 
-def _board_valid(word, n: int, canonical: bool) -> bool:
-    board = complete_board(word, n)
+def _board_valid(word: Sequence[ColumnPattern], n: int, canonical: bool) -> bool:
+    board = complete_board(word[0].m, n, [col.encode() for col in word])
     return is_canonical(board) if canonical else is_graham(board)
 
 
 def _acceptance_is_state_function(check: _Check, machine: Automaton, canonical: bool) -> None:
     """Words reaching one state accept alike, and as their boards dictate.
 
-    The per-board re-check uses the flood fill from the board module, a
-    different code path from both the sweep and the profile algebra.
+    Every live word's acceptance by the machine's stored accept sets must be
+    its end state's acceptance under the profile algebra, computed once per
+    state.  The first word reaching each state is also completed to boards
+    and re-checked with the flood fill from the board module, a different
+    code path from both the sweep and the profile algebra.
     """
-    seen: dict[int, tuple[bool, bool]] = {}
+    stored_even, stored_odd = set(machine.accept_even), set(machine.accept_odd)
+    accepts: dict[int, tuple[bool, bool]] = {}
     for word, idx in live_words(machine, 6):
-        even, odd = acceptance(machine.states[idx])
-        if idx in seen:
-            check.expect(
-                seen[idx] == (even, odd),
-                f"{machine.mode} state {idx} acceptance differs between words",
-            )
+        first = idx not in accepts
+        if first:
+            accepts[idx] = acceptance(machine.states[idx])
+        even, odd = accepts[idx]
+        check.expect(
+            (even, odd) == (idx in stored_even, idx in stored_odd),
+            f"{machine.mode} state {idx}: stored acceptance differs from the profile algebra",
+        )
+        if not first:
             continue
-        seen[idx] = (even, odd)
         board_even = _board_valid(word, 2 * len(word), canonical)
         check.expect(
             board_even == even,
@@ -317,6 +322,7 @@ def _acceptance_is_state_function(check: _Check, machine: Automaton, canonical: 
 
 def _union_find_component_counts(board: Board) -> tuple[int, int]:
     """Independent connectivity count used to cross-check the flood fill."""
+    cells = board.cells
     m, n = board.m, board.n
     parent = list(range(m * n))
 
@@ -328,34 +334,26 @@ def _union_find_component_counts(board: Board) -> tuple[int, int]:
 
     for i in range(m):
         for j in range(n):
-            if j + 1 < n and board.cells[i][j] == board.cells[i][j + 1]:
+            if j + 1 < n and cells[i][j] == cells[i][j + 1]:
                 parent[find(i * n + j)] = find(i * n + j + 1)
-            if i + 1 < m and board.cells[i][j] == board.cells[i + 1][j]:
+            if i + 1 < m and cells[i][j] == cells[i + 1][j]:
                 parent[find(i * n + j)] = find((i + 1) * n + j)
-    roots = {find(i * n + j): board.cells[i][j] for i in range(m) for j in range(n)}
+    roots = {find(i * n + j): cells[i][j] for i in range(m) for j in range(n)}
     zeros = sum(1 for label in roots.values() if label == 0)
     return zeros, len(roots) - zeros
 
 
 def _rule_boards(m: int, n: int):
     """Every complement-rule board of the shape, by direct construction."""
-    k = (n + 1) // 2
-    free = k - 1 if n % 2 == 1 else k
-    if n % 2 == 1:
-        middles = [
-            ColumnPattern.decode(m, v)
-            for v in range(1 << m)
-            if is_self_revcomp(ColumnPattern.decode(m, v))
-        ]
-        if not middles:
-            return
-    for values in iproduct(range(1 << m), repeat=free):
-        prefix = tuple(ColumnPattern.decode(m, v) for v in values)
-        if n % 2 == 1:
-            for mid in middles:
-                yield complete_board(prefix + (mid,), n)
-        else:
-            yield complete_board(prefix, n)
+    if n % 2 == 0:
+        for left in iproduct(range(1 << m), repeat=n // 2):
+            yield complete_board(m, n, left)
+        return
+    # a one-column board obeys the rule iff its column is its own reversed complement
+    middles = [v for v in range(1 << m) if satisfies_complement_rule(Board(m, 1, v))]
+    for prefix in iproduct(range(1 << m), repeat=n // 2):
+        for mid in middles:
+            yield complete_board(m, n, prefix + (mid,))
 
 
 def criterion_property_suites(check: _Check) -> None:
@@ -383,7 +381,7 @@ def criterion_property_suites(check: _Check) -> None:
                 check.expect(False, f"rot180 != complement on a rule board: {board.cells}")
             if board.left_half() != board.columns()[: (n + 1) // 2]:
                 check.expect(False, "left_half disagrees with columns")
-            if complete_board(board.left_half(), n) != board:
+            if complete_board(m, n, board.left_half()) != board:
                 check.expect(False, f"left-half round trip failed: {board.cells}")
             if m * n <= 16:
                 if component_counts(board) != _union_find_component_counts(board):
@@ -395,7 +393,7 @@ def criterion_property_suites(check: _Check) -> None:
     for n in range(1, 7):
         result = oracle.sweep(4, n)
         for value in result.graham:
-            board = oracle.board_from_int(4, n, value)
+            board = Board(4, n, value)
             graham_checked += 1
             for op in ("hflip", "vflip", "rot180", "complement"):
                 image = transform(board, op)
@@ -412,7 +410,7 @@ def criterion_property_suites(check: _Check) -> None:
     for _ in range(500):
         m = rng.randint(1, 6)
         n = rng.randint(1, 8)
-        board = Board(tuple(tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(m)))
+        board = Board.from_rows([[rng.randint(0, 1) for _ in range(n)] for _ in range(m)])
         if component_counts(board) != _union_find_component_counts(board):
             check.expect(False, f"flood fill vs union-find mismatch: {board.cells}")
         for op in ("hflip", "vflip", "rot180", "complement"):
@@ -431,13 +429,12 @@ def criterion_figures(check: _Check) -> None:
     """Both reference galleries verify, and the 4x6 enumeration has 54 boards."""
     boards = oracle.enumerate_canonical(4, 6)
     check.equal(len(boards), 54, "canonical 4x6 count")
-    check.expect(
-        len({b.cells for b in boards}) == len(boards), "enumeration has duplicates"
-    )
+    check.expect(len(set(boards)) == len(boards), "enumeration has duplicates")
     figures = oracle.regenerate_figures()
-    gallery = {b.cells for b in figures["four_by_six"]}
-    enumerated = {b.cells for b in boards}
-    check.expect(gallery <= enumerated, "a 4x6 gallery board is missing from the enumeration")
+    check.expect(
+        set(figures["four_by_six"]) <= set(boards),
+        "a 4x6 gallery board is missing from the enumeration",
+    )
     check.expect(
         all(is_graham(b) for b in figures["three_by_six"]),
         "a 3x6 gallery board is not a valid cut",
@@ -445,7 +442,7 @@ def criterion_figures(check: _Check) -> None:
     check.details["canonical_4x6"] = len(boards)
 
 
-CRITERIA: list[tuple[str, Callable[[_Check], None], float | None]] = [
+CRITERIA: list[tuple[str, Callable[[_Check], None], float]] = [
     ("terms-30", criterion_terms, 1.0),
     ("generating-function", criterion_generating_function, 5.0),
     ("oracle-agreement", criterion_oracle_agreement, 300.0),
@@ -454,7 +451,7 @@ CRITERIA: list[tuple[str, Callable[[_Check], None], float | None]] = [
     ("asymptotics", criterion_asymptotics, 5.0),
     ("cross-convention", criterion_cross_convention, 1.0),
     ("general-mode", criterion_general_mode, 60.0),
-    ("property-suites", criterion_property_suites, None),
+    ("property-suites", criterion_property_suites, 5.0),
     ("figures", criterion_figures, 1.0),
 ]
 
@@ -470,7 +467,7 @@ def run_criterion(name: str) -> CriterionResult:
                 check.failures.append(f"exception: {exc!r}")
             elapsed = time.perf_counter() - started
             ok = not check.failures
-            if budget is not None and elapsed > budget:
+            if elapsed > budget:
                 ok = False
                 check.failures.append(f"took {elapsed:.1f}s, budget {budget:.0f}s")
             return CriterionResult(name, ok, elapsed, budget, check.details, check.failures)

@@ -2,6 +2,7 @@ import pytest
 
 from gridcuts import oracle
 from gridcuts.automaton import (
+    ColumnPattern,
     acceptance,
     accepted_words,
     always_rejected_columns,
@@ -17,7 +18,7 @@ from gridcuts.automaton import (
     transfer_matrix,
     StateExplosionError,
 )
-from gridcuts.board import ColumnPattern, complete_board, is_canonical, is_graham
+from gridcuts.board import complete_board, is_canonical, is_graham
 from gridcuts.reference import REFERENCE_TRANSFER_MATRIX
 
 
@@ -57,7 +58,7 @@ class TestAcceptance:
     def test_all_zero_start_even_accepts(self):
         even, odd = acceptance(start_state(col(0, 0, 0, 0)))
         assert even and not odd
-        assert is_graham(complete_board([col(0, 0, 0, 0)], 2))
+        assert is_graham(complete_board(4, 2, [col(0, 0, 0, 0).encode()]))
 
     def test_acceptance_needs_live_columns_to_line_up(self, canonical):
         lonely = [s for s in canonical.states if s.column.bits == (0, 1, 1, 0)]
@@ -127,7 +128,7 @@ class TestLonelyColumn:
     WITNESS = (col(0, 0, 0, 0), col(0, 1, 1, 0), col(0, 1, 0, 0))
 
     def test_witness_board_is_canonical(self):
-        board = complete_board(list(self.WITNESS), 6)
+        board = complete_board(4, 6, [c.encode() for c in self.WITNESS])
         assert is_canonical(board)
         assert board.cells == (
             (0, 0, 0, 1, 1, 1),
@@ -140,8 +141,8 @@ class TestLonelyColumn:
         assert self.WITNESS in accepted_words(canonical, 3, "even")
 
     def test_witness_in_enumeration(self):
-        board = complete_board(list(self.WITNESS), 6)
-        assert board.cells in {b.cells for b in oracle.enumerate_canonical(4, 6)}
+        board = complete_board(4, 6, [c.encode() for c in self.WITNESS])
+        assert board in oracle.enumerate_canonical(4, 6)
 
     def test_lonely_column_state_accepts_nothing(self, canonical):
         report = always_rejected_columns(canonical)
@@ -196,7 +197,7 @@ class TestWordRuns:
     def test_run_accept_matches_board(self, canonical):
         word = (col(0, 0, 0, 0), col(0, 1, 0, 0), col(0, 1, 0, 0))
         assert word in accepted_words(canonical, 3, "even")
-        assert is_canonical(complete_board(word, 6))
+        assert is_canonical(complete_board(4, 6, [c.encode() for c in word]))
 
     @pytest.mark.parametrize("build", [lambda: build_canonical(4), lambda: build_general(3)])
     def test_live_words_follow_the_profile_update(self, build):
@@ -243,7 +244,7 @@ class TestInvariants:
             assert sorted(r for block in state.profile.one_blocks for r in block) == ones
 
     def test_odd_accepting_states_have_self_revcomp_columns(self, canonical):
-        from gridcuts.board import is_self_revcomp
+        from gridcuts.automaton import is_self_revcomp
 
         for idx in canonical.accept_odd:
             assert is_self_revcomp(canonical.states[idx].column)

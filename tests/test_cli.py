@@ -1,12 +1,26 @@
 import hashlib
 import json
+import re
 
 import pytest
 
 from gridcuts import oracle
-from gridcuts.board import boards_from_svg
+from gridcuts.board import SVG_FILL_ONE, Board
 from gridcuts.cli import main
 from gridcuts.reference import GALLERY_4X6, REFERENCE_TERMS
+
+
+_SVG_RECT = re.compile(r'<rect x="(\d+)" y="(\d+)" width="1" height="1" fill="([^"]+)"')
+
+
+def svg_boards(text):
+    """The boards in the writers' SVG, one per <g class="board"> group."""
+    boards = []
+    for group in text.split('<g class="board"')[1:]:
+        cells = {(int(y), int(x)): fill == SVG_FILL_ONE for x, y, fill in _SVG_RECT.findall(group)}
+        m, n = max(i for i, _ in cells) + 1, max(j for _, j in cells) + 1
+        boards.append(Board.from_rows([[cells[i, j] for j in range(n)] for i in range(m)]))
+    return boards
 
 
 def run_cli(capsys, *argv):
@@ -86,11 +100,11 @@ class TestEnumerate:
 
     def test_svg_has_all_boards(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "--n", "6", "--format", "svg")
-        boards = boards_from_svg(out)
+        boards = svg_boards(out)
         assert len(boards) == 54
-        cells = {b.cells for b in boards}
+        assert boards == oracle.enumerate_canonical(4, 6)
         for board in GALLERY_4X6:
-            assert board.cells in cells
+            assert board in boards
 
     def test_svg_directory_output(self, capsys, tmp_path):
         out_dir = tmp_path / "boards"
@@ -101,8 +115,6 @@ class TestEnumerate:
         assert len(files) == 3
 
     def test_json_round_trips(self, capsys):
-        from gridcuts.board import Board
-
         code, out, _ = run_cli(capsys, "enumerate", "--n", "3", "--format", "json")
         data = json.loads(out)
         assert data["count"] == 5
@@ -207,6 +219,28 @@ class TestAutomatonCommand:
 
 
 class TestAsymptoticsCommand:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_limit_past_float_range_is_one_line(self, capsys, fmt):
+        code, out, err = run_cli(capsys, "asymptotics", "--limit", "1200", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err == "gridcuts: --limit must be at most 1187: later terms do not fit the float relative error\n"
+
+    def test_max_limit_is_the_last_term_that_fits_a_float(self):
+        from gridcuts.automaton import build_canonical
+        from gridcuts.cli import ASYMPTOTICS_MAX_LIMIT
+        from gridcuts.series import generating_function, series_terms
+
+        terms = series_terms(generating_function(build_canonical(4)), ASYMPTOTICS_MAX_LIMIT + 1)
+        float(terms[-2])
+        with pytest.raises(OverflowError):
+            float(terms[-1])
+
+    def test_max_limit_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "asymptotics", "--limit", "1187")
+        assert code == 0
+        assert out.splitlines()[-1].startswith("1187  ")
+
     def test_json_fields(self, capsys):
         code, out, _ = run_cli(capsys, "asymptotics", "--format", "json")
         data = json.loads(out)
@@ -221,7 +255,7 @@ class TestAsymptoticsCommand:
 class TestFiguresAndDelahaye:
     def test_figures_svg(self, capsys):
         code, out, _ = run_cli(capsys, "figures", "--format", "svg")
-        assert len(boards_from_svg(out)) == 24
+        assert len(svg_boards(out)) == 24
 
     def test_delahaye_json(self, capsys):
         code, out, _ = run_cli(capsys, "delahaye", "--n", "3", "--format", "json")

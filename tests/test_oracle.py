@@ -8,26 +8,28 @@ from gridcuts import oracle
 from gridcuts.board import (
     Board,
     CanonicalConventionWarning,
-    ColumnPattern,
     complete_board,
     is_canonical,
     is_graham,
 )
-from gridcuts.oracle import BudgetError, board_from_int, board_to_int
+from gridcuts.oracle import BudgetError
 from gridcuts.reference import GALLERY_4X6, REFERENCE_TERMS
 
 
 class TestBoardIntPacking:
     def test_round_trip(self):
+        # the sweep's integers are Board bits: cell (i, j) at bit j*m + i
+        canonical = oracle.sweep(4, 6).canonical
         for board in GALLERY_4X6:
-            assert board_from_int(4, 6, board_to_int(board)) == board
+            assert Board(4, 6, board.bits) == board
+            assert board.bits in canonical
 
 
 class TestEnumerateCanonical:
     def test_width_one_single_board(self):
         boards = oracle.enumerate_canonical(4, 1)
         assert len(boards) == 1
-        assert boards[0].columns() == (ColumnPattern((1, 1, 0, 0)),)
+        assert boards[0].cells == ((1,), (1,), (0,), (0,))
 
     def test_width_zero_empty(self):
         assert oracle.enumerate_canonical(4, 0) == []
@@ -35,10 +37,9 @@ class TestEnumerateCanonical:
     def test_width_six_has_54_boards_including_gallery(self):
         boards = oracle.enumerate_canonical(4, 6)
         assert len(boards) == 54
-        cells = {b.cells for b in boards}
-        assert len(cells) == 54
+        assert len(set(boards)) == 54
         for board in GALLERY_4X6:
-            assert board.cells in cells
+            assert board in boards
 
     def test_sorted_by_cell_array(self):
         boards = oracle.enumerate_canonical(4, 5)
@@ -110,7 +111,7 @@ class TestCountReport:
             cuts = {min(b, b ^ comp) for b in result.graham}
             fixed = 0
             for rep in cuts:
-                flipped = board_to_int(transform(board_from_int(4, n, rep), "hflip"))
+                flipped = transform(Board(4, n, rep), "hflip").bits
                 if min(flipped, flipped ^ comp) == rep:
                     fixed += 1
             assert oracle.count_report(4, n).orbits == (len(cuts) + fixed) // 2
@@ -157,25 +158,24 @@ class TestSweepAgainstPurePython:
 
         graham, canonical = [], []
         k = (n + 1) // 2
-        for values in product(range(1 << m), repeat=k):
-            left = tuple(ColumnPattern.decode(m, v) for v in values)
+        for left in product(range(1 << m), repeat=k):
             try:
-                board = complete_board(left, n)
+                board = complete_board(m, n, left)
             except ValueError:
                 continue
             if is_graham(board):
-                graham.append(board_to_int(board))
+                graham.append(board.bits)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", CanonicalConventionWarning)
                     if is_canonical(board):
-                        canonical.append(board_to_int(board))
+                        canonical.append(board.bits)
         result = oracle.sweep(m, n)
         assert result.graham == tuple(sorted(graham))
         assert result.canonical == tuple(sorted(canonical))
 
     def test_every_swept_board_is_graham(self):
         for value in oracle.sweep(4, 5).graham:
-            assert is_graham(board_from_int(4, 5, value))
+            assert is_graham(Board(4, 5, value))
 
     def test_workers_do_not_change_odd_width_sweep(self, monkeypatch):
         monkeypatch.setattr(oracle, "_SWEEP_CACHE", {})

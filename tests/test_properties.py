@@ -3,18 +3,18 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gridcuts import oracle
+from gridcuts.automaton import ColumnPattern, is_self_revcomp, revcomp
 from gridcuts.board import (
+    BOARD_TRANSFORMS,
     Board,
-    ColumnPattern,
     complete_board,
     component_counts,
     is_graham,
-    is_self_revcomp,
-    revcomp,
     satisfies_complement_rule,
     transform,
 )
@@ -28,19 +28,27 @@ columns = st.integers(2, 6).flatmap(
 )
 
 
-def boards(max_m=6, max_n=8):
+def grids(max_m=6, max_n=8):
+    """Row-major 0/1 tuple grids."""
     return st.integers(1, max_m).flatmap(
         lambda m: st.integers(1, max_n).flatmap(
-            lambda n: st.lists(
-                st.tuples(*([st.integers(0, 1)] * n)), min_size=m, max_size=m
-            ).map(lambda rows: Board(tuple(rows)))
+            lambda n: st.tuples(*[st.tuples(*([st.integers(0, 1)] * n))] * m)
         )
     )
 
 
+def boards(max_m=6, max_n=8):
+    return grids(max_m, max_n).map(Board.from_rows)
+
+
 def left_halves(m, max_cols=5):
-    col = st.integers(0, (1 << m) - 1).map(lambda v: ColumnPattern.decode(m, v))
-    return st.lists(col, min_size=1, max_size=max_cols)
+    """(m, left half) with the columns as m-bit integers."""
+    return st.tuples(st.just(m), st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=max_cols))
+
+
+def is_middle(m, column):
+    """A one-column board obeys the rule iff its column is its own reversed complement."""
+    return satisfies_complement_rule(Board(m, 1, column))
 
 
 class TestColumnProperties:
@@ -90,25 +98,117 @@ class TestBoardProperties:
 
 class TestCompletionProperties:
     @given(st.integers(2, 5).flatmap(left_halves))
-    def test_round_trip_even_width(self, left):
-        board = complete_board(left, 2 * len(left))
+    def test_round_trip_even_width(self, m_left):
+        m, left = m_left
+        board = complete_board(m, 2 * len(left), left)
         assert satisfies_complement_rule(board)
         assert board.left_half() == tuple(left)
 
     @given(st.integers(2, 5).flatmap(left_halves))
-    def test_round_trip_odd_width(self, left):
-        if not is_self_revcomp(left[-1]):
-            left = list(left[:-1]) + [ColumnPattern((1,) * (left[0].m // 2) + (0,) * ((left[0].m + 1) // 2))]
-        if not is_self_revcomp(left[-1]):
+    def test_round_trip_odd_width(self, m_left):
+        m, left = m_left
+        if not is_middle(m, left[-1]):
+            left = left[:-1] + [(1 << (m // 2)) - 1]  # top half 1s, bottom half 0s
+        if not is_middle(m, left[-1]):
             return  # odd row count has no middle columns
-        board = complete_board(left, 2 * len(left) - 1)
+        board = complete_board(m, 2 * len(left) - 1, left)
         assert satisfies_complement_rule(board)
         assert board.left_half() == tuple(left)
 
     @given(st.integers(2, 5).flatmap(left_halves))
-    def test_completion_is_graham_iff_flood_fill_agrees(self, left):
-        board = complete_board(left, 2 * len(left))
+    def test_completion_is_graham_iff_flood_fill_agrees(self, m_left):
+        m, left = m_left
+        board = complete_board(m, 2 * len(left), left)
         assert is_graham(board) == (component_counts(board) == (1, 1))
+
+
+# -- the tuple-grid board operations the bitboard replaced, as a reference ----
+
+
+def grid_columns(grid):
+    return tuple(tuple(row[j] for row in grid) for j in range(len(grid[0])))
+
+
+def grid_from_columns(cols):
+    return tuple(tuple(col[i] for col in cols) for i in range(len(cols[0])))
+
+
+def grid_revcomp(col):
+    return tuple(1 - b for b in reversed(col))
+
+
+def grid_transform(grid, op):
+    if op == "hflip":
+        return tuple(tuple(reversed(row)) for row in grid)
+    if op == "vflip":
+        return tuple(reversed(grid))
+    if op == "rot180":
+        return grid_transform(grid_transform(grid, "hflip"), "vflip")
+    assert op == "complement"
+    return tuple(tuple(1 - c for c in row) for row in grid)
+
+
+def grid_complete(left, n):
+    right = [grid_revcomp(left[j]) for j in range(n // 2)]
+    return grid_from_columns(tuple(left) + tuple(reversed(right)))
+
+
+def grid_rule(grid):
+    m, n = len(grid), len(grid[0])
+    return all(grid[i][j] == 1 - grid[m - 1 - i][n - 1 - j] for i in range(m) for j in range(n))
+
+
+def column_bits(col):
+    return sum(b << i for i, b in enumerate(col))
+
+
+@st.composite
+def rule_grids(draw):
+    """Left halves completed by the reference; the odd middle column is free,
+    so about half the odd-width grids break the rule."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    column = st.tuples(*([st.integers(0, 1)] * m))
+    left = draw(st.lists(column, min_size=(n + 1) // 2, max_size=(n + 1) // 2))
+    return m, n, left
+
+
+class TestBitboardMatchesTupleGrid:
+    @given(grids())
+    def test_packing(self, grid):
+        m = len(grid)
+        expected = sum(c << (j * m + i) for i, row in enumerate(grid) for j, c in enumerate(row))
+        assert Board.from_rows(grid).bits == expected
+
+    @given(grids())
+    def test_cells_and_columns(self, grid):
+        board = Board.from_rows(grid)
+        assert board.cells == grid
+        assert board.columns() == tuple(column_bits(col) for col in grid_columns(grid))
+
+    @given(grids(), st.sampled_from(BOARD_TRANSFORMS))
+    def test_transform(self, grid, op):
+        assert transform(Board.from_rows(grid), op).cells == grid_transform(grid, op)
+
+    @given(rule_grids())
+    def test_complete_board(self, shape):
+        m, n, left = shape
+        if n % 2 and grid_revcomp(left[-1]) != left[-1]:
+            with pytest.raises(ValueError):
+                complete_board(m, n, [column_bits(col) for col in left])
+            return
+        board = complete_board(m, n, [column_bits(col) for col in left])
+        assert board.cells == grid_complete(left, n)
+
+    @given(rule_grids())
+    def test_complement_rule(self, shape):
+        m, n, left = shape
+        # the reference completion, middle column included whatever it is
+        grid = grid_from_columns(tuple(left) + tuple(reversed([grid_revcomp(c) for c in left[: n // 2]])))
+        assert satisfies_complement_rule(Board.from_rows(grid)) == grid_rule(grid)
+
+    @given(grids())
+    def test_complement_rule_on_any_grid(self, grid):
+        assert satisfies_complement_rule(Board.from_rows(grid)) == grid_rule(grid)
 
 
 @st.composite
@@ -117,12 +217,12 @@ def sieve_boards(draw):
     m, n = draw(st.sampled_from(
         [(m, n) for m in range(1, 7) for n in range(1, 25) if 4 <= m * n <= 24]
     ))
-    board = oracle.board_from_int(m, n, draw(st.integers(0, (1 << (m * n)) - 1)))
+    board = Board(m, n, draw(st.integers(0, (1 << (m * n)) - 1)))
     if draw(st.booleans()):
-        cols = list(board.columns())
+        cols = list(grid_columns(board.cells))
         for j in range(n // 2):
-            cols[n - 1 - j] = revcomp(cols[j])
-        board = Board.from_columns(cols)
+            cols[n - 1 - j] = grid_revcomp(cols[j])
+        board = Board.from_rows(grid_from_columns(cols))
     return board
 
 
@@ -138,7 +238,7 @@ class TestIsolatedCellSieve:
             )
             for i in range(m) for j in range(n)
         )
-        bits = np.array([oracle.board_to_int(board)], dtype=np.uint64)
+        bits = np.array([board.bits], dtype=np.uint64)
         cells = oracle._sieve_cells(m, n, range(n))
         flagged = bool(oracle._isolated(bits, cells, m, *oracle._row_masks(m, n))[0])
         assert flagged == lone
