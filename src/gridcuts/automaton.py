@@ -30,7 +30,6 @@ yields every word not yet rejected, with its state, shortest first.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -45,17 +44,14 @@ __all__ = [
     "acceptance",
     "accepted_words",
     "always_rejected_columns",
-    "automaton_from_json",
     "build_canonical",
     "build_general",
-    "is_self_revcomp",
     "live_words",
     "permutation_similarity_witness",
     "revcomp",
     "start_state",
     "step_state",
     "to_dot",
-    "to_json",
     "transfer_matrix",
 ]
 
@@ -112,11 +108,6 @@ def revcomp(col: ColumnPattern) -> ColumnPattern:
     an involution.
     """
     return ColumnPattern(tuple(1 - b for b in reversed(col.bits)))
-
-
-def is_self_revcomp(col: ColumnPattern) -> bool:
-    """True for columns that may sit in the middle of an odd-width board."""
-    return revcomp(col) == col
 
 
 Blocks = tuple[tuple[int, ...], ...]
@@ -291,24 +282,6 @@ class Automaton:
     def _edge_map(self) -> dict[tuple[int, int], int]:
         return {(src, sym): dst for src, sym, dst in self.transitions}
 
-    def count_boards(self, n: int) -> int:
-        """Number of width-n boards this machine accepts, over its divisor."""
-        if n <= 0:
-            return 0
-        k = (n + 1) // 2
-        accept = self.accept_even if n % 2 == 0 else self.accept_odd
-        vec = [0] * len(self.states)
-        for idx in self.start:
-            vec[idx] += 1
-        for _ in range(k - 1):
-            nxt = [0] * len(self.states)
-            for src, _, dst in self.transitions:
-                nxt[dst] += vec[src]
-            vec = nxt
-        total = sum(vec[idx] for idx in accept)
-        assert total % self.divisor == 0
-        return total // self.divisor
-
 
 def _build(m: int, mode: str, alphabet: tuple[ColumnPattern, ...],
            start_cols: tuple[ColumnPattern, ...], divisor: int,
@@ -464,10 +437,11 @@ class TransferMatrix:
 def transfer_matrix(a: Automaton) -> TransferMatrix:
     """0/1 adjacency of the machine.
 
-    It counts words exactly as `count_boards` does only if at most one
-    transition joins each ordered pair of states.  A built machine satisfies
-    this (a state records the column just read, so the destination fixes
-    the symbol); a machine loaded from JSON might not, and is rejected.
+    It counts words exactly as a walk over the transitions does only if at
+    most one transition joins each ordered pair of states.  A built machine
+    satisfies this (a state records the column just read, so the destination
+    fixes the symbol); a machine assembled by hand might not, and is
+    rejected.
     """
     size = len(a.states)
     rows = [[0] * size for _ in range(size)]
@@ -585,35 +559,6 @@ def to_json_dict(a: Automaton) -> dict:
         "accept_even": list(a.accept_even),
         "accept_odd": list(a.accept_odd),
     }
-
-
-def to_json(a: Automaton) -> str:
-    return json.dumps(to_json_dict(a), indent=2)
-
-
-def automaton_from_json(text: str) -> Automaton:
-    data = json.loads(text)
-    states = tuple(
-        State(
-            ColumnPattern(tuple(s["column"])),
-            ConnectivityProfile(
-                tuple(tuple(b) for b in s["profile"]["zero"]),
-                tuple(tuple(b) for b in s["profile"]["one"]),
-            ),
-        )
-        for s in data["states"]
-    )
-    return Automaton(
-        m=data["m"],
-        mode=data["mode"],
-        divisor=data["divisor"],
-        alphabet=tuple(ColumnPattern(tuple(bits)) for bits in data["alphabet"]),
-        states=states,
-        start=tuple(data["start"]),
-        transitions=tuple(tuple(edge) for edge in data["edges"]),
-        accept_even=tuple(data["accept_even"]),
-        accept_odd=tuple(data["accept_odd"]),
-    )
 
 
 def to_dot(a: Automaton) -> str:

@@ -31,7 +31,6 @@ Everything in this module is an immutable value; all functions are pure.
 
 from __future__ import annotations
 
-import json
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -121,34 +120,8 @@ class Board:
     def to_json_dict(self) -> dict:
         return {"m": self.m, "n": self.n, "rows": [list(row) for row in self.cells]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Board":
-        board = cls.from_rows(data["rows"])
-        if board.m != data.get("m", board.m) or board.n != data.get("n", board.n):
-            raise ValueError("board JSON dimensions disagree with rows")
-        return board
-
-    @classmethod
-    def from_json(cls, text: str) -> "Board":
-        return cls.from_json_dict(json.loads(text))
-
     def to_ascii(self) -> str:
         return "\n".join("".join("#" if c else "." for c in row) for row in self.cells)
-
-    @classmethod
-    def from_ascii(cls, text: str) -> "Board":
-        rows = []
-        for line in text.strip().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if set(line) - {"#", "."}:
-                raise ValueError(f"ascii board line {line!r} has characters other than '#' and '.'")
-            rows.append([1 if ch == "#" else 0 for ch in line])
-        return cls.from_rows(rows)
 
     def to_svg(self, *, scale: int = 24) -> str:
         return (

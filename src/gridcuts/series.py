@@ -18,6 +18,9 @@ functions that agree on 4S+1 coefficients are equal: P1 Q2 - P2 Q1 has degree
 at most 4S and vanishes mod x^(4S+1).  So once the guess is checked to obey
 the degree bound and to reproduce every computed count, it is G.  The
 resolvent-denominator LCM is certified the same way from the entries of T^k.
+The same rows e_i T^k give the power traces p_k = tr(T^k), from which
+`charpoly` gets det(xI - T) through Newton's identities, so no determinant
+is ever computed by elimination.
 
 Rational functions are kept normalized: numerator and denominator are coprime
 integer polynomials with coprime contents and a positive leading denominator
@@ -27,12 +30,11 @@ coefficient comparison.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .automaton import TransferMatrix
 
@@ -40,7 +42,6 @@ __all__ = [
     "Polynomial",
     "RationalFunction",
     "Recurrence",
-    "bareiss_determinant",
     "certified_series",
     "charpoly",
     "rational_function",
@@ -217,33 +218,6 @@ def product(polys: Iterable[Polynomial]) -> Polynomial:
     return out
 
 
-def bareiss_determinant(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Fraction-free determinant; every division is exact by construction."""
-    size = len(matrix)
-    if size == 0:
-        return Polynomial.ONE
-    rows = [list(row) for row in matrix]
-    sign = 1
-    prev = Polynomial.ONE
-    for k in range(size - 1):
-        if rows[k][k].is_zero():
-            pivot_row = next(
-                (r for r in range(k + 1, size) if not rows[r][k].is_zero()), None
-            )
-            if pivot_row is None:
-                return Polynomial.ZERO
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]
-                rows[i][j] = num.divexact(prev)
-            rows[i][k] = Polynomial.ZERO
-        prev = rows[k][k]
-    det = rows[size - 1][size - 1]
-    return det if sign == 1 else -det
-
-
 @dataclass(frozen=True)
 class RationalFunction:
     """Normalized ratio of integer polynomials; see `rational_function`."""
@@ -262,16 +236,6 @@ class RationalFunction:
             "numerator": [int(c) for c in self.numerator.coeffs],
             "denominator": [int(c) for c in self.denominator.coeffs],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "RationalFunction":
-        data = json.loads(text)
-        return rational_function(
-            Polynomial(data["numerator"]), Polynomial(data["denominator"])
-        )
 
     def __str__(self) -> str:
         return f"({self.numerator}) / ({self.denominator})"
@@ -419,6 +383,19 @@ def generating_function(automaton) -> RationalFunction:
     return rational_function(gf.numerator, gf.denominator * automaton.divisor)
 
 
+def _basis_powers(matrix: Sequence[Sequence[int]], top: int) -> Iterator[list[list[int]]]:
+    """For each basis row e_i, the rows e_i M^k for k = 0..top."""
+    size = len(matrix)
+    rows = _sparse_rows(matrix)
+    for i in range(size):
+        vec = [int(j == i) for j in range(size)]
+        powers = [vec]
+        for _ in range(top):
+            vec = _step(vec, rows)
+            powers.append(vec)
+        yield powers
+
+
 def resolvent_denominator_lcm(T: TransferMatrix) -> Polynomial:
     """LCM of the reduced entry denominators of (I - xT)^(-1).
 
@@ -428,14 +405,8 @@ def resolvent_denominator_lcm(T: TransferMatrix) -> Polynomial:
     integer polynomial.
     """
     size = T.order
-    rows = _sparse_rows(T.entries)
     sequences: set[tuple[int, ...]] = set()
-    for i in range(size):
-        vec = [int(j == i) for j in range(size)]
-        powers = [vec]
-        for _ in range(2 * size):
-            vec = _step(vec, rows)
-            powers.append(vec)
+    for powers in _basis_powers(T.entries, 2 * size):
         sequences.update(zip(*powers))
     lcm = Polynomial.ONE
     for seq in sequences:
@@ -445,16 +416,28 @@ def resolvent_denominator_lcm(T: TransferMatrix) -> Polynomial:
 
 
 def charpoly(matrix: Sequence[Sequence[int]]) -> Polynomial:
-    """det(xI - M) for an integer matrix, computed fraction-free."""
+    """det(xI - M) for a square integer matrix, from the power traces.
+
+    With p_k = tr(M^k), Newton's identities k e_k = sum_{i=1..k} (-1)^(i-1)
+    e_{k-i} p_i give the elementary symmetric functions e_k of the
+    eigenvalues, and det(xI - M) = sum_k (-1)^k e_k x^(S-k).  The e_k are
+    integers, so each division by k is exact.
+    """
     size = len(matrix)
-    rows = [
-        [
-            Polynomial([-matrix[i][j], 1]) if i == j else Polynomial([-matrix[i][j]])
-            for j in range(size)
-        ]
-        for i in range(size)
-    ]
-    return bareiss_determinant(rows)
+    traces = [0] * (size + 1)
+    for i, powers in enumerate(_basis_powers(matrix, size)):
+        for k, row in enumerate(powers):
+            traces[k] += row[i]
+    elementary = [1]
+    for k in range(1, size + 1):
+        acc = sum(
+            (-1) ** (i - 1) * elementary[k - i] * traces[i] for i in range(1, k + 1)
+        )
+        e_k, rem = divmod(acc, k)
+        if rem:
+            raise ArithmeticError(f"Newton identity {k} does not divide: {acc}/{k}")
+        elementary.append(e_k)
+    return Polynomial([(-1) ** k * elementary[k] for k in range(size, -1, -1)])
 
 
 def series_terms(G: RationalFunction, count: int) -> list[int]:
@@ -489,22 +472,6 @@ def series_terms(G: RationalFunction, count: int) -> list[int]:
     return out
 
 
-def series_terms_longdiv(G: RationalFunction, count: int) -> list[Fraction]:
-    """Power-series long division, kept as an independent cross-check."""
-    num, den = G.numerator.coeffs, G.denominator.coeffs
-    if not den or den[0] == 0:
-        raise ValueError("denominator must have a nonzero constant term")
-    remainder = list(num) + [0] * max(0, count + 1 - len(num))
-    out = []
-    for n in range(count + 1):
-        c = Fraction(remainder[n]) / den[0]
-        out.append(c)
-        for k, d in enumerate(den):
-            if n + k < len(remainder):
-                remainder[n + k] -= c * d
-    return out[1:]
-
-
 @dataclass(frozen=True)
 class Recurrence:
     """Constant-coefficient recurrence satisfied by the series of a gf.
@@ -518,19 +485,6 @@ class Recurrence:
     valid_from: int
     initial: tuple[int, ...]
 
-    def terms(self, count: int) -> list[int]:
-        values = list(self.initial)
-        d0 = self.coefficients[0]
-        for n in range(len(values), count + 1):
-            acc = 0
-            for i in range(1, self.order + 1):
-                if n - i >= 0:
-                    acc += self.coefficients[i] * values[n - i]
-            if acc % d0 != 0:
-                raise ArithmeticError("recurrence produced a non-integer term")
-            values.append(-acc // d0)
-        return values[1 : count + 1]
-
     def to_json_dict(self) -> dict:
         return {
             "order": self.order,
@@ -543,20 +497,6 @@ class Recurrence:
 def format_bfile(terms: Sequence[int], start: int = 1) -> str:
     """OEIS b-file lines: "n value", consecutive n, newline-terminated."""
     return "".join(f"{n} {value}\n" for n, value in enumerate(terms, start=start))
-
-
-def parse_bfile(text: str) -> list[int]:
-    """Inverse of format_bfile; insists on consecutive indices from 1."""
-    terms = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        index_str, value_str = line.split()
-        if int(index_str) != len(terms) + 1:
-            raise ValueError(f"b-file indices must run 1,2,...; saw {index_str}")
-        terms.append(int(value_str))
-    return terms
 
 
 def recurrence_of(G: RationalFunction) -> Recurrence:

@@ -45,6 +45,7 @@ from .board import (
 )
 from .series import (
     Polynomial,
+    charpoly,
     generating_function,
     product,
     resolvent_denominator_lcm,
@@ -174,8 +175,6 @@ def criterion_machine_structure(check: _Check) -> None:
             ),
             "similarity witness does not actually conjugate the matrices",
         )
-    from .series import charpoly
-
     check.equal(
         charpoly(T.entries).coeffs,
         charpoly(reference.REFERENCE_TRANSFER_MATRIX).coeffs,
@@ -184,9 +183,8 @@ def criterion_machine_structure(check: _Check) -> None:
     check.details["permutation_witness"] = witness
     check.details["always_rejected_column"] = {
         "column": [0, 1, 1, 0],
-        "reachable": True,
-        "on_accepting_paths": True,
-        "ever_accepting": False,
+        "states": len(lonely),
+        "ever_accepting": any(i in accepting for i in lonely),
     }
 
 

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from gridcuts.automaton import ColumnPattern, is_self_revcomp, revcomp
+from gridcuts.automaton import ColumnPattern, revcomp
 from gridcuts.board import (
     SVG_FILL_ONE,
     Board,
@@ -67,7 +67,7 @@ class TestColumnPattern:
         assert revcomp(col(0, 0, 0, 1)) == col(0, 1, 1, 1)
 
     def test_self_revcomp_columns_m4(self):
-        fixed = [c for v in range(16) if is_self_revcomp(c := ColumnPattern.decode(4, v))]
+        fixed = [c for v in range(16) if revcomp(c := ColumnPattern.decode(4, v)) == c]
         assert {f.bits for f in fixed} == {
             (1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0), (0, 1, 0, 1),
         }
@@ -202,16 +202,15 @@ class TestIsCanonical:
 class TestSerialization:
     def test_json_round_trip(self):
         board = GALLERY_4X6[3]
-        assert Board.from_json(board.to_json()) == board
-        data = board.to_json_dict()
+        data = json.loads(json.dumps(board.to_json_dict()))
         assert data["m"] == 4 and data["n"] == 6
-        assert json.loads(board.to_json()) == data
+        assert Board.from_rows(data["rows"]) == board
 
     def test_ascii_round_trip(self):
         board = GALLERY_4X6[4]
         text = board.to_ascii()
         assert set(text) <= {"#", ".", "\n"}
-        assert Board.from_ascii(text) == board
+        assert Board.from_rows([[ch == "#" for ch in line] for line in text.splitlines()]) == board
 
     def test_svg_round_trip(self):
         board = GALLERY_3X6[2]
@@ -221,7 +220,3 @@ class TestSerialization:
         boards = list(GALLERY_4X6[:3])
         text = boards_to_svg(boards)
         assert svg_boards(text) == boards
-
-    def test_bad_ascii(self):
-        with pytest.raises(ValueError):
-            Board.from_ascii("##\n#x")

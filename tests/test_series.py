@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from operator import floordiv
 
 import pytest
 from hypothesis import given
@@ -14,7 +16,7 @@ from gridcuts.reference import (
 )
 from gridcuts.series import (
     Polynomial,
-    bareiss_determinant,
+    RationalFunction,
     certified_series,
     charpoly,
     generating_function,
@@ -24,8 +26,52 @@ from gridcuts.series import (
     resolvent_denominator_lcm,
     resolvent_sum,
     series_terms,
-    series_terms_longdiv,
 )
+
+
+def bareiss_determinant(matrix):
+    """Fraction-free determinant of a matrix of ints or of Polynomials; every
+    division is exact by construction.  The independent reference for the
+    gf and for `charpoly`."""
+    size = len(matrix)
+    if size == 0:
+        return Polynomial.ONE
+    rows = [list(row) for row in matrix]
+    if isinstance(rows[0][0], Polynomial):
+        zero, prev, divexact = Polynomial.ZERO, Polynomial.ONE, Polynomial.divexact
+    else:
+        zero, prev, divexact = 0, 1, floordiv
+    sign = 1
+    for k in range(size - 1):
+        if rows[k][k] == zero:
+            pivot_row = next((r for r in range(k + 1, size) if rows[r][k] != zero), None)
+            if pivot_row is None:
+                return zero
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                num = rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]
+                rows[i][j] = divexact(num, prev)
+            rows[i][k] = zero
+        prev = rows[k][k]
+    det = rows[size - 1][size - 1]
+    return det if sign == 1 else -det
+
+
+def series_terms_longdiv(G, count):
+    """c_1..c_count by power-series long division over the rationals."""
+    num, den = G.numerator.coeffs, G.denominator.coeffs
+    remainder = list(num) + [0] * max(0, count + 1 - len(num))
+    out = []
+    for n in range(count + 1):
+        c = Fraction(remainder[n]) / den[0]
+        out.append(c)
+        for k, d in enumerate(den):
+            if n + k < len(remainder):
+                remainder[n + k] -= c * d
+    return out[1:]
+
 
 @pytest.fixture(scope="module")
 def machine_gf():
@@ -94,9 +140,61 @@ class TestBareiss:
         from gridcuts.reference import REFERENCE_TRANSFER_MATRIX
 
         cp = charpoly(REFERENCE_TRANSFER_MATRIX)
-        assert cp.degree == 9
-        assert cp.leading() == 1
+        assert cp.coeffs == (-1, -1, 9, -7, -18, 48, -53, 31, -9, 1)
         assert all(isinstance(c, int) for c in cp.coeffs)
+
+
+def _bareiss_charpoly(matrix):
+    """det(xI - M) as a Polynomial, by Bareiss over polynomial entries."""
+    size = len(matrix)
+    return bareiss_determinant([
+        [Polynomial([-matrix[i][j], int(i == j)]) for j in range(size)] for i in range(size)
+    ])
+
+
+def _square(size, entries=st.integers(-3, 3)):
+    return st.lists(st.lists(entries, min_size=size, max_size=size), min_size=size, max_size=size)
+
+
+def _jordan_block(size, eigenvalue):
+    return [[eigenvalue * (i == j) + (j == i + 1) for j in range(size)] for i in range(size)]
+
+
+class TestCharpoly:
+    @given(st.integers(0, 8).flatmap(_square))
+    def test_matches_bareiss(self, matrix):
+        assert charpoly(matrix) == _bareiss_charpoly(matrix)
+
+    @given(st.integers(1, 7).flatmap(_square))
+    def test_singular_matches_bareiss(self, matrix):
+        # append the sum of the first and last rows, then a copy of column 0
+        matrix = matrix + [[a + b for a, b in zip(matrix[0], matrix[-1])]]
+        matrix = [row + [row[0]] for row in matrix]
+        cp = charpoly(matrix)
+        assert cp == _bareiss_charpoly(matrix)
+        assert cp.constant() == 0
+
+    @pytest.mark.parametrize("size", range(9))
+    def test_repeated_eigenvalues(self, size):
+        identity = [[int(i == j) for j in range(size)] for i in range(size)]
+        assert charpoly(identity) == _bareiss_charpoly(identity) == product([poly(-1, 1)] * size)
+        nilpotent = _jordan_block(size, 0)
+        assert charpoly(nilpotent) == _bareiss_charpoly(nilpotent) == Polynomial([0] * size + [1])
+        twos = _jordan_block(size, 2)
+        assert charpoly(twos) == _bareiss_charpoly(twos) == product([poly(-2, 1)] * size)
+
+    @pytest.mark.parametrize("name", ["canonical4", "general1", "general2", "general3",
+                                      "general4", "general5"])
+    def test_transfer_matrices_match_bareiss(self, name):
+        # det(xI - M) has degree S, so S + 1 values determine it; integer
+        # Bareiss at each point keeps the 42-state general5 machine fast.
+        M = transfer_matrix(_machine(name)).entries
+        size = len(M)
+        cp = charpoly(M)
+        assert cp.degree == size and cp.leading() == 1
+        for x in range(size + 1):
+            shifted = [[x * (i == j) - M[i][j] for j in range(size)] for i in range(size)]
+            assert cp(x) == bareiss_determinant(shifted)
 
 
 class TestResolvent:
@@ -322,25 +420,34 @@ class TestNormalization:
         assert gf == rational_function(poly(0, 3), poly(1, -1))
 
     def test_json_round_trip(self, machine_gf):
-        from gridcuts.series import RationalFunction
-
-        assert RationalFunction.from_json(machine_gf.to_json()) == machine_gf
+        data = json.loads(json.dumps(machine_gf.to_json_dict()))
+        read = RationalFunction(Polynomial(data["numerator"]), Polynomial(data["denominator"]))
+        assert read == machine_gf == read.normalized()
 
 
 class TestBfile:
     def test_round_trip(self, machine_gf):
-        from gridcuts.series import format_bfile, parse_bfile
+        from gridcuts.series import format_bfile
 
         terms = series_terms(machine_gf, 30)
         text = format_bfile(terms)
         assert text.splitlines()[-1] == "30 126217718"
-        assert parse_bfile(text) == terms
+        assert text.endswith("\n")
+        pairs = [line.split(" ") for line in text.splitlines()]
+        assert [int(n) for n, _ in pairs] == list(range(1, 31))
+        assert [int(value) for _, value in pairs] == terms
 
-    def test_parse_rejects_gaps(self):
-        from gridcuts.series import parse_bfile
 
-        with pytest.raises(ValueError):
-            parse_bfile("1 1\n3 5\n")
+def run_recurrence(rec, count):
+    """c_1..c_count from the recurrence alone: its initial terms, then
+    c_n = -sum_{i>=1} coefficients[i] c_{n-i} / coefficients[0]."""
+    values = list(rec.initial)
+    d0 = rec.coefficients[0]
+    for n in range(len(values), count + 1):
+        acc = sum(rec.coefficients[i] * values[n - i] for i in range(1, min(rec.order, n) + 1))
+        assert acc % d0 == 0, f"recurrence gives a non-integer c_{n}"
+        values.append(-acc // d0)
+    return values[1 : count + 1]
 
 
 class TestRecurrence:
@@ -351,26 +458,26 @@ class TestRecurrence:
 
     def test_reproduces_c30(self, machine_gf):
         rec = recurrence_of(machine_gf)
-        assert rec.terms(30)[-1] == 126217718
+        assert run_recurrence(rec, 30)[-1] == 126217718
 
     def test_reproduces_all_terms(self, machine_gf):
         rec = recurrence_of(machine_gf)
-        assert rec.terms(40) == series_terms(machine_gf, 40)
+        assert run_recurrence(rec, 40) == series_terms(machine_gf, 40)
 
     def test_geometric(self):
         rec = recurrence_of(rational_function(poly(0, 1), poly(1, -1)))
-        assert rec.terms(5) == [1, 1, 1, 1, 1]
+        assert run_recurrence(rec, 5) == [1, 1, 1, 1, 1]
         assert rec.order == 1
 
     def test_nonzero_constant_term(self):
         rec = recurrence_of(rational_function(poly(1), poly(1, -1)))
         assert rec.initial == (1,)
-        assert rec.terms(5) == [1, 1, 1, 1, 1]
+        assert run_recurrence(rec, 5) == [1, 1, 1, 1, 1]
 
     def test_two_term_recurrence_with_offset(self):
         # G = (1+x)/(1-x-x^2): c_0=1, c_1=2, then Fibonacci-style growth
         rec = recurrence_of(rational_function(poly(1, 1), poly(1, -1, -1)))
-        assert rec.terms(6) == [2, 3, 5, 8, 13, 21]
+        assert run_recurrence(rec, 6) == [2, 3, 5, 8, 13, 21]
 
     def test_general_mode_divisor(self):
         gf = generating_function(build_general(4))
