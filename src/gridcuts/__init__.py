@@ -16,7 +16,6 @@ from .board import (
 )
 from .automaton import (
     Automaton,
-    ColumnPattern,
     acceptance,
     build_canonical,
     build_general,
@@ -49,7 +48,6 @@ __all__ = [
     "Automaton",
     "Board",
     "BudgetError",
-    "ColumnPattern",
     "CountReport",
     "Polynomial",
     "RationalFunction",

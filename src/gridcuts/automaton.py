@@ -1,9 +1,11 @@
 """Column-reading finite state machines that recognize valid cuts.
 
-A board is read one column at a time, left half only.  A state is the column
-just read plus a connectivity profile: the partition of that column's cells
-into components of the board prefix, per label.  Reading a next column merges
-profile blocks with the new column's vertical runs through row-wise
+A board is read one column at a time, left half only.  A column is an m-bit
+int with the top row in bit 0, exactly the column's slice of a board's bits,
+so machine words feed `board.complete_board` as they are.  A state is the
+column just read plus a connectivity profile: the partition of that column's
+cells into components of the board prefix, per label.  Reading a next column
+merges profile blocks with the new column's vertical runs through row-wise
 adjacency; a block that touches no cell of the new column can never grow
 again, and since the completed board always holds further cells of its label,
 the word is rejected immediately.
@@ -36,7 +38,6 @@ from typing import Iterator, Sequence
 
 __all__ = [
     "Automaton",
-    "ColumnPattern",
     "ConnectivityProfile",
     "State",
     "StateExplosionError",
@@ -46,6 +47,7 @@ __all__ = [
     "always_rejected_columns",
     "build_canonical",
     "build_general",
+    "column_bits",
     "live_words",
     "permutation_similarity_witness",
     "revcomp",
@@ -55,7 +57,8 @@ __all__ = [
     "transfer_matrix",
 ]
 
-CANONICAL_START_BITS = ((0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0))
+# 0000, 1000 and 1100 read top to bottom
+CANONICAL_START_BITS = (0b0000, 0b0001, 0b0011)
 
 DEFAULT_STATE_CAP = 20_000
 
@@ -64,77 +67,47 @@ class StateExplosionError(RuntimeError):
     """State closure exceeded the configured cap."""
 
 
-@dataclass(frozen=True)
-class ColumnPattern:
-    """One grid column, read top to bottom; labels are 0 or 1.
-
-    The machine's symbol and state column.  Bit 0 of the integer encoding is
-    the top row, so the encoding is the column's slice of a board's bits.
-    """
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.bits) <= 8:
-            raise ValueError(f"column height {len(self.bits)} outside 1..8")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"column bits must be 0/1: {self.bits}")
-
-    @property
-    def m(self) -> int:
-        return len(self.bits)
-
-    def encode(self) -> int:
-        value = 0
-        for i, b in enumerate(self.bits):
-            value |= b << i
-        return value
-
-    @classmethod
-    def decode(cls, m: int, value: int) -> "ColumnPattern":
-        if not 0 <= value < (1 << m):
-            raise ValueError(f"column value {value} outside [0, 2^{m})")
-        return cls(tuple((value >> i) & 1 for i in range(m)))
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+def column_bits(m: int, col: int) -> tuple[int, ...]:
+    """The labels of an m-bit column, top row first; for the writers."""
+    return tuple((col >> i) & 1 for i in range(m))
 
 
-def revcomp(col: ColumnPattern) -> ColumnPattern:
-    """Reverse a column top-to-bottom and flip every label.
+def revcomp(m: int, col: int) -> int:
+    """Reverse an m-bit column top-to-bottom and flip every label.
 
     This is the central-complement rule restricted to one column: column j of
     a valid board determines column n-1-j as its reversed complement.  It is
     an involution.
     """
-    return ColumnPattern(tuple(1 - b for b in reversed(col.bits)))
+    return int(f"{col:0{m}b}"[::-1], 2) ^ ((1 << m) - 1)
 
 
 Blocks = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ConnectivityProfile:
     """Partition of one column's cells into live components, per label.
 
     Blocks hold row indices; every cell of the column sits in exactly one
-    block of its label's partition.
+    block of its label's partition, so the blocks together cover rows
+    0..m-1.
     """
 
     zero_blocks: Blocks
     one_blocks: Blocks
 
-    def sort_key(self) -> tuple:
-        return (self.zero_blocks, self.one_blocks)
+    @property
+    def m(self) -> int:
+        return sum(map(len, self.zero_blocks)) + sum(map(len, self.one_blocks))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class State:
-    column: ColumnPattern
-    profile: ConnectivityProfile
+    """The column just read, as an m-bit int, and its connectivity profile."""
 
-    def sort_key(self) -> tuple:
-        return (self.column.encode(), self.profile.sort_key())
+    column: int
+    profile: ConnectivityProfile
 
 
 class _DSU:
@@ -153,14 +126,13 @@ class _DSU:
             self.parent[rb] = ra
 
 
-def _runs(col: ColumnPattern) -> list[tuple[int, tuple[int, ...]]]:
+def _runs(m: int, col: int) -> list[tuple[int, tuple[int, ...]]]:
     """Maximal vertical runs of equal label, as (label, rows)."""
     runs = []
     start = 0
-    bits = col.bits
-    for i in range(1, len(bits) + 1):
-        if i == len(bits) or bits[i] != bits[start]:
-            runs.append((bits[start], tuple(range(start, i))))
+    for i in range(1, m + 1):
+        if i == m or ((col >> i) ^ (col >> start)) & 1:
+            runs.append(((col >> start) & 1, tuple(range(start, i))))
             start = i
     return runs
 
@@ -171,12 +143,12 @@ def _profile_from_blocks(labelled: list[tuple[int, tuple[int, ...]]]) -> Connect
     return ConnectivityProfile(zeros, ones)
 
 
-def start_state(col: ColumnPattern) -> State:
+def start_state(m: int, col: int) -> State:
     """State after reading `col` as the first column: blocks are its runs."""
-    return State(col, _profile_from_blocks(_runs(col)))
+    return State(col, _profile_from_blocks(_runs(m, col)))
 
 
-def step_state(state: State, col: ColumnPattern) -> State | None:
+def step_state(state: State, col: int) -> State | None:
     """Read one more column; None means the word can never be completed.
 
     The new column's runs are united with the previous blocks wherever the
@@ -184,12 +156,12 @@ def step_state(state: State, col: ColumnPattern) -> State | None:
     frontier and is rejected on the spot.  Runs touched by no block simply
     start new components.
     """
-    prev = state.column.bits
-    if len(prev) != col.m:
-        raise ValueError("column height mismatch")
+    m = state.profile.m
+    if not 0 <= col < 1 << m:
+        raise ValueError(f"column {col} does not fit {m} rows")
     blocks = [(0, rows) for rows in state.profile.zero_blocks]
     blocks += [(1, rows) for rows in state.profile.one_blocks]
-    runs = _runs(col)
+    runs = _runs(m, col)
 
     block_at = {}
     for idx, (_, rows) in enumerate(blocks):
@@ -201,8 +173,9 @@ def step_state(state: State, col: ColumnPattern) -> State | None:
             run_at[i] = idx
 
     dsu = _DSU(len(blocks) + len(runs))
-    for i in range(col.m):
-        if prev[i] == col.bits[i]:
+    differ = state.column ^ col
+    for i in range(m):
+        if not (differ >> i) & 1:
             dsu.union(block_at[i], len(blocks) + run_at[i])
 
     touched = {dsu.find(len(blocks) + r) for r in range(len(runs))}
@@ -213,7 +186,7 @@ def step_state(state: State, col: ColumnPattern) -> State | None:
     for idx, (_, rows) in enumerate(runs):
         merged.setdefault(dsu.find(len(blocks) + idx), []).extend(rows)
     labelled = [
-        (col.bits[rows[0]], tuple(sorted(rows))) for rows in merged.values()
+        ((col >> rows[0]) & 1, tuple(sorted(rows))) for rows in merged.values()
     ]
     return State(col, _profile_from_blocks(labelled))
 
@@ -228,9 +201,8 @@ def acceptance(state: State) -> tuple[bool, bool]:
     both halves, so glue at every row; this requires the column to be its own
     reversed complement.
     """
-    col = state.column
-    m = col.m
-    rc = revcomp(col)
+    col, m = state.column, state.profile.m
+    rc = revcomp(m, col)
     blocks = [(0, rows) for rows in state.profile.zero_blocks]
     blocks += [(1, rows) for rows in state.profile.one_blocks]
     nblocks = len(blocks)
@@ -254,7 +226,7 @@ def acceptance(state: State) -> tuple[bool, bool]:
                 counts[label] += 1
         return counts == [1, 1]
 
-    even = glued_ok(i for i in range(m) if col.bits[i] == rc.bits[i])
+    even = glued_ok(i for i in range(m) if not ((col ^ rc) >> i) & 1)
     odd = col == rc and glued_ok(iter(range(m)))
     return even, odd
 
@@ -263,15 +235,16 @@ def acceptance(state: State) -> tuple[bool, bool]:
 class Automaton:
     """A built machine: ordered states, transitions, start and accept sets.
 
-    `transitions` holds (from_index, symbol, to_index) with the symbol as the
-    column's integer encoding.  `divisor` is how many accepted words denote
-    the same cut (1 canonical, 2 general).
+    Every column - alphabet symbol, state column, word letter - is an m-bit
+    int with the top row in bit 0, the column's slice of a board's bits.
+    `transitions` holds (from_index, symbol, to_index).  `divisor` is how
+    many accepted words denote the same cut (1 canonical, 2 general).
     """
 
     m: int
     mode: str
     divisor: int
-    alphabet: tuple[ColumnPattern, ...]
+    alphabet: tuple[int, ...]
     states: tuple[State, ...]
     start: tuple[int, ...]
     transitions: tuple[tuple[int, int, int], ...]
@@ -283,8 +256,8 @@ class Automaton:
         return {(src, sym): dst for src, sym, dst in self.transitions}
 
 
-def _build(m: int, mode: str, alphabet: tuple[ColumnPattern, ...],
-           start_cols: tuple[ColumnPattern, ...], divisor: int,
+def _build(m: int, mode: str, alphabet: tuple[int, ...],
+           start_cols: tuple[int, ...], divisor: int,
            state_cap: int) -> Automaton:
     states: dict[State, int] = {}
     edges: dict[tuple[int, int], int] = {}
@@ -302,7 +275,7 @@ def _build(m: int, mode: str, alphabet: tuple[ColumnPattern, ...],
             order.append(state)
         return idx
 
-    frontier = [intern(start_state(col)) for col in start_cols]
+    frontier = [intern(start_state(m, col)) for col in start_cols]
     start_set = set(frontier)
     seen = set(frontier)
     while frontier:
@@ -313,7 +286,7 @@ def _build(m: int, mode: str, alphabet: tuple[ColumnPattern, ...],
                 if dst_state is None:
                     continue
                 dst = intern(dst_state)
-                edges[(src, col.encode())] = dst
+                edges[(src, col)] = dst
                 if dst not in seen:
                     seen.add(dst)
                     nxt_frontier.append(dst)
@@ -334,7 +307,7 @@ def _build(m: int, mode: str, alphabet: tuple[ColumnPattern, ...],
                 useful.add(prev)
                 stack.append(prev)
 
-    kept = sorted(useful, key=lambda i: order[i].sort_key())
+    kept = sorted(useful, key=lambda i: order[i])
     remap = {old: new for new, old in enumerate(kept)}
     final_states = tuple(order[i] for i in kept)
     transitions = tuple(
@@ -368,52 +341,47 @@ def build_canonical(m: int = 4, *, state_cap: int = DEFAULT_STATE_CAP) -> Automa
     """
     if m != 4:
         raise ValueError("the canonical machine is defined for m=4")
-    alphabet = tuple(
-        ColumnPattern.decode(m, v) for v in range(1 << m) if not (v >> (m - 1)) & 1
-    )
-    starts = tuple(ColumnPattern(bits) for bits in CANONICAL_START_BITS)
-    return _build(m, "canonical", alphabet, starts, 1, state_cap)
+    alphabet = tuple(v for v in range(1 << m) if not (v >> (m - 1)) & 1)
+    return _build(m, "canonical", alphabet, CANONICAL_START_BITS, 1, state_cap)
 
 
 def build_general(m: int, *, state_cap: int = DEFAULT_STATE_CAP) -> Automaton:
     """The unrestricted machine for m-row boards; every cut is read twice."""
     if not 1 <= m <= 5:
         raise ValueError("general machines are supported for m in 1..5")
-    alphabet = tuple(ColumnPattern.decode(m, v) for v in range(1 << m))
+    alphabet = tuple(range(1 << m))
     return _build(m, "general", alphabet, alphabet, 2, state_cap)
 
 
-def live_words(a: Automaton, upto: int) -> Iterator[tuple[tuple[ColumnPattern, ...], int]]:
+def live_words(a: Automaton, upto: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """Every word of length 1..upto the machine has not rejected, with the
     index of the state it ends in; shorter words first, each length in
     alphabet order."""
     start_index = {a.states[i]: i for i in a.start}
     edges = a._edge_map
-    symbols = [(col, col.encode()) for col in a.alphabet]
     frontier = []
     for col in a.alphabet:
-        idx = start_index.get(start_state(col))
+        idx = start_index.get(start_state(a.m, col))
         if idx is not None:
             frontier.append(((col,), idx))
     for length in range(1, upto + 1):
         if length > 1:
             frontier = [
-                (word + (col,), edges[idx, sym])
+                (word + (col,), edges[idx, col])
                 for word, idx in frontier
-                for col, sym in symbols
-                if (idx, sym) in edges
+                for col in a.alphabet
+                if (idx, col) in edges
             ]
         yield from frontier
 
 
-def accepted_words(a: Automaton, length: int, parity: str) -> list[tuple[ColumnPattern, ...]]:
+def accepted_words(a: Automaton, length: int, parity: str) -> list[tuple[int, ...]]:
     """All accepted words of the given length ('even' or 'odd' width)."""
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
     accept = set(a.accept_even if parity == "even" else a.accept_odd)
     return sorted(
-        (word for word, idx in live_words(a, length) if len(word) == length and idx in accept),
-        key=lambda w: tuple(c.encode() for c in w),
+        word for word, idx in live_words(a, length) if len(word) == length and idx in accept
     )
 
 
@@ -512,14 +480,14 @@ def permutation_similarity_witness(
     return perm if place(0) else None
 
 
-def always_rejected_columns(a: Automaton) -> dict[ColumnPattern, dict]:
+def always_rejected_columns(a: Automaton) -> dict[int, dict]:
     """Columns whose every state accepts nothing, with their liveness facts.
 
     Such a column can occur inside accepted words (its states survive
     trimming exactly when they lie on accepting paths) but a word may never
     *stop* on it.
     """
-    by_col: dict[ColumnPattern, list[int]] = {}
+    by_col: dict[int, list[int]] = {}
     for idx, state in enumerate(a.states):
         by_col.setdefault(state.column, []).append(idx)
     accepting = set(a.accept_even) | set(a.accept_odd)
@@ -543,10 +511,10 @@ def to_json_dict(a: Automaton) -> dict:
         "m": a.m,
         "mode": a.mode,
         "divisor": a.divisor,
-        "alphabet": [list(c.bits) for c in a.alphabet],
+        "alphabet": [list(column_bits(a.m, c)) for c in a.alphabet],
         "states": [
             {
-                "column": list(s.column.bits),
+                "column": list(column_bits(a.m, s.column)),
                 "profile": {
                     "zero": [list(b) for b in s.profile.zero_blocks],
                     "one": [list(b) for b in s.profile.one_blocks],
@@ -565,7 +533,10 @@ def to_dot(a: Automaton) -> str:
     """Graphviz rendering: rectangles start, green always-accepts, purple
     accepts on even widths only, khaki odd widths only.  The comments record
     the mode and alphabet for a human reader."""
-    alphabet = ",".join(str(c) for c in a.alphabet)
+    def text(col: int) -> str:
+        return "".join(map(str, column_bits(a.m, col)))
+
+    alphabet = ",".join(map(text, a.alphabet))
     lines = [
         "digraph cuts {",
         f"  // mode={a.mode} m={a.m} divisor={a.divisor}",
@@ -587,10 +558,9 @@ def to_dot(a: Automaton) -> str:
         profile = ";".join(
             "".join(map(str, b)) for b in state.profile.zero_blocks + state.profile.one_blocks
         )
-        label = f"{state.column}\\n[{profile}]"
+        label = f"{text(state.column)}\\n[{profile}]"
         lines.append(f'  s{idx} [label="{label}", shape={shape}, fillcolor={fill}];')
     for src, sym, dst in a.transitions:
-        sym_col = ColumnPattern.decode(a.m, sym)
-        lines.append(f'  s{src} -> s{dst} [label="{sym_col}"];')
+        lines.append(f'  s{src} -> s{dst} [label="{text(sym)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ Matrices with both properties are called Graham matrices here.
 A board is an immutable bitboard (m, n, bits): cell (i, j), row i of column
 j, is bit j*m + i.  Column j is then the m-bit integer
 (bits >> j*m) & (2^m - 1) with the top row in bit 0, which is how the oracle
-packs its candidates and how the automaton encodes its column symbols; this
+packs its candidates and how the automaton reads its columns; this
 module takes and returns columns as such integers.  Under this packing the
 half-turn maps bit p to bit m*n-1-p, so rot180 reverses the m*n-bit string
 and the complement rule reads bits ^ rev(bits) == 2^(m*n) - 1.  The row-major

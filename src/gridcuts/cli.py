@@ -24,6 +24,7 @@ from .automaton import (
     always_rejected_columns,
     build_canonical,
     build_general,
+    column_bits,
     permutation_similarity_witness,
     to_dot,
     to_json_dict as automaton_json_dict,
@@ -173,6 +174,11 @@ def _validate(args: argparse.Namespace) -> None:
         raise ValueError("the canonical machine is defined for --m 4; use --mode general")
     if args.only == ():
         raise ValueError("--only names no criterion")
+    if args.only is not None:
+        known = [name for name, _, _ in verify.CRITERIA]
+        for name in args.only:
+            if name not in known:
+                raise ValueError(f"unknown criterion {name!r}; known: {known}")
 
 
 def _machine(args: argparse.Namespace) -> Automaton:
@@ -288,10 +294,8 @@ def cmd_automaton(args: argparse.Namespace) -> int:
         return EXIT_OK
     data = automaton_json_dict(machine)
     data["always_rejected_columns"] = [
-        {"column": list(col.bits), **facts}
-        for col, facts in sorted(
-            always_rejected_columns(machine).items(), key=lambda kv: kv[0].encode()
-        )
+        {"column": list(column_bits(machine.m, col)), **facts}
+        for col, facts in sorted(always_rejected_columns(machine).items())
     ]
     if machine.mode == "canonical" and machine.m == 4:
         T = transfer_matrix(machine)

@@ -22,12 +22,12 @@ from typing import Callable, Sequence
 from . import oracle, reference
 from .automaton import (
     Automaton,
-    ColumnPattern,
     acceptance,
     accepted_words,
     always_rejected_columns,
     build_canonical,
     build_general,
+    column_bits,
     live_words,
     permutation_similarity_witness,
     revcomp,
@@ -138,27 +138,28 @@ def criterion_machine_structure(check: _Check) -> None:
     machine = build_canonical(4)
     check.equal(len(machine.states), 9, "state count")
 
+    cols = [column_bits(4, state.column) for state in machine.states]
     by_col: dict[tuple[int, ...], int] = {}
-    for state in machine.states:
-        by_col[state.column.bits] = by_col.get(state.column.bits, 0) + 1
+    for bits in cols:
+        by_col[bits] = by_col.get(bits, 0) + 1
     check.equal(by_col.get((1, 0, 1, 0)), 2, "states sharing column (1,0,1,0)")
     check.expect(
         all(count == 1 for bits, count in by_col.items() if bits != (1, 0, 1, 0)),
         "every other column has exactly one state",
     )
 
-    starts = sorted(machine.states[i].column.bits for i in machine.start)
+    starts = sorted(cols[i] for i in machine.start)
     check.equal(
         starts, sorted([(0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0)]), "start columns"
     )
 
     rejected = always_rejected_columns(machine)
     check.equal(
-        [col.bits for col in rejected], [(0, 1, 1, 0)],
+        [column_bits(4, col) for col in rejected], [(0, 1, 1, 0)],
         "columns on which no word may end",
     )
     accepting = set(machine.accept_even) | set(machine.accept_odd)
-    lonely = [i for i, s in enumerate(machine.states) if s.column.bits == (0, 1, 1, 0)]
+    lonely = [i for i, bits in enumerate(cols) if bits == (0, 1, 1, 0)]
     check.equal(len(lonely), 1, "reachable (0,1,1,0) states")
     check.expect(
         all(i not in accepting for i in lonely), "(0,1,1,0) accepts nothing"
@@ -262,10 +263,7 @@ def _word_oracle_equivalence(check: _Check, machine: Automaton, canonical: bool)
     label = machine.mode
     for k in range(1, 7):
         for parity, n in (("even", 2 * k), ("odd", 2 * k - 1)):
-            words = {
-                tuple(c.encode() for c in w)
-                for w in accepted_words(machine, k, parity)
-            }
+            words = set(accepted_words(machine, k, parity))
             result = oracle.sweep(machine.m, n)
             boards = result.canonical if canonical else result.graham
             check.expect(
@@ -274,8 +272,8 @@ def _word_oracle_equivalence(check: _Check, machine: Automaton, canonical: bool)
             )
 
 
-def _board_valid(word: Sequence[ColumnPattern], n: int, canonical: bool) -> bool:
-    board = complete_board(word[0].m, n, [col.encode() for col in word])
+def _board_valid(m: int, word: Sequence[int], n: int, canonical: bool) -> bool:
+    board = complete_board(m, n, word)
     return is_canonical(board) if canonical else is_graham(board)
 
 
@@ -288,6 +286,7 @@ def _acceptance_is_state_function(check: _Check, machine: Automaton, canonical: 
     and re-checked with the flood fill from the board module, a different
     code path from both the sweep and the profile algebra.
     """
+    m = machine.m
     stored_even, stored_odd = set(machine.accept_even), set(machine.accept_odd)
     accepts: dict[int, tuple[bool, bool]] = {}
     for word, idx in live_words(machine, 6):
@@ -301,17 +300,18 @@ def _acceptance_is_state_function(check: _Check, machine: Automaton, canonical: 
         )
         if not first:
             continue
-        board_even = _board_valid(word, 2 * len(word), canonical)
+        text = ["".join(map(str, column_bits(m, col))) for col in word]
+        board_even = _board_valid(m, word, 2 * len(word), canonical)
         check.expect(
             board_even == even,
-            f"{machine.mode} word {[str(c) for c in word]}: even acceptance {even} "
+            f"{machine.mode} word {text}: even acceptance {even} "
             f"but board validity {board_even}",
         )
-        if word[-1] == revcomp(word[-1]):
-            board_odd = _board_valid(word, 2 * len(word) - 1, canonical)
+        if word[-1] == revcomp(m, word[-1]):
+            board_odd = _board_valid(m, word, 2 * len(word) - 1, canonical)
             check.expect(
                 board_odd == odd,
-                f"{machine.mode} word {[str(c) for c in word]}: odd acceptance {odd} "
+                f"{machine.mode} word {text}: odd acceptance {odd} "
                 f"but board validity {board_odd}",
             )
         else:
@@ -417,10 +417,9 @@ def criterion_property_suites(check: _Check) -> None:
 
     # column involution, exhaustively for m <= 8
     for m in range(1, 9):
-        for v in range(1 << m):
-            col = ColumnPattern.decode(m, v)
-            if revcomp(revcomp(col)) != col:
-                check.expect(False, f"revcomp not an involution on {col}")
+        for col in range(1 << m):
+            if revcomp(m, revcomp(m, col)) != col:
+                check.expect(False, f"revcomp not an involution on {column_bits(m, col)}")
 
 
 def criterion_figures(check: _Check) -> None:

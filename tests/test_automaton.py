@@ -5,7 +5,6 @@ import pytest
 from gridcuts import oracle
 from gridcuts.automaton import (
     Automaton,
-    ColumnPattern,
     ConnectivityProfile,
     State,
     acceptance,
@@ -13,6 +12,7 @@ from gridcuts.automaton import (
     always_rejected_columns,
     build_canonical,
     build_general,
+    column_bits,
     live_words,
     permutation_similarity_witness,
     revcomp,
@@ -28,7 +28,8 @@ from gridcuts.reference import REFERENCE_TRANSFER_MATRIX
 
 
 def col(*bits):
-    return ColumnPattern(tuple(bits))
+    """A column as an m-bit integer, top row first."""
+    return sum(b << i for i, b in enumerate(bits))
 
 
 def count_boards(machine, n):
@@ -56,10 +57,10 @@ def automaton_from_json_dict(data):
         m=data["m"],
         mode=data["mode"],
         divisor=data["divisor"],
-        alphabet=tuple(ColumnPattern(tuple(bits)) for bits in data["alphabet"]),
+        alphabet=tuple(col(*bits) for bits in data["alphabet"]),
         states=tuple(
             State(
-                ColumnPattern(tuple(s["column"])),
+                col(*s["column"]),
                 ConnectivityProfile(
                     tuple(tuple(b) for b in s["profile"]["zero"]),
                     tuple(tuple(b) for b in s["profile"]["one"]),
@@ -81,35 +82,41 @@ def canonical():
 
 class TestStep:
     def test_trivial_edge_keeps_connectivity(self):
-        state = step_state(start_state(col(1, 1, 0, 0)), col(1, 1, 0, 0))
+        state = step_state(start_state(4, col(1, 1, 0, 0)), col(1, 1, 0, 0))
         assert state is not None
         assert state.profile.one_blocks == ((0, 1),)
         assert state.profile.zero_blocks == ((2, 3),)
 
     def test_disconnecting_edge_rejected(self):
         # the single 1-block loses its whole frontier
-        assert step_state(start_state(col(1, 1, 0, 0)), col(0, 0, 1, 0)) is None
+        assert step_state(start_state(4, col(1, 1, 0, 0)), col(0, 0, 1, 0)) is None
 
     def test_new_component_spawns(self):
-        state = step_state(start_state(col(1, 0, 0, 0)), col(1, 0, 1, 0))
+        state = step_state(start_state(4, col(1, 0, 0, 0)), col(1, 0, 1, 0))
         assert state is not None
         # 1s split into the old top block and a fresh one; 0s joined up
         assert state.profile.one_blocks == ((0,), (2,))
         assert state.profile.zero_blocks == ((1, 3),)
 
+    @pytest.mark.parametrize("column", [-1, 16, 1 << 5])
+    def test_column_must_fit_the_profile_height(self, column):
+        # the profile's blocks cover rows 0..3, so a column has 4 bits
+        with pytest.raises(ValueError, match="does not fit 4 rows"):
+            step_state(start_state(4, col(1, 1, 0, 0)), column)
+
 
 class TestAcceptance:
     def test_odd_accepting_columns(self, canonical):
-        odd_cols = {canonical.states[i].column.bits for i in canonical.accept_odd}
-        assert odd_cols == {(1, 1, 0, 0), (1, 0, 1, 0)}
+        odd_cols = {canonical.states[i].column for i in canonical.accept_odd}
+        assert odd_cols == {col(1, 1, 0, 0), col(1, 0, 1, 0)}
 
     def test_all_zero_start_even_accepts(self):
-        even, odd = acceptance(start_state(col(0, 0, 0, 0)))
+        even, odd = acceptance(start_state(4, col(0, 0, 0, 0)))
         assert even and not odd
-        assert is_graham(complete_board(4, 2, [col(0, 0, 0, 0).encode()]))
+        assert is_graham(complete_board(4, 2, [col(0, 0, 0, 0)]))
 
     def test_acceptance_needs_live_columns_to_line_up(self, canonical):
-        lonely = [s for s in canonical.states if s.column.bits == (0, 1, 1, 0)]
+        lonely = [s for s in canonical.states if s.column == col(0, 1, 1, 0)]
         assert [acceptance(s) for s in lonely] == [(False, False)]
 
 
@@ -118,7 +125,7 @@ class TestCanonicalStructure:
         assert len(canonical.states) == 9
 
     def test_two_states_share_the_split_column(self, canonical):
-        split = [s for s in canonical.states if s.column.bits == (1, 0, 1, 0)]
+        split = [s for s in canonical.states if s.column == col(1, 0, 1, 0)]
         assert len(split) == 2
         profiles = {(s.profile.zero_blocks, s.profile.one_blocks) for s in split}
         assert profiles == {
@@ -129,16 +136,16 @@ class TestCanonicalStructure:
     def test_every_other_column_has_one_state(self, canonical):
         seen = {}
         for state in canonical.states:
-            seen[state.column.bits] = seen.get(state.column.bits, 0) + 1
-        assert all(v == 1 for bits, v in seen.items() if bits != (1, 0, 1, 0))
+            seen[state.column] = seen.get(state.column, 0) + 1
+        assert all(v == 1 for column, v in seen.items() if column != col(1, 0, 1, 0))
 
     def test_start_columns(self, canonical):
-        starts = {canonical.states[i].column.bits for i in canonical.start}
+        starts = {column_bits(4, canonical.states[i].column) for i in canonical.start}
         assert starts == {(0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0)}
 
     def test_alphabet_is_bottom_zero_columns(self, canonical):
         assert len(canonical.alphabet) == 8
-        assert all(c.bits[3] == 0 for c in canonical.alphabet)
+        assert all(column_bits(4, c)[3] == 0 for c in canonical.alphabet)
 
     def test_transfer_matrix_similar_to_reference(self, canonical):
         T = transfer_matrix(canonical)
@@ -176,7 +183,7 @@ class TestLonelyColumn:
     WITNESS = (col(0, 0, 0, 0), col(0, 1, 1, 0), col(0, 1, 0, 0))
 
     def test_witness_board_is_canonical(self):
-        board = complete_board(4, 6, [c.encode() for c in self.WITNESS])
+        board = complete_board(4, 6, self.WITNESS)
         assert is_canonical(board)
         assert board.cells == (
             (0, 0, 0, 1, 1, 1),
@@ -189,18 +196,18 @@ class TestLonelyColumn:
         assert self.WITNESS in accepted_words(canonical, 3, "even")
 
     def test_witness_in_enumeration(self):
-        board = complete_board(4, 6, [c.encode() for c in self.WITNESS])
+        board = complete_board(4, 6, self.WITNESS)
         assert board in oracle.enumerate_canonical(4, 6)
 
     def test_lonely_column_state_accepts_nothing(self, canonical):
         report = always_rejected_columns(canonical)
-        assert [c.bits for c in report] == [(0, 1, 1, 0)]
+        assert [column_bits(4, c) for c in report] == [(0, 1, 1, 0)]
 
     def test_no_word_ends_on_the_lonely_column(self, canonical):
         for k in (1, 2, 3):
             for parity in ("even", "odd"):
                 for word in accepted_words(canonical, k, parity):
-                    assert word[-1].bits != (0, 1, 1, 0)
+                    assert word[-1] != col(0, 1, 1, 0)
 
 
 class TestGeneralMachines:
@@ -245,7 +252,7 @@ class TestWordRuns:
     def test_run_accept_matches_board(self, canonical):
         word = (col(0, 0, 0, 0), col(0, 1, 0, 0), col(0, 1, 0, 0))
         assert word in accepted_words(canonical, 3, "even")
-        assert is_canonical(complete_board(4, 6, [c.encode() for c in word]))
+        assert is_canonical(complete_board(4, 6, word))
 
     @pytest.mark.parametrize("build", [lambda: build_canonical(4), lambda: build_general(3)])
     def test_live_words_follow_the_profile_update(self, build):
@@ -253,7 +260,7 @@ class TestWordRuns:
         lengths = []
         for word, idx in live_words(machine, 4):
             lengths.append(len(word))
-            state = start_state(word[0])
+            state = start_state(machine.m, word[0])
             for column in word[1:]:
                 state = step_state(state, column)
             assert machine.states[idx] == state
@@ -261,8 +268,7 @@ class TestWordRuns:
 
     def test_accepted_words_sorted_deterministically(self, canonical):
         words = accepted_words(canonical, 3, "even")
-        keys = [tuple(c.encode() for c in w) for w in words]
-        assert keys == sorted(keys)
+        assert words == sorted(words)
         assert len(words) == count_boards(canonical, 6)
 
 
@@ -285,16 +291,18 @@ class TestInvariants:
 
     @pytest.mark.parametrize("build", [lambda: build_canonical(4), lambda: build_general(4)])
     def test_profiles_partition_the_column(self, build):
-        for state in build().states:
-            zeros = [i for i, b in enumerate(state.column.bits) if b == 0]
-            ones = [i for i, b in enumerate(state.column.bits) if b == 1]
+        machine = build()
+        for state in machine.states:
+            bits = column_bits(machine.m, state.column)
+            zeros = [i for i, b in enumerate(bits) if b == 0]
+            ones = [i for i, b in enumerate(bits) if b == 1]
             assert sorted(r for block in state.profile.zero_blocks for r in block) == zeros
             assert sorted(r for block in state.profile.one_blocks for r in block) == ones
 
     def test_odd_accepting_states_have_self_revcomp_columns(self, canonical):
         for idx in canonical.accept_odd:
             column = canonical.states[idx].column
-            assert revcomp(column) == column
+            assert revcomp(4, column) == column
 
 
 class TestSerializationExports:

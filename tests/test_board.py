@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from gridcuts.automaton import ColumnPattern, revcomp
+from gridcuts.automaton import column_bits, revcomp
 from gridcuts.board import (
     SVG_FILL_ONE,
     Board,
@@ -17,10 +17,6 @@ from gridcuts.board import (
     transform,
 )
 from gridcuts.reference import GALLERY_3X6, GALLERY_4X6
-
-
-def col(*bits):
-    return ColumnPattern(tuple(bits))
 
 
 def column(*bits):
@@ -42,35 +38,39 @@ def svg_boards(text):
 
 
 class TestColumnPattern:
+    """Columns as m-bit ints with the top row in bit 0, as the board, the
+    oracle and the automaton all store them."""
+
     def test_encode_decode_roundtrip(self):
         for m in range(1, 9):
             for value in range(1 << m):
-                assert ColumnPattern.decode(m, value).encode() == value
+                assert column(*column_bits(m, value)) == value
 
     def test_encoding_is_top_first(self):
-        assert col(1, 0, 0, 0).encode() == 1
-        assert col(0, 0, 0, 1).encode() == 8
-
-    def test_rejects_bad_bits(self):
-        with pytest.raises(ValueError):
-            ColumnPattern((0, 2))
-        with pytest.raises(ValueError):
-            ColumnPattern(())
+        assert column_bits(4, 1) == (1, 0, 0, 0)
+        assert column_bits(4, 8) == (0, 0, 0, 1)
 
     def test_revcomp_fixed_point(self):
-        assert revcomp(col(1, 1, 0, 0)) == col(1, 1, 0, 0)
+        assert revcomp(4, column(1, 1, 0, 0)) == column(1, 1, 0, 0)
 
     def test_revcomp_all_zeros(self):
-        assert revcomp(col(0, 0, 0, 0)) == col(1, 1, 1, 1)
+        assert revcomp(4, column(0, 0, 0, 0)) == column(1, 1, 1, 1)
 
     def test_revcomp_formula(self):
-        assert revcomp(col(0, 0, 0, 1)) == col(0, 1, 1, 1)
+        assert revcomp(4, column(0, 0, 0, 1)) == column(0, 1, 1, 1)
 
     def test_self_revcomp_columns_m4(self):
-        fixed = [c for v in range(16) if revcomp(c := ColumnPattern.decode(4, v)) == c]
-        assert {f.bits for f in fixed} == {
-            (1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0), (0, 1, 0, 1),
+        fixed = {v for v in range(16) if revcomp(4, v) == v}
+        assert fixed == {
+            column(1, 1, 0, 0), column(0, 0, 1, 1), column(1, 0, 1, 0), column(0, 1, 0, 1),
         }
+
+    def test_revcomp_is_the_complemented_half_turn_of_one_column(self):
+        # ties the machine's column rule to the board module's transform
+        for m in range(1, 9):
+            full = (1 << m) - 1
+            for value in range(1 << m):
+                assert revcomp(m, value) == transform(Board(m, 1, value), "rot180").bits ^ full
 
 
 class TestCompleteBoard:

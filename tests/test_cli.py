@@ -304,6 +304,19 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--only", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize("only", ["nope", "property-suites,nope", "terms-30, nope"])
+    def test_unknown_criterion_refused_before_any_runs(self, capsys, monkeypatch, only):
+        from gridcuts import verify
+
+        def never(name):
+            raise AssertionError(f"criterion {name} ran before --only was checked")
+
+        monkeypatch.setattr(verify, "run_criterion", never)
+        code, out, err = run_cli(capsys, "verify", "--only", only)
+        assert code == 2 and out == ""
+        assert err.startswith("gridcuts: unknown criterion 'nope'; known: ['terms-30', ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("only", [",", " , ", ""])
     def test_selection_naming_no_criterion(self, capsys, only):
         code, out, err = run_cli(capsys, "verify", "--only", only)
@@ -362,6 +375,13 @@ GOLDEN_STDOUT = [
      "7729957268ee0de70730b848ba0526a7a2c988309a2d75ac7449f4acd1d93d4c"),
     (("automaton", "--mode", "general", "--m", "2"), 115,
      "21fad4424cb788e8c2aeefa1b7b201373df2bbc7e21dca965cf09dc5d9357e8c"),
+    # the largest machine, recorded before the automaton read columns as ints
+    (("automaton", "--format", "json", "--mode", "general", "--m", "5"), 31255,
+     "a1f6809a49a6f38323a85ee1e6e79835f698732ba18fb2c2d37591928987ba4f"),
+    (("automaton", "--format", "dot", "--mode", "general", "--m", "5"), 13254,
+     "fdd01df80f60804fdb49fd8a7ffb8f2ed8605d4cad83b852cba6720375374680"),
+    (("automaton", "--mode", "general", "--m", "5"), 833,
+     "6bc16b0b6ba4d9dd99e875a1c144dd3890413b5492a0f403e681ff6fc8dd9ad1"),
     (("enumerate", "--n", "6"), 1512,
      "fe3c3cf29e1d6036ec37391ab4e9fd4b9c4a83fc3a743649e167fee1c4799b3d"),
     (("enumerate", "--n", "6", "--format", "json"), 24680,
