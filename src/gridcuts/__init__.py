@@ -39,7 +39,7 @@ from .series import (
     resolvent_sum,
     series_terms,
 )
-from .asymptotics import AsymptoticEstimate, dominant_form, error_profile, isolate_real_roots
+from .asymptotics import AsymptoticEstimate, dominant_form, error_profile
 
 __version__ = "0.1.0"
 
@@ -65,7 +65,6 @@ __all__ = [
     "generating_function",
     "is_canonical",
     "is_graham",
-    "isolate_real_roots",
     "recurrence_of",
     "regenerate_figures",
     "resolvent_sum",

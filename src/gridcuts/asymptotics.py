@@ -1,10 +1,12 @@
-"""Dominant-pole asymptotics with certified real-root isolation.
+"""Dominant-pole asymptotics with a certified smallest positive pole.
 
 The coefficient growth of a rational generating function is controlled by
-the smallest-modulus zeros of its denominator.  Roots are isolated by Sturm
-sign-variation counts and refined by bisection, entirely in rational
-arithmetic, so every reported interval is certified: the polynomial changes
-sign across it and contains exactly one root.
+the smallest-modulus zeros of its denominator.  The smallest positive pole
+z is found by one descent: Sturm sign-variation counts on the squarefree
+part of the denominator halve (0, Cauchy bound] toward the leftmost positive
+root until it is alone, and bisection refines that one root, entirely in
+rational arithmetic.  The reported interval is certified: the polynomial
+changes sign across it and it contains exactly one root.
 
 Supported pole shapes: a single simple positive dominant pole z, or a simple
 real pair +-z.  The amplitude at a simple pole r of N/D is -N(r)/(r D'(r)),
@@ -32,13 +34,13 @@ __all__ = [
     "UnsupportedPoleShape",
     "dominant_form",
     "error_profile",
-    "isolate_real_roots",
     "refine_root",
+    "smallest_positive_root",
     "sturm_chain",
 ]
 
-DEFAULT_WIDTH = Fraction(1, 10**12)
 _REFINE_WIDTH = Fraction(1, 10**30)
+_REFERENCE_TOLERANCE = 1e-6
 
 
 class UnsupportedPoleShape(ValueError):
@@ -96,49 +98,32 @@ def refine_root(p: Polynomial, lo: Fraction, hi: Fraction, width: Fraction) -> t
     return lo, hi
 
 
-def isolate_real_roots(
-    p: Polynomial,
-    interval: tuple[Fraction, Fraction] | None = None,
-    width: Fraction = DEFAULT_WIDTH,
-) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint rational intervals, one simple root of p each, all narrower
-    than `width`, ordered left to right.
+def smallest_positive_root(sqf: Polynomial) -> tuple[Fraction, Fraction] | None:
+    """Certified bracket of the smallest positive root of a squarefree sqf
+    with sqf(0) != 0, narrower than 10^-30; None when there is no such root.
 
-    Works on the squarefree part of p, so multiple roots are located once.
+    One Sturm chain drives a descent from (0, Cauchy bound]: halve toward
+    the leftmost root until it is alone, then bisect it once.  Neither end
+    of the start interval is a root, so the counts need no nudging there.
     """
-    if p.degree < 1:
-        return []
-    sqf = p.divexact(p.gcd(p.derivative()))
     chain = sturm_chain(sqf)
-    if interval is None:
-        bound = _root_bound(sqf)
-        interval = (-bound, bound)
-    lo, hi = Fraction(interval[0]), Fraction(interval[1])
-    # nudge endpoints off roots so variation counts are clean
-    while sqf(lo) == 0:
-        lo -= width / 2
-    while sqf(hi) == 0:
-        hi += width / 2
-
-    found: list[tuple[Fraction, Fraction]] = []
-
-    def split(a: Fraction, b: Fraction, count: int) -> None:
-        if count == 0:
-            return
-        if count == 1:
-            # one simple root in (a, b]: either b is the root or a sign
-            # change brackets it, so plain bisection finishes the job
-            found.append(refine_root(sqf, a, b, width))
-            return
-        mid = (a + b) / 2
+    lo, hi = Fraction(0), _root_bound(sqf)
+    v_lo, v_hi = _variations(chain, lo), _variations(chain, hi)
+    while v_lo - v_hi > 1:
+        mid = (lo + hi) / 2
         if sqf(mid) == 0:
-            mid += min(b - mid, width) / 2
-        left = root_count(chain, a, mid)
-        split(a, mid, left)
-        split(mid, b, count - left)
-
-    split(lo, hi, root_count(chain, lo, hi))
-    return found
+            # keep the root inside (lo, mid] and off the new endpoint
+            mid += min(hi - mid, _REFINE_WIDTH) / 2
+        v_mid = _variations(chain, mid)
+        if v_lo > v_mid:
+            hi, v_hi = mid, v_mid
+        else:
+            lo, v_lo = mid, v_mid
+    if v_lo == v_hi:
+        return None
+    # one simple root in (lo, hi]: either hi is the root or a sign change
+    # brackets it, so plain bisection finishes the job
+    return refine_root(sqf, lo, hi, _REFINE_WIDTH)
 
 
 @dataclass(frozen=True)
@@ -194,27 +179,26 @@ def dominant_form(
     G: RationalFunction,
     *,
     amplitude_reference: Callable[[Fraction], tuple[Fraction, Fraction]] | None = None,
-    reference_tolerance: float = 1e-6,
 ) -> AsymptoticEstimate:
     """Locate the dominant pole(s) of G and compute the two-term estimate.
 
     When `amplitude_reference` is given (closed-form amplitudes as a function
     of z), the result carries `exact_check`: both computed amplitudes agree
-    with the closed forms within `reference_tolerance`.
+    with the closed forms within 1e-6.
     """
     G = G.normalized()
     num, den = G.numerator, G.denominator
     if den.constant() == 0:
         raise UnsupportedPoleShape("pole at 0")
 
-    sqf = den.divexact(den.gcd(den.derivative()))
-    positive = isolate_real_roots(sqf, (Fraction(0), _root_bound(sqf)), _REFINE_WIDTH)
-    if not positive:
+    den_prime = den.derivative()
+    multiple = den.gcd(den_prime)
+    bracket = smallest_positive_root(den.divexact(multiple))
+    if bracket is None:
         raise UnsupportedPoleShape("no positive real pole")
-    lo, hi = positive[0]
+    lo, hi = bracket
     mid = (lo + hi) / 2
 
-    multiple = den.gcd(den.derivative())
     if multiple.degree > 0 and _has_root_in(multiple, lo, hi):
         raise UnsupportedPoleShape("dominant pole is not simple")
 
@@ -222,7 +206,6 @@ def dominant_form(
     mirror = den.gcd(Polynomial([c if i % 2 == 0 else -c for i, c in enumerate(den.coeffs)]))
     has_mirror = mirror.degree > 0 and _has_root_in(mirror, lo, hi)
 
-    den_prime = den.derivative()
     amp_plus_exact = -Fraction(num(mid)) / (mid * Fraction(den_prime(mid)))
     if has_mirror:
         amp_minus_exact = -Fraction(num(-mid)) / (-mid * Fraction(den_prime(-mid)))
@@ -236,8 +219,8 @@ def dominant_form(
     if amplitude_reference is not None:
         ref_plus, ref_minus = amplitude_reference(mid)
         exact_check = (
-            abs(amp_plus_exact - ref_plus) <= reference_tolerance
-            and abs(amp_minus_exact - ref_minus) <= reference_tolerance
+            abs(amp_plus_exact - ref_plus) <= _REFERENCE_TOLERANCE
+            and abs(amp_minus_exact - ref_minus) <= _REFERENCE_TOLERANCE
         )
 
     return AsymptoticEstimate(

@@ -60,7 +60,7 @@ __all__ = [
 # 0000, 1000 and 1100 read top to bottom
 CANONICAL_START_BITS = (0b0000, 0b0001, 0b0011)
 
-DEFAULT_STATE_CAP = 20_000
+STATE_CAP = 20_000
 
 
 class StateExplosionError(RuntimeError):
@@ -257,8 +257,7 @@ class Automaton:
 
 
 def _build(m: int, mode: str, alphabet: tuple[int, ...],
-           start_cols: tuple[int, ...], divisor: int,
-           state_cap: int) -> Automaton:
+           start_cols: tuple[int, ...], divisor: int) -> Automaton:
     states: dict[State, int] = {}
     edges: dict[tuple[int, int], int] = {}
     order: list[State] = []
@@ -266,9 +265,9 @@ def _build(m: int, mode: str, alphabet: tuple[int, ...],
     def intern(state: State) -> int:
         idx = states.get(state)
         if idx is None:
-            if len(order) >= state_cap:
+            if len(order) >= STATE_CAP:
                 raise StateExplosionError(
-                    f"more than {state_cap} states for m={m} mode={mode}"
+                    f"more than {STATE_CAP} states for m={m} mode={mode}"
                 )
             idx = len(order)
             states[state] = idx
@@ -325,12 +324,12 @@ def _build(m: int, mode: str, alphabet: tuple[int, ...],
         states=final_states,
         start=tuple(sorted(remap[i] for i in start_set if i in useful)),
         transitions=transitions,
-        accept_even=tuple(i for i, s in enumerate(final_states) if acceptance(s)[0]),
-        accept_odd=tuple(i for i, s in enumerate(final_states) if acceptance(s)[1]),
+        accept_even=tuple(new for new, old in enumerate(kept) if accepts[old][0]),
+        accept_odd=tuple(new for new, old in enumerate(kept) if accepts[old][1]),
     )
 
 
-def build_canonical(m: int = 4, *, state_cap: int = DEFAULT_STATE_CAP) -> Automaton:
+def build_canonical(m: int = 4) -> Automaton:
     """The canonical-convention machine; derived and validated for m = 4.
 
     Alphabet: the 2^(m-1) columns with bottom cell 0 (stipulation 1).  Start
@@ -342,15 +341,15 @@ def build_canonical(m: int = 4, *, state_cap: int = DEFAULT_STATE_CAP) -> Automa
     if m != 4:
         raise ValueError("the canonical machine is defined for m=4")
     alphabet = tuple(v for v in range(1 << m) if not (v >> (m - 1)) & 1)
-    return _build(m, "canonical", alphabet, CANONICAL_START_BITS, 1, state_cap)
+    return _build(m, "canonical", alphabet, CANONICAL_START_BITS, 1)
 
 
-def build_general(m: int, *, state_cap: int = DEFAULT_STATE_CAP) -> Automaton:
+def build_general(m: int) -> Automaton:
     """The unrestricted machine for m-row boards; every cut is read twice."""
     if not 1 <= m <= 5:
         raise ValueError("general machines are supported for m in 1..5")
     alphabet = tuple(range(1 << m))
-    return _build(m, "general", alphabet, alphabet, 2, state_cap)
+    return _build(m, "general", alphabet, alphabet, 2)
 
 
 def live_words(a: Automaton, upto: int) -> Iterator[tuple[tuple[int, ...], int]]:

@@ -51,6 +51,7 @@ __all__ = [
 
 SVG_FILL_ZERO = "#f4ecd8"
 SVG_FILL_ONE = "#3a6ea5"
+SVG_SCALE = 24  # pixels per cell
 
 BOARD_TRANSFORMS = ("hflip", "vflip", "rot180", "complement")
 
@@ -123,18 +124,18 @@ class Board:
     def to_ascii(self) -> str:
         return "\n".join("".join("#" if c else "." for c in row) for row in self.cells)
 
-    def to_svg(self, *, scale: int = 24) -> str:
+    def to_svg(self) -> str:
         return (
             f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {self.n} {self.m}" '
-            f'width="{self.n * scale}" height="{self.m * scale}">\n'
+            f'width="{self.n * SVG_SCALE}" height="{self.m * SVG_SCALE}">\n'
             + svg_board_group(self)
             + "\n</svg>\n"
         )
 
 
-def svg_board_group(board: Board, *, dx: int = 0, dy: int = 0) -> str:
+def svg_board_group(board: Board, *, dy: int = 0) -> str:
     """A <g class="board"> of unit rects; shared by single- and multi-board SVG."""
-    parts = [f'<g class="board" transform="translate({dx},{dy})">']
+    parts = [f'<g class="board" transform="translate(0,{dy})">']
     for i, row in enumerate(board.cells):
         for j, c in enumerate(row):
             fill = SVG_FILL_ONE if c else SVG_FILL_ZERO
@@ -146,7 +147,7 @@ def svg_board_group(board: Board, *, dx: int = 0, dy: int = 0) -> str:
     return "\n".join(parts)
 
 
-def boards_to_svg(boards: Sequence[Board], *, scale: int = 24) -> str:
+def boards_to_svg(boards: Sequence[Board]) -> str:
     """One SVG document with the boards stacked vertically, one unit apart."""
     if not boards:
         raise ValueError("no boards to render")
@@ -154,7 +155,7 @@ def boards_to_svg(boards: Sequence[Board], *, scale: int = 24) -> str:
     height = sum(b.m + 1 for b in boards) - 1
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
-        f'width="{width * scale}" height="{height * scale}">'
+        f'width="{width * SVG_SCALE}" height="{height * SVG_SCALE}">'
     ]
     dy = 0
     for board in boards:

@@ -142,7 +142,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     if args.n is not None:
         args.n = _parse_n_values(args.n)
     if args.only is not None:
-        args.only = tuple(name.strip() for name in args.only.split(",") if name.strip())
+        # a repeated name runs once, in the order names first appear
+        args.only = tuple(dict.fromkeys(name.strip() for name in args.only.split(",") if name.strip()))
     _validate(args)
     return args
 

@@ -184,7 +184,6 @@ class SweepResult:
     n: int
     graham: tuple[int, ...]
     canonical: tuple[int, ...]
-    elapsed_ms: float
 
 
 _SWEEP_CACHE: dict[tuple[int, int], SweepResult] = {}
@@ -283,7 +282,6 @@ def sweep(m: int, n: int, *, budget: int | None = None, workers: int = 1) -> Swe
     check_shape(m, n, budget)
     if (m, n) in _SWEEP_CACHE:
         return _SWEEP_CACHE[(m, n)]
-    started = time.perf_counter()
     if n == 0:
         half = np.zeros(0, dtype=np.uint64)
     elif workers <= 1:
@@ -307,8 +305,7 @@ def sweep(m: int, n: int, *, budget: int | None = None, workers: int = 1) -> Swe
         b for b in graham
         if (b & bottom_left) == 0 and 2 * int.bit_count(b & mask_m) <= m
     ]
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    result = SweepResult(m, n, tuple(graham), tuple(canonical), elapsed_ms)
+    result = SweepResult(m, n, tuple(graham), tuple(canonical))
     _SWEEP_CACHE[(m, n)] = result
     return result
 

@@ -494,9 +494,9 @@ class Recurrence:
         }
 
 
-def format_bfile(terms: Sequence[int], start: int = 1) -> str:
-    """OEIS b-file lines: "n value", consecutive n, newline-terminated."""
-    return "".join(f"{n} {value}\n" for n, value in enumerate(terms, start=start))
+def format_bfile(terms: Sequence[int]) -> str:
+    """OEIS b-file lines: "n value" from n = 1, consecutive, newline-terminated."""
+    return "".join(f"{n} {value}\n" for n, value in enumerate(terms, start=1))
 
 
 def recurrence_of(G: RationalFunction) -> Recurrence:

@@ -4,24 +4,67 @@ import pytest
 
 from gridcuts.asymptotics import (
     UnsupportedPoleShape,
+    _root_bound,
     dominant_form,
     error_profile,
-    isolate_real_roots,
     refine_root,
+    root_count,
+    smallest_positive_root,
     sturm_chain,
 )
-from gridcuts.automaton import build_canonical, transfer_matrix
+from gridcuts.automaton import build_canonical, build_general, transfer_matrix
 from gridcuts.reference import (
     REFERENCE_A,
     REFERENCE_B,
     REFERENCE_GROWTH,
     reference_amplitudes,
 )
-from gridcuts.series import Polynomial, rational_function, resolvent_sum
+from gridcuts.series import Polynomial, generating_function, rational_function, resolvent_sum
 
 
 def poly(*coeffs):
     return Polynomial(coeffs)
+
+
+def isolate_real_roots(p, interval=None, width=Fraction(1, 10**12)):
+    """Disjoint rational intervals, one simple root of p each, all narrower
+    than `width`, ordered left to right.
+
+    Test-local reference: the all-roots isolator the library used before
+    dominant_form searched for the smallest positive pole alone.  Works on
+    the squarefree part of p, so multiple roots are located once.
+    """
+    if p.degree < 1:
+        return []
+    sqf = p.divexact(p.gcd(p.derivative()))
+    chain = sturm_chain(sqf)
+    if interval is None:
+        bound = _root_bound(sqf)
+        interval = (-bound, bound)
+    lo, hi = Fraction(interval[0]), Fraction(interval[1])
+    # nudge endpoints off roots so variation counts are clean
+    while sqf(lo) == 0:
+        lo -= width / 2
+    while sqf(hi) == 0:
+        hi += width / 2
+
+    found = []
+
+    def split(a, b, count):
+        if count == 0:
+            return
+        if count == 1:
+            found.append(refine_root(sqf, a, b, width))
+            return
+        mid = (a + b) / 2
+        if sqf(mid) == 0:
+            mid += min(b - mid, width) / 2
+        left = root_count(chain, a, mid)
+        split(a, mid, left)
+        split(mid, b, count - left)
+
+    split(lo, hi, root_count(chain, lo, hi))
+    return found
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +131,25 @@ class TestRootIsolation:
         assert not chain[-1].is_zero()
 
 
+class TestSmallestPositiveRoot:
+    # in each, some halving midpoint of (0, Cauchy bound] is itself a root
+    # while two or more roots remain, e.g. 2 in (0, 4] for (x - 1)(x - 2)
+    @pytest.mark.parametrize("coeffs", [
+        (2, -3, 1), (6, -7, 0, 1), (-6, 11, -6, 1), (-15, 23, -9, 1), (-42, 55, -14, 1),
+    ])
+    def test_midpoint_on_a_root_gives_the_reference_bracket(self, coeffs):
+        p = poly(*coeffs)
+        width = Fraction(1, 10**30)
+        first = isolate_real_roots(p, (Fraction(0), _root_bound(p)), width)[0]
+        assert smallest_positive_root(p) == first
+        lo, hi = first
+        assert 0 < hi - lo < width
+
+    @pytest.mark.parametrize("coeffs", [(1, 1), (1, 0, 1), (2, 3, 1), (1, 0, 0, 1)])
+    def test_no_positive_root(self, coeffs):
+        assert smallest_positive_root(poly(*coeffs)) is None
+
+
 class TestDominantForm:
     def test_growth(self, estimate):
         assert abs(estimate.growth - REFERENCE_GROWTH) <= 1e-8
@@ -104,6 +166,14 @@ class TestDominantForm:
         lo, hi = estimate.pole_interval
         den = machine_gf.denominator
         assert (den(lo) > 0) != (den(hi) > 0)
+
+    def test_pole_interval_pinned(self, estimate):
+        # recorded before dominant_form searched for the smallest positive
+        # pole alone; the search must stop on the same dyadic bracket
+        assert estimate.pole_interval == (
+            Fraction(2790101621507919254245544932629, 5070602400912917605986812821504),
+            Fraction(348762702688489906780693116579, 633825300114114700748351602688),
+        )
 
     def test_growth_squared_times_quadratic_root_is_one(self, estimate):
         (lo, hi), = isolate_real_roots(
@@ -156,3 +226,33 @@ class TestErrorProfile:
         errors = error_profile(machine_gf, estimate, 1)
         assert errors[0][0] == 1
         assert errors[0][1] >= 0
+
+
+# (growth, amp_plus, amp_minus, has_mirror_pole) and pole_interval of the
+# general machines, recorded before dominant_form searched for the smallest
+# positive pole alone
+GENERAL_ESTIMATES = {
+    1: ((1.0, 0.5, 0.5, True), (Fraction(1), Fraction(1))),
+    3: ((1.4142135623730951, 2.0, 2.0, True),
+        (Fraction(3585457342386312954798844046555, 5070602400912917605986812821504),
+         Fraction(112045541949572279837463876455, 158456325028528675187087900672))),
+    4: ((1.8173540210239707, 3.5726182589640665, 0.3006935934423546, True),
+        (Fraction(2790101621507919254245544932629, 5070602400912917605986812821504),
+         Fraction(348762702688489906780693116579, 633825300114114700748351602688))),
+    5: ((2.3414980768967273, 1.7653509839979746, 1.7653509839979746, True),
+        (Fraction(8662150869896372149288721279835, 20282409603651670423947251286016),
+         Fraction(4331075434948186074644360639925, 10141204801825835211973625643008))),
+}
+
+
+class TestGeneralMachines:
+    @pytest.mark.parametrize("m", sorted(GENERAL_ESTIMATES))
+    def test_estimate_pinned(self, m):
+        est = dominant_form(generating_function(build_general(m)))
+        values, interval = GENERAL_ESTIMATES[m]
+        assert (est.growth, est.amp_plus, est.amp_minus, est.has_mirror_pole) == values
+        assert est.pole_interval == interval
+
+    def test_m2_double_pole_refused(self):
+        with pytest.raises(UnsupportedPoleShape, match="^dominant pole is not simple$"):
+            dominant_form(generating_function(build_general(2)))

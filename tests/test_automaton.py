@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gridcuts import oracle
+from gridcuts import automaton, oracle
 from gridcuts.automaton import (
     Automaton,
     ConnectivityProfile,
@@ -240,9 +240,10 @@ class TestGeneralMachines:
         with pytest.raises(ValueError):
             build_general(6)
 
-    def test_state_cap(self):
-        with pytest.raises(StateExplosionError):
-            build_general(4, state_cap=5)
+    def test_state_cap(self, monkeypatch):
+        monkeypatch.setattr(automaton, "STATE_CAP", 5)
+        with pytest.raises(StateExplosionError, match="more than 5 states for m=4 mode=general"):
+            build_general(4)
 
 
 class TestWordRuns:

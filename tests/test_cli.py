@@ -317,6 +317,22 @@ class TestVerifyCommand:
         assert err.startswith("gridcuts: unknown criterion 'nope'; known: ['terms-30', ")
         assert err.count("\n") == 1
 
+    def test_repeated_criterion_runs_once(self, capsys, monkeypatch):
+        from gridcuts import verify
+
+        ran = []
+        real = verify.run_criterion
+
+        def counted(name):
+            ran.append(name)
+            return real(name)
+
+        monkeypatch.setattr(verify, "run_criterion", counted)
+        code, out, _ = run_cli(capsys, "verify", "--only", "terms-30,generating-function, terms-30")
+        assert code == 0
+        assert ran == ["terms-30", "generating-function"]
+        assert out.count("PASS  terms-30") == 1
+
     @pytest.mark.parametrize("only", [",", " , ", ""])
     def test_selection_naming_no_criterion(self, capsys, only):
         code, out, err = run_cli(capsys, "verify", "--only", only)
@@ -396,6 +412,12 @@ GOLDEN_STDOUT = [
      "fb8afa2b8e9ac1ec5301e1f23bce8bd098ad42f4cd653650318e9c4bd3aad386"),
     (("count", "--n", "1-10"), 51,
      "d31ecc505c796ebb054e26a1175243b3a2ea23d99151cd4cdafd71793c3370b9"),
+    # the longest error table, recorded before dominant_form searched for the
+    # smallest positive pole alone instead of isolating every real root
+    (("asymptotics", "--limit", "1187"), 18006,
+     "f32ee0fe155e62cf5e55c551ff31b8cc61f86c3220755b37ba1766c66da2f403"),
+    (("asymptotics", "--limit", "1187", "--format", "json"), 62436,
+     "39a4bb7b10c76c165b84b7eed14701f42d48c5b5da18b67f207b90665ce2db95"),
 ]
 
 

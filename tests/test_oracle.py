@@ -133,8 +133,14 @@ class TestCountReport:
         monkeypatch.setattr(oracle.time, "perf_counter", lambda: next(ticks) * 0.25)
         # a cache hit reads the clock twice: this call's start and end only
         assert oracle.count_report(4, 5).elapsed_ms == 250.0
-        # a fresh sweep is part of this call's work
-        monkeypatch.setattr(oracle, "_SWEEP_CACHE", {})
+        # the sweep is part of this call's work: let it take two ticks
+        real_sweep = oracle.sweep
+
+        def slow_sweep(*args, **kwargs):
+            next(ticks), next(ticks)
+            return real_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "sweep", slow_sweep)
         assert oracle.count_report(4, 5).elapsed_ms == 750.0
 
     def test_json_shape(self):

@@ -18,9 +18,10 @@ from gridcuts.board import (
     satisfies_complement_rule,
     transform,
 )
-from gridcuts.asymptotics import isolate_real_roots
+from gridcuts.asymptotics import _root_bound, smallest_positive_root
 from gridcuts.series import Polynomial, rational_function, series_terms
 from gridcuts.verify import _union_find_component_counts
+from test_asymptotics import isolate_real_roots
 from test_series import series_terms_longdiv
 
 
@@ -296,3 +297,11 @@ class TestSeriesProperties:
             assert sqf(lo) == 0 or sqf(hi) == 0 or (sqf(lo) > 0) != (sqf(hi) > 0)
         for (alo, ahi), (blo, bhi) in zip(intervals, intervals[1:]):
             assert ahi < blo
+
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=7), st.integers(-9, 9).filter(bool))
+    def test_smallest_positive_root_is_the_first_isolated_one(self, tail, constant):
+        p = Polynomial([constant] + tail)
+        if p.degree < 1 or p.gcd(p.derivative()).degree > 0:
+            return  # the search takes squarefree polynomials only
+        positive = isolate_real_roots(p, (Fraction(0), _root_bound(p)), Fraction(1, 10**30))
+        assert smallest_positive_root(p) == (positive[0] if positive else None)
