@@ -4,9 +4,13 @@ The coefficient growth of a rational generating function is controlled by
 the smallest-modulus zeros of its denominator.  The smallest positive pole
 z is found by one descent: Sturm sign-variation counts on the squarefree
 part of the denominator halve (0, Cauchy bound] toward the leftmost positive
-root until it is alone, and bisection refines that one root, entirely in
-rational arithmetic.  The reported interval is certified: the polynomial
-changes sign across it and it contains exactly one root.
+root until it is alone, and bisection refines that one root.  The chain is
+built in integers from pseudo-remainders, and the only Fractions are the
+points it is evaluated at.  The reported interval is certified: the
+polynomial changes sign across it and it contains exactly one root.  That
+one Sturm chain is the only one built: whether z is a multiple pole, and
+whether -z is a pole too, are each a gcd with the squarefree part and a
+sign test across the certified interval.
 
 Supported pole shapes: a single simple positive dominant pole z, or a simple
 real pair +-z.  The amplitude at a simple pole r of N/D is -N(r)/(r D'(r)),
@@ -22,7 +26,9 @@ the dominant radius) raises UnsupportedPoleShape.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import gcd as int_gcd
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,10 +54,15 @@ class UnsupportedPoleShape(ValueError):
 
 
 def sturm_chain(p: Polynomial) -> list[Polynomial]:
+    """Sturm sequence of p in integers: each element is the negated
+    pseudo-remainder of the two before it over its positive content, a
+    positive multiple of the rational chain's element, so sign variations
+    are the same.  (`primitive` would flip signs with the leading term.)"""
     chain = [p, p.derivative()]
     while not chain[-1].is_zero():
-        rem = divmod(chain[-2], chain[-1])[1]
-        chain.append(-rem)
+        rem = chain[-2].pseudo_remainder(chain[-1])
+        content = int_gcd(*rem.coeffs) or 1
+        chain.append(Polynomial([-c // content for c in rem.coeffs]))
     chain.pop()
     return chain
 
@@ -65,14 +76,8 @@ def _variations(chain: Sequence[Polynomial], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def root_count(chain: Sequence[Polynomial], lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in (lo, hi]."""
-    return _variations(chain, lo) - _variations(chain, hi)
-
-
 def _root_bound(p: Polynomial) -> Fraction:
-    lead = abs(Fraction(p.leading()))
-    return 1 + max(abs(Fraction(c)) for c in p.coeffs) / lead
+    return 1 + Fraction(max(abs(c) for c in p.coeffs), abs(p.leading()))
 
 
 def refine_root(p: Polynomial, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
@@ -187,30 +192,25 @@ def dominant_form(
     with the closed forms within 1e-6.
     """
     G = G.normalized()
-    num, den = G.numerator, G.denominator
+    den = G.denominator
     if den.constant() == 0:
         raise UnsupportedPoleShape("pole at 0")
 
-    den_prime = den.derivative()
-    multiple = den.gcd(den_prime)
-    bracket = smallest_positive_root(den.divexact(multiple))
+    multiple = den.gcd(den.derivative())
+    sqf = den.divexact(multiple)
+    bracket = smallest_positive_root(sqf)
     if bracket is None:
         raise UnsupportedPoleShape("no positive real pole")
     lo, hi = bracket
     mid = (lo + hi) / 2
 
-    if multiple.degree > 0 and _has_root_in(multiple, lo, hi):
+    if _has_root_in(multiple, sqf, lo, hi):
         raise UnsupportedPoleShape("dominant pole is not simple")
-
-    # -z is a pole iff z is a root of gcd(D(x), D(-x))
-    mirror = den.gcd(Polynomial([c if i % 2 == 0 else -c for i, c in enumerate(den.coeffs)]))
-    has_mirror = mirror.degree > 0 and _has_root_in(mirror, lo, hi)
-
-    amp_plus_exact = -Fraction(num(mid)) / (mid * Fraction(den_prime(mid)))
-    if has_mirror:
-        amp_minus_exact = -Fraction(num(-mid)) / (-mid * Fraction(den_prime(-mid)))
-    else:
-        amp_minus_exact = Fraction(0)
+    # -z is a pole iff D(-x) vanishes at z
+    mirror = Polynomial([c if i % 2 == 0 else -c for i, c in enumerate(den.coeffs)])
+    has_mirror = _has_root_in(mirror, sqf, lo, hi)
+    amp_plus_exact = _amplitude(G, mid)
+    amp_minus_exact = _amplitude(G, -mid) if has_mirror else Fraction(0)
 
     z = float(mid)
     _complex_pole_guard(den, z)
@@ -234,13 +234,19 @@ def dominant_form(
     )
 
 
-def _has_root_in(p: Polynomial, lo: Fraction, hi: Fraction) -> bool:
-    if p(lo) == 0 or p(hi) == 0:
-        return True
-    if lo == hi:
-        return False
-    sqf = p.divexact(p.gcd(p.derivative()))  # Sturm counts want simple roots
-    return root_count(sturm_chain(sqf), lo, hi) > 0
+def _has_root_in(p: Polynomial, sqf: Polynomial, lo: Fraction, hi: Fraction) -> bool:
+    """Whether p vanishes at the one root of the squarefree sqf in [lo, hi].
+
+    g = gcd(p, sqf) divides sqf, so that simple root is the only one g can
+    have there, and g has it iff g(lo) and g(hi) differ in sign or vanish.
+    """
+    g = p.gcd(sqf)
+    return g(lo) * g(hi) <= 0
+
+
+def _amplitude(G: RationalFunction, x: Fraction) -> Fraction:
+    """-N(x)/(x D'(x)), the amplitude of G = N/D at a simple pole x."""
+    return -G.numerator(x) / (x * G.denominator.derivative()(x))
 
 
 def error_profile(
@@ -248,16 +254,30 @@ def error_profile(
 ) -> list[tuple[int, float]]:
     """Relative error |c_n - estimate(n)| / c_n for n = 1..count.
 
-    Terms that are exactly zero get an infinite relative error unless the
-    estimate is also zero there.
+    The estimate is evaluated in decimal with 25 digits more than the
+    largest c_n has, from the pole refined to that width and the amplitudes
+    recomputed there, so the error reported is the estimate's and not float
+    rounding.  Terms that are exactly zero get an infinite relative error
+    unless the estimate is also zero there.
     """
-    exact = series_terms(G.normalized(), count)
+    G = G.normalized()
+    exact = series_terms(G, count)
+    digits = len(str(max(map(abs, exact), default=0))) + 25
+    lo, hi = refine_root(G.denominator, *estimate.pole_interval, Fraction(1, 10**digits))
+    mid = (lo + hi) / 2
+    amp_plus = _amplitude(G, mid)
+    amp_minus = _amplitude(G, -mid) if estimate.has_mirror_pole else Fraction(0)
     out = []
-    for n, c in enumerate(exact, start=1):
-        approx = estimate.predict(n)
-        if c == 0:
-            err = 0.0 if approx == 0 else float("inf")
-        else:
-            err = abs(c - approx) / abs(c)
-        out.append((n, err))
+    with localcontext() as ctx:
+        ctx.prec = digits
+        growth, plus, minus = (
+            Decimal(f.numerator) / f.denominator for f in (1 / mid, amp_plus, amp_minus)
+        )
+        for n, c in enumerate(exact, start=1):
+            approx = (plus + minus * (-1) ** n) * growth**n
+            if c == 0:
+                err = 0.0 if approx == 0 else float("inf")
+            else:
+                err = float(abs(c - approx) / abs(c))
+            out.append((n, err))
     return out

@@ -1,7 +1,8 @@
 """Exact polynomial and rational-function arithmetic for the counting series.
 
-Coefficients are Python ints or Fractions, never floats.  The generating
-function of a machine with S states and transfer matrix T is
+Polynomial coefficients are Python ints; Fractions appear only as the
+points a polynomial is evaluated at and as the values it takes there.  The
+generating function of a machine with S states and transfer matrix T is
 
     G(x) = x^2 * s (I - x^2 T)^(-1) a_even  +  x * s (I - x^2 T)^(-1) a_odd,
 
@@ -25,7 +26,9 @@ is ever computed by elimination.
 Rational functions are kept normalized: numerator and denominator are coprime
 integer polynomials with coprime contents and a positive leading denominator
 coefficient, which makes equality of generating functions a literal
-coefficient comparison.
+coefficient comparison.  Gcds never leave the integers: they run a primitive
+pseudo-remainder sequence (Brown & Traub 1971), dividing each remainder by
+its content.
 """
 
 from __future__ import annotations
@@ -51,22 +54,16 @@ __all__ = [
     "series_terms",
 ]
 
-Coeff = int | Fraction
-
-
-def _exact(value: Coeff) -> Coeff:
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    return value
-
-
 class Polynomial:
-    """Dense univariate polynomial; coeffs[i] is the degree-i coefficient."""
+    """Dense univariate integer polynomial; coeffs[i] is the degree-i coefficient."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Coeff] = ()) -> None:
-        items = [_exact(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable[int] = ()) -> None:
+        items = list(coeffs)
+        for c in items:
+            if not isinstance(c, int):
+                raise TypeError(f"polynomial coefficients are ints, got {c!r}")
         while items and items[-1] == 0:
             items.pop()
         object.__setattr__(self, "coeffs", tuple(items))
@@ -82,10 +79,10 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> Coeff:
+    def leading(self) -> int:
         return self.coeffs[-1] if self.coeffs else 0
 
-    def constant(self) -> Coeff:
+    def constant(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
 
     def __eq__(self, other: object) -> bool:
@@ -94,23 +91,8 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial | Coeff") -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
+    def __mul__(self, other: "Polynomial | int") -> "Polynomial":
+        if isinstance(other, int):
             return Polynomial([c * other for c in self.coeffs])
         if self.is_zero() or other.is_zero():
             return Polynomial()
@@ -124,64 +106,68 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Exact Euclidean division over the rationals."""
+    def pseudo_remainder(self, other: "Polynomial") -> "Polynomial":
+        """Remainder of |lc(other)|^(d+1) * self by other, d = deg self - deg
+        other (self when d < 0): a positive multiple of the rational remainder."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        lead, top = other.leading(), other.degree
         rem = list(self.coeffs)
-        lead = Fraction(other.leading())
-        quot = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
-        for i in range(len(quot) - 1, -1, -1):
-            c = Fraction(rem[i + other.degree]) / lead
-            if c:
-                quot[i] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] -= c * b
-        return Polynomial(quot), Polynomial(rem)
+        while len(rem) > top:
+            # |lead| * rem - sign(lead) * c * x^shift * other cancels the top term c
+            c = rem.pop() if lead > 0 else -rem.pop()
+            rem = [abs(lead) * r for r in rem]
+            shift = len(rem) - top
+            for j, b in enumerate(other.coeffs[:-1]):
+                rem[shift + j] -= c * b
+        return Polynomial(rem)
 
     def divexact(self, other: "Polynomial") -> "Polynomial":
-        quot, rem = divmod(self, other)
-        if not rem.is_zero():
-            raise ArithmeticError(f"{self} is not divisible by {other}")
-        return quot
+        """The integer polynomial q with q * other == self; ArithmeticError
+        when there is none."""
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        rem, lead, top = list(self.coeffs), other.leading(), other.degree
+        quot = [0] * max(len(rem) - top, 0)
+        for i in reversed(range(len(quot))):
+            # a nonzero remainder left at i + top is never touched again
+            quot[i] = rem[i + top] // lead
+            for j, b in enumerate(other.coeffs):
+                rem[i + j] -= quot[i] * b
+        if any(rem):
+            raise ArithmeticError(f"{self} is not divisible by {other} over the integers")
+        return Polynomial(quot)
 
     def derivative(self) -> "Polynomial":
         return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def __call__(self, x: Coeff) -> Coeff:
-        value: Coeff = 0
+    def __call__(self, x: int | Fraction) -> int | Fraction:
+        value: int | Fraction = 0
         for c in reversed(self.coeffs):
             value = value * x + c
         return value
 
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
+    def primitive(self) -> "Polynomial":
+        """self over its content, signed so the leading coefficient is positive."""
+        content = int_gcd(*self.coeffs)
+        if not content:
             return self
-        lead = Fraction(self.leading())
-        return Polynomial([Fraction(c) / lead for c in self.coeffs])
+        if self.coeffs[-1] < 0:
+            content = -content
+        return Polynomial([c // content for c in self.coeffs])
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic greatest common divisor over the rationals."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, divmod(a, b)[1]
-        return a.monic() if not a.is_zero() else a
+        """Greatest common divisor over the rationals, as a primitive integer
+        polynomial with positive leading coefficient (zero for two zeros).
 
-    def primitive(self) -> tuple[Fraction, "Polynomial"]:
-        """Split into content * primitive integer polynomial (positive lead)."""
-        if self.is_zero():
-            return Fraction(0), Polynomial()
-        denom_lcm = 1
-        for c in self.coeffs:
-            if isinstance(c, Fraction):
-                denom_lcm = denom_lcm * c.denominator // int_gcd(denom_lcm, c.denominator)
-        ints = [int(c * denom_lcm) for c in self.coeffs]
-        content = 0
-        for c in ints:
-            content = int_gcd(content, abs(c))
-        sign = -1 if ints[-1] < 0 else 1
-        prim = Polynomial([c // (sign * content) for c in ints])
-        return Fraction(sign * content, denom_lcm), prim
+        Primitive pseudo-remainder sequence: each remainder is reduced to
+        its primitive part, which keeps the coefficients small without ever
+        leaving the integers.
+        """
+        a, b = self.primitive(), other.primitive()
+        while not b.is_zero():
+            a, b = b, a.pseudo_remainder(b).primitive()
+        return a
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -228,13 +214,13 @@ class RationalFunction:
     def normalized(self) -> "RationalFunction":
         return rational_function(self.numerator, self.denominator)
 
-    def __call__(self, x: Coeff) -> Fraction:
+    def __call__(self, x: int | Fraction) -> Fraction:
         return Fraction(self.numerator(x)) / Fraction(self.denominator(x))
 
     def to_json_dict(self) -> dict:
         return {
-            "numerator": [int(c) for c in self.numerator.coeffs],
-            "denominator": [int(c) for c in self.denominator.coeffs],
+            "numerator": list(self.numerator.coeffs),
+            "denominator": list(self.denominator.coeffs),
         }
 
     def __str__(self) -> str:
@@ -249,17 +235,14 @@ def rational_function(numerator: Polynomial, denominator: Polynomial) -> Rationa
     if numerator.is_zero():
         return RationalFunction(Polynomial.ZERO, Polynomial.ONE)
     common = numerator.gcd(denominator)
-    if common.degree > 0:
-        numerator = numerator.divexact(common)
-        denominator = denominator.divexact(common)
-    num_content, num_prim = numerator.primitive()
-    den_content, den_prim = denominator.primitive()
-    scalar = num_content / den_content
-    num_final = num_prim * scalar.numerator
-    den_final = den_prim * scalar.denominator
-    if den_final.leading() < 0:
-        num_final, den_final = -num_final, -den_final
-    return RationalFunction(num_final, den_final)
+    numerator, denominator = numerator.divexact(common), denominator.divexact(common)
+    content = int_gcd(*numerator.coeffs, *denominator.coeffs)
+    if denominator.leading() < 0:
+        content = -content
+    return RationalFunction(
+        Polynomial([c // content for c in numerator.coeffs]),
+        Polynomial([c // content for c in denominator.coeffs]),
+    )
 
 
 def _berlekamp_massey(terms: Sequence[int]) -> tuple[list[int], int]:
@@ -411,7 +394,7 @@ def resolvent_denominator_lcm(T: TransferMatrix) -> Polynomial:
     lcm = Polynomial.ONE
     for seq in sequences:
         den = certified_series(seq, size)[1]
-        lcm = (lcm * den.divexact(lcm.gcd(den))).primitive()[1]
+        lcm = (lcm * den.divexact(lcm.gcd(den))).primitive()
     return lcm
 
 
@@ -505,13 +488,13 @@ def recurrence_of(G: RationalFunction) -> Recurrence:
     den = G.denominator
     if den.constant() == 0:
         raise ValueError("denominator must have a nonzero constant term")
-    c0 = Fraction(G.numerator.constant()) / Fraction(den.constant())
+    c0 = Fraction(G.numerator.constant(), den.constant())
     if c0.denominator != 1:
         raise ArithmeticError(f"coefficient 0 is not an integer: {c0}")
     valid_from = max(G.numerator.degree + 1, 1)
     return Recurrence(
         order=den.degree,
-        coefficients=tuple(int(c) for c in den.coeffs),
+        coefficients=den.coeffs,
         valid_from=valid_from,
         initial=(int(c0), *series_terms(G, valid_from - 1)),
     )

@@ -116,8 +116,8 @@ def criterion_generating_function(check: _Check) -> None:
     num, den = _reference_gf()
     check.equal(list(gf.numerator.coeffs), list(num.coeffs), "gf numerator")
     check.equal(list(gf.denominator.coeffs), list(den.coeffs), "gf denominator")
-    check.details["numerator"] = [int(c) for c in gf.numerator.coeffs]
-    check.details["denominator"] = [int(c) for c in gf.denominator.coeffs]
+    check.details["numerator"] = list(gf.numerator.coeffs)
+    check.details["denominator"] = list(gf.denominator.coeffs)
 
 
 def criterion_oracle_agreement(check: _Check) -> None:
@@ -193,7 +193,7 @@ def criterion_resolvent_lcm(check: _Check) -> None:
     """LCM of the (I - xT)^(-1) entry denominators matches the known factors."""
     T = transfer_matrix(build_canonical(4))
     lcm = resolvent_denominator_lcm(T)
-    expected = product(Polynomial(c) for c in reference.RESOLVENT_LCM_FACTORS).primitive()[1]
+    expected = product(Polynomial(c) for c in reference.RESOLVENT_LCM_FACTORS).primitive()
     check.equal(list(lcm.coeffs), list(expected.coeffs), "resolvent denominator lcm")
     check.details["lcm"] = str(lcm)
 

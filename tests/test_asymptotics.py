@@ -1,14 +1,17 @@
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
+from gridcuts import automaton, oracle
 from gridcuts.asymptotics import (
     UnsupportedPoleShape,
     _root_bound,
+    _variations,
     dominant_form,
     error_profile,
     refine_root,
-    root_count,
     smallest_positive_root,
     sturm_chain,
 )
@@ -19,11 +22,23 @@ from gridcuts.reference import (
     REFERENCE_GROWTH,
     reference_amplitudes,
 )
-from gridcuts.series import Polynomial, generating_function, rational_function, resolvent_sum
+from gridcuts.series import (
+    Polynomial,
+    generating_function,
+    rational_function,
+    resolvent_sum,
+    series_terms,
+)
+from test_series import nonzero_polys, rational_divmod
 
 
 def poly(*coeffs):
     return Polynomial(coeffs)
+
+
+def root_count(chain, lo, hi):
+    """Number of distinct real roots in (lo, hi]."""
+    return _variations(chain, lo) - _variations(chain, hi)
 
 
 def isolate_real_roots(p, interval=None, width=Fraction(1, 10**12)):
@@ -130,6 +145,26 @@ class TestRootIsolation:
         chain = sturm_chain(poly(-1, 0, 3, 0, 1))
         assert not chain[-1].is_zero()
 
+    @given(nonzero_polys)
+    def test_sturm_chain_is_positive_multiple_of_rational_chain(self, p):
+        chain = sturm_chain(p)
+        reference = rational_sturm_chain(p.coeffs)
+        assert len(chain) == len(reference)
+        for got, want in zip(chain, reference):
+            assert len(got.coeffs) == len(want)
+            ratio = got.leading() / want[-1]
+            assert ratio > 0
+            assert list(got.coeffs) == [ratio * c for c in want]
+
+
+def rational_sturm_chain(coeffs):
+    """Sturm chain of a coefficient list by rational remainders."""
+    chain = [[Fraction(c) for c in coeffs], [Fraction(i * c) for i, c in enumerate(coeffs)][1:]]
+    while chain[-1]:
+        chain.append([-c for c in rational_divmod(chain[-2], chain[-1])[1]])
+    chain.pop()
+    return chain
+
 
 class TestSmallestPositiveRoot:
     # in each, some halving midpoint of (0, Cauchy bound] is itself a root
@@ -228,6 +263,42 @@ class TestErrorProfile:
         assert errors[0][1] >= 0
 
 
+def _closed_form_poles(prec):
+    """The canonical gf's dominant pole z and its subdominant pair's z2."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        return ((Decimal(13).sqrt() - 3) / 2).sqrt(), (Decimal(2).sqrt() - 1).sqrt()
+
+
+def _closed_form_error(n, c, prec=400):
+    """|c_n - estimate(n)| / c_n from the closed-form z and amplitudes."""
+    z, _ = _closed_form_poles(prec)
+    with localcontext() as ctx:
+        ctx.prec = prec
+        plus, minus = (
+            Decimal(f.numerator) / f.denominator for f in reference_amplitudes(Fraction(z))
+        )
+        return float(abs(c - (plus + minus * (-1) ** n) / z**n) / c)
+
+
+class TestLongErrorProfile:
+    @pytest.fixture(scope="class")
+    def errors(self, machine_gf, estimate):
+        return dict(error_profile(machine_gf, estimate, 1187))
+
+    def test_errors_decay_at_the_subdominant_ratio(self, errors):
+        # c_n - estimate(n) is the contribution of the poles +-z2
+        z, z2 = _closed_form_poles(30)
+        ratio = float((z / z2) ** 2)  # 0.73096505096874...
+        for n in range(200, 1186):
+            assert abs(errors[n + 2] / errors[n] - ratio) <= 1e-9, n
+
+    @pytest.mark.parametrize("n", [30, 100, 400, 1187])
+    def test_matches_closed_form_reference(self, machine_gf, errors, n):
+        c = series_terms(machine_gf, n)[-1]
+        assert errors[n] == pytest.approx(_closed_form_error(n, c), rel=1e-4)
+
+
 # (growth, amp_plus, amp_minus, has_mirror_pole) and pole_interval of the
 # general machines, recorded before dominant_form searched for the smallest
 # positive pole alone
@@ -256,3 +327,21 @@ class TestGeneralMachines:
     def test_m2_double_pole_refused(self):
         with pytest.raises(UnsupportedPoleShape, match="^dominant pole is not simple$"):
             dominant_form(generating_function(build_general(2)))
+
+
+class TestTallerMachine:
+    def test_general_m6_through_integer_algebra(self):
+        # build_general caps m at 5; the m = 6 machine is built directly
+        alphabet = tuple(range(1 << 6))
+        gf = generating_function(automaton._build(6, "general", alphabet, alphabet, 2))
+        assert gf.denominator.degree == 52
+        terms = series_terms(gf, 8)
+        assert terms == [1, 6, 23, 90, 263, 1018, 2947, 11174]
+        assert terms[:6] == [oracle.count_report(6, n).cuts for n in range(1, 7)]
+        est = dominant_form(gf)
+        assert abs(est.growth - 3.0676305996) < 1e-10
+        # recorded while the gcds still ran rational Euclid
+        assert est.pole_interval == (
+            Fraction(94786061956882257530793602656448945, 290768624077950347197707794436325376),
+            Fraction(5924128872305141095674600166037425, 18173039004871896699856737152270336),
+        )

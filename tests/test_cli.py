@@ -412,12 +412,21 @@ GOLDEN_STDOUT = [
      "fb8afa2b8e9ac1ec5301e1f23bce8bd098ad42f4cd653650318e9c4bd3aad386"),
     (("count", "--n", "1-10"), 51,
      "d31ecc505c796ebb054e26a1175243b3a2ea23d99151cd4cdafd71793c3370b9"),
-    # the longest error table, recorded before dominant_form searched for the
-    # smallest positive pole alone instead of isolating every real root
+    # the longest error table, recorded once the estimate was evaluated in
+    # decimal instead of floats
     (("asymptotics", "--limit", "1187"), 18006,
-     "f32ee0fe155e62cf5e55c551ff31b8cc61f86c3220755b37ba1766c66da2f403"),
-    (("asymptotics", "--limit", "1187", "--format", "json"), 62436,
-     "39a4bb7b10c76c165b84b7eed14701f42d48c5b5da18b67f207b90665ce2db95"),
+     "a27f709574de5c5de63fc3500acbf592c9083bb26e522bda371afa7b7bf7e8fd"),
+    (("asymptotics", "--limit", "1187", "--format", "json"), 62295,
+     "c93ba28d798d6ed0f9a6dbf65cf80b5a0cfaf96ed4c4db25cdf3d6ab5fe990ad"),
+    # the largest gf, recorded while its gcds still ran rational Euclid
+    (("gf", "--mode", "general", "--m", "5"), 262,
+     "dc926120ee65828e7a612b6c9d8be9494d4161c6ce8ec4ade0d1cf864fc2209c"),
+    (("gf", "--mode", "general", "--m", "5", "--format", "json"), 438,
+     "9303214341f1942982564746d3ec6fd19e477eee10ba2de5c936dc40807523e1"),
+    (("recurrence", "--mode", "general", "--m", "5"), 540,
+     "cba7cab8850aaf0eadea952727dd7d9655fdbda341174c94571145c9d564e85a"),
+    (("terms", "--mode", "general", "--m", "5", "--limit", "200"), 4827,
+     "3b496c53cc684054f71dbd42b2f104456fdcb38c56dd7a73021557b8aa5bcdcd"),
 ]
 
 

@@ -22,7 +22,7 @@ from gridcuts.asymptotics import _root_bound, smallest_positive_root
 from gridcuts.series import Polynomial, rational_function, series_terms
 from gridcuts.verify import _union_find_component_counts
 from test_asymptotics import isolate_real_roots
-from test_series import series_terms_longdiv
+from test_series import psub, series_terms_longdiv
 
 
 # (m, column) with the column as an m-bit integer
@@ -262,8 +262,10 @@ class TestSeriesProperties:
     def test_divmod_invariant(self, a, b):
         if b.is_zero():
             return
-        q, r = divmod(a, b)
-        assert q * b + r == a
+        # |lc(b)|^(d+1) a = q b + r with an integer q and deg r < deg b
+        r = a.pseudo_remainder(b)
+        scale = abs(b.leading()) ** max(a.degree - b.degree + 1, 0)
+        psub(a * scale, r).divexact(b)
         assert r.is_zero() or r.degree < b.degree
 
     @given(small_polys, small_polys)
@@ -272,8 +274,9 @@ class TestSeriesProperties:
         if g.is_zero():
             assert a.is_zero() and b.is_zero()
             return
-        assert divmod(a, g)[1].is_zero()
-        assert divmod(b, g)[1].is_zero()
+        assert g == g.primitive() and g.leading() > 0
+        a.divexact(g)  # a primitive divisor over the rationals divides over the integers
+        b.divexact(g)
 
     @given(small_polys, st.lists(st.integers(-9, 9), min_size=1, max_size=6))
     def test_series_recurrence_matches_long_division(self, num, den_tail):

@@ -1,5 +1,7 @@
 import json
 from fractions import Fraction
+from itertools import zip_longest
+from math import lcm
 from operator import floordiv
 
 import pytest
@@ -29,6 +31,18 @@ from gridcuts.series import (
 )
 
 
+def padd(a, b):
+    """a + b for two ints or two Polynomials."""
+    if isinstance(a, int):
+        return a + b
+    return Polynomial([x + y for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0)])
+
+
+def psub(a, b):
+    """a - b for two ints or two Polynomials."""
+    return padd(a, b * -1)
+
+
 def bareiss_determinant(matrix):
     """Fraction-free determinant of a matrix of ints or of Polynomials; every
     division is exact by construction.  The independent reference for the
@@ -51,12 +65,12 @@ def bareiss_determinant(matrix):
             sign = -sign
         for i in range(k + 1, size):
             for j in range(k + 1, size):
-                num = rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]
+                num = psub(rows[i][j] * rows[k][k], rows[i][k] * rows[k][j])
                 rows[i][j] = divexact(num, prev)
             rows[i][k] = zero
         prev = rows[k][k]
     det = rows[size - 1][size - 1]
-    return det if sign == 1 else -det
+    return det * sign
 
 
 def series_terms_longdiv(G, count):
@@ -85,8 +99,14 @@ def poly(*coeffs):
 class TestPolynomialArithmetic:
     def test_gcd_extracts_common_factor(self):
         a = poly(-1, 1) * poly(-1, 1) * poly(1, -1, 1)
-        b = poly(-1, 1)
-        assert a.gcd(b) == poly(-1, 1).monic()
+        assert a.gcd(poly(-1, 1)) == poly(-1, 1)
+        assert (a * 6).gcd(poly(4, -4)) == poly(-1, 1)  # primitive, positive lead
+
+    def test_fraction_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            Polynomial([Fraction(1, 2)])
+        with pytest.raises(TypeError):
+            Polynomial([1, 2.0])
 
     def test_geometric_telescoping(self):
         ones = Polynomial([1] * 10)
@@ -98,29 +118,105 @@ class TestPolynomialArithmetic:
         assert den.coeffs == (1, -2, -4, 10, -1, -8, 9, -10, 6, -2, 1)
 
     def test_divmod_exact(self):
-        q, r = divmod(poly(-1, 0, 0, 1), poly(-1, 1))
-        assert r.is_zero()
-        assert q == poly(1, 1, 1)
+        assert poly(-1, 0, 0, 1).divexact(poly(-1, 1)) == poly(1, 1, 1)
+        assert poly(-2, 0, 0, 2).divexact(poly(2, -2)) == poly(-1, -1, -1)
+        with pytest.raises(ArithmeticError):
+            poly(1, 0, 1).divexact(poly(1, 1))
+        with pytest.raises(ArithmeticError):
+            poly(1, 1).divexact(poly(2, 2))  # (x + 1)/2 is not integral
 
     def test_divmod_remainder(self):
-        q, r = divmod(poly(1, 0, 1), poly(1, 1))
-        assert q == poly(-1, 1) and r == poly(2)
+        # x^2 + 1 = (x + 1)(x - 1) + 2 over the rationals
+        assert poly(1, 0, 1).pseudo_remainder(poly(1, 1)) == poly(2)
+        # by 2x + 2 the rational remainder is still 2, scaled by |2|^2
+        assert poly(1, 0, 1).pseudo_remainder(poly(2, 2)) == poly(8)
+        # a negative leading coefficient keeps the remainder's sign
+        assert poly(1, 0, 1).pseudo_remainder(poly(-2, -2)) == poly(8)
+        assert poly(1, 2).pseudo_remainder(poly(1, 0, 1)) == poly(1, 2)
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            divmod(poly(1), Polynomial())
+            poly(1).divexact(Polynomial())
+        with pytest.raises(ZeroDivisionError):
+            poly(1).pseudo_remainder(Polynomial())
 
     def test_evaluate(self):
         assert poly(-1, 0, 3, 0, 1)(Fraction(1, 2)) == Fraction(-1) + Fraction(3, 4) + Fraction(1, 16)
 
     def test_primitive(self):
-        content, prim = poly(Fraction(2, 3), Fraction(4, 3)).primitive()
-        assert content == Fraction(2, 3)
-        assert prim == poly(1, 2)
+        assert poly(2, 4).primitive() == poly(1, 2)
+        assert poly(4, 6, -2).primitive() == poly(-2, -3, 1)
+        assert poly(-3).primitive() == poly(1)
+        assert Polynomial().primitive() == Polynomial()
 
     def test_str(self):
         assert str(poly(1, -1, 2)) == "2*x^2 - x + 1"
         assert str(Polynomial()) == "0"
+
+
+def rational_divmod(a, b):
+    """Quotient and remainder of coefficient lists over the rationals."""
+    rem = [Fraction(c) for c in a]
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        quot[i] = rem[i + len(b) - 1] / b[-1]
+        for j, c in enumerate(b):
+            rem[i + j] -= quot[i] * c
+    return _trim(quot), _trim(rem[: len(b) - 1])
+
+
+def _trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def rational_gcd(a, b):
+    """Monic gcd of two coefficient lists by rational Euclid."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, rational_divmod(a, b)[1]
+    return [Fraction(c) / a[-1] for c in a] if a else []
+
+
+def primitive_of(coeffs):
+    """The primitive integer Polynomial with positive lead that is a
+    rational multiple of a Fraction coefficient list."""
+    scale = lcm(*(Fraction(c).denominator for c in coeffs))
+    return Polynomial([int(c * scale) for c in coeffs]).primitive()
+
+
+integer_polys = st.lists(st.integers(-30, 30), max_size=7).map(Polynomial)
+nonzero_polys = integer_polys.filter(lambda p: not p.is_zero())
+
+
+class TestIntegerDivisionAgainstRationals:
+    @given(integer_polys, integer_polys, integer_polys)
+    def test_gcd_is_primitive_rational_gcd(self, a, b, common):
+        a, b = a * common, b * common
+        assert a.gcd(b) == primitive_of(rational_gcd(a.coeffs, b.coeffs))
+
+    @given(integer_polys, nonzero_polys)
+    def test_pseudo_remainder_scales_rational_remainder(self, a, b):
+        rem = rational_divmod(a.coeffs, b.coeffs)[1]
+        power = max(a.degree - b.degree + 1, 0)
+        expected = [c * abs(b.leading()) ** power for c in rem]
+        assert all(c.denominator == 1 for c in expected)
+        assert a.pseudo_remainder(b) == Polynomial([int(c) for c in expected])
+
+    @given(integer_polys, nonzero_polys)
+    def test_divexact_inverts_product(self, a, b):
+        assert (a * b).divexact(b) == a
+
+    @given(integer_polys, nonzero_polys)
+    def test_divexact_raises_on_non_divisor(self, a, b):
+        quot, rem = rational_divmod(a.coeffs, b.coeffs)
+        if rem or any(c.denominator != 1 for c in quot):
+            with pytest.raises(ArithmeticError):
+                a.divexact(b)
+        else:
+            assert a.divexact(b) == Polynomial([int(c) for c in quot])
 
 
 class TestBareiss:
@@ -129,7 +225,7 @@ class TestBareiss:
             [poly(1, 1), poly(0, 1)],
             [poly(2), poly(1, 0, 1)],
         ]
-        expected = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+        expected = psub(rows[0][0] * rows[1][1], rows[0][1] * rows[1][0])
         assert bareiss_determinant(rows) == expected
 
     def test_singular(self):
@@ -232,7 +328,7 @@ class TestResolvent:
 
     def test_denominator_lcm(self):
         T = transfer_matrix(build_canonical(4))
-        expected = product(Polynomial(c) for c in RESOLVENT_LCM_FACTORS).primitive()[1]
+        expected = product(Polynomial(c) for c in RESOLVENT_LCM_FACTORS).primitive()
         assert resolvent_denominator_lcm(T) == expected
 
 
@@ -294,9 +390,9 @@ def _bordered_bareiss_gf(T):
     def walk(accept):
         bordered = [row + [Polynomial([accept[i]])] for i, row in enumerate(base)]
         bordered.append([Polynomial([v]) for v in T.start_vector] + [Polynomial.ZERO])
-        return -bareiss_determinant(bordered)
+        return bareiss_determinant(bordered) * -1
 
-    num = poly(0, 0, 1) * walk(T.accept_even_vector) + poly(0, 1) * walk(T.accept_odd_vector)
+    num = padd(poly(0, 0, 1) * walk(T.accept_even_vector), poly(0, 1) * walk(T.accept_odd_vector))
     return rational_function(num, bareiss_determinant(base))
 
 
