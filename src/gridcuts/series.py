@@ -142,7 +142,17 @@ class Polynomial:
         return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, x: int | Fraction) -> int | Fraction:
-        value: int | Fraction = 0
+        if isinstance(x, Fraction):
+            # Horner on q^d * self(p/q) = sum c_i p^i q^(d-i): integers only,
+            # and one reduction at the end instead of a gcd per step
+            p, q = x.numerator, x.denominator
+            value, power = 0, 1
+            for c in reversed(self.coeffs):
+                value = value * p + c * power
+                power *= q
+            # power is now q^(d+1)
+            return Fraction(value * q, power)
+        value = 0
         for c in reversed(self.coeffs):
             value = value * x + c
         return value

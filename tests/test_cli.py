@@ -225,7 +225,10 @@ class TestAsymptoticsCommand:
         code, out, err = run_cli(capsys, "asymptotics", "--limit", "1200", "--format", fmt)
         assert code == 2
         assert out == ""
-        assert err == "gridcuts: --limit must be at most 1187: later terms do not fit the float relative error\n"
+        assert err == (
+            "gridcuts: --limit must be at most 1187: the exact error profile slows with "
+            "the digits of c_n, and its errors underflow to 0 from about n = 4500\n"
+        )
 
     def test_max_limit_is_the_last_term_that_fits_a_float(self):
         from gridcuts.automaton import build_canonical

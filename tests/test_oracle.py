@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import warnings
 
+import numpy as np
 import pytest
 
 from gridcuts import oracle
@@ -254,6 +255,82 @@ class TestFullSweepAnswers:
         term = series_terms(generating_function(build_general(4)), 13)[12]
         assert term == 6807
         assert oracle.count_report(4, 13).cuts == term
+
+
+def count_components(bits, m, n, eight):
+    """Element-wise number of 4- (or 8-) connected components of the set cells.
+
+    A test-local vectorized flood fill: peel off the region of the lowest
+    remaining cell until no cell remains.
+    """
+    u = np.uint64
+    full = (1 << (m * n)) - 1
+    top = sum(1 << (j * m) for j in range(n))
+    not_top, not_bottom = full & ~top, full & ~(top << (m - 1))
+
+    def spread(x):
+        column = x | ((x & u(not_top)) >> u(1)) | ((x & u(not_bottom)) << u(1))
+        across = column if eight else x
+        return (column | (across >> u(m)) | (across << u(m))) & u(full)
+
+    count = np.zeros(bits.size, dtype=np.int64)
+    rest = bits.copy()
+    while rest.any():
+        region = rest & (~rest + u(1))
+        count += region != 0
+        while True:
+            grown = spread(region) & rest
+            if (grown == region).all():
+                break
+            region = grown
+        rest &= ~region
+    return count
+
+
+def count_holes(bits, m, n):
+    """Element-wise number of 8-connected components of 0-cells that do not
+    touch the border: frame the board with 0-cells, count the 8-components
+    of the framed 0-cells, and drop the one that holds the frame."""
+    u = np.uint64
+    framed = np.zeros_like(bits)
+    for j in range(n):
+        column = (bits >> u(j * m)) & u((1 << m) - 1)
+        framed |= column << u((j + 1) * (m + 2) + 1)
+    zeros = framed ^ u((1 << ((m + 2) * (n + 2))) - 1)
+    return count_components(zeros, m + 2, n + 2, eight=True) - 1
+
+
+class TestEulerSieve:
+    # every board of each shape (4 x 5, all 2^20 boards, also holds but takes 2 s)
+    @pytest.mark.parametrize("m,n", [(1, 6), (3, 3), (4, 4), (3, 5), (2, 7), (5, 2)])
+    def test_euler_number_is_components_minus_holes(self, m, n):
+        bits = np.arange(1 << (m * n), dtype=np.uint64)
+        not_bottom = oracle._row_masks(m, n)[1]
+        euler = (np.bitwise_count(bits).astype(np.int64)
+                 - oracle._edges_minus_squares(bits, m, not_bottom).astype(np.int64))
+        expected = count_components(bits, m, n, eight=False) - count_holes(bits, m, n)
+        assert np.array_equal(euler, expected)
+
+    def test_holes_are_counted(self):
+        # a ring of 8 ones round a 0 is one component with one hole: Euler number 0
+        ring = Board.from_rows([[1, 1, 1], [1, 0, 1], [1, 1, 1]]).bits
+        bits = np.array([ring], dtype=np.uint64)
+        assert count_components(bits, 3, 3, eight=False)[0] == 1
+        assert count_holes(bits, 3, 3)[0] == 1
+        assert 8 - oracle._edges_minus_squares(bits, 3, oracle._row_masks(3, 3)[1])[0] == 0
+
+    def test_sweep_flood_fills_once_per_range(self, monkeypatch):
+        calls = []
+        real = oracle._connected
+
+        def counting(bits, *args):
+            calls.append(bits.size)
+            return real(bits, *args)
+
+        monkeypatch.setattr(oracle, "_connected", counting)
+        monkeypatch.setattr(oracle, "_SWEEP_CACHE", {})
+        oracle.sweep(4, 10)
+        assert len(calls) == 1
 
 
 class TestDelahaye:

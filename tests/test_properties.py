@@ -1,5 +1,7 @@
 """Property suites over randomized boards, columns and series."""
 
+import functools
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -252,6 +254,37 @@ class TestIsolatedCellSieve:
         assert flagged == lone
         if flagged:
             assert not is_graham(board)
+
+
+@functools.cache
+def graham_boards(m, n):
+    """Every board of the shape that is_graham accepts, by completing each left half."""
+    found = []
+    for left in itertools.product(range(1 << m), repeat=(n + 1) // 2):
+        try:
+            board = complete_board(m, n, left)
+        except ValueError:
+            continue
+        if is_graham(board):
+            found.append(board)
+    return found
+
+
+GRAHAM_SHAPES = [
+    (m, n) for m in range(1, 7) for n in range(1, 13)
+    if m * ((n + 1) // 2) <= 10 and m * n % 2 == 0
+]
+
+
+class TestEulerSieve:
+    @given(st.sampled_from(GRAHAM_SHAPES).flatmap(lambda s: st.sampled_from(graham_boards(*s))))
+    def test_every_cut_passes(self, board):
+        m, n = board.m, board.n
+        not_bottom = oracle._row_masks(m, n)[1]
+        bits = np.array([board.bits], dtype=np.uint64)
+        assert board.bits.bit_count() == m * n // 2
+        # V - E + F = 1: one 4-component and no hole
+        assert oracle._edges_minus_squares(bits, m, not_bottom)[0] == m * n // 2 - 1
 
 
 small_polys = st.lists(st.integers(-9, 9), min_size=0, max_size=6).map(Polynomial)

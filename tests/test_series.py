@@ -219,6 +219,38 @@ class TestIntegerDivisionAgainstRationals:
             assert a.divexact(b) == Polynomial([int(c) for c in quot])
 
 
+def fraction_horner(coeffs, x):
+    """Plain Horner evaluation in Fraction arithmetic."""
+    value = Fraction(0)
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value
+
+
+fractions = st.fractions(max_denominator=10**6) | st.integers(-50, 50).map(Fraction)
+
+
+class TestEvaluationAgainstFractionHorner:
+    @given(integer_polys, fractions)
+    def test_fraction_point(self, p, x):
+        value = p(x)
+        assert isinstance(value, Fraction)
+        assert value == fraction_horner(p.coeffs, x)
+
+    @given(integer_polys, st.integers(-10**6, 10**6))
+    def test_int_point_gives_int(self, p, x):
+        value = p(x)
+        assert type(value) is int
+        assert value == fraction_horner(p.coeffs, x)
+
+    @pytest.mark.parametrize("x", [0, Fraction(0), -3, Fraction(-7, 3), Fraction(5, 4)])
+    def test_fixed_points(self, x):
+        p = Polynomial([3, -2, 0, 5])
+        assert p(x) == fraction_horner(p.coeffs, x)
+        assert Polynomial()(x) == 0
+        assert Polynomial([4])(x) == 4
+
+
 class TestBareiss:
     def test_matches_cofactor_expansion_small(self):
         rows = [
