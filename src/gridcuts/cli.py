@@ -49,7 +49,7 @@ ASYMPTOTICS_MAX_LIMIT = 1187
 # every subcommand's namespace carries every field, so commands read args.X freely
 _DEFAULTS = {
     "m": 4, "n": None, "limit": 30, "mode": "canonical", "fmt": "text",
-    "budget": None, "workers": 1, "out": None, "timings": False, "only": None,
+    "budget": None, "out": None, "timings": False, "only": None,
 }
 
 
@@ -98,14 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--n", required=True, help="width, or inclusive range like 1-12")
     p.add_argument("--budget", type=int)
-    p.add_argument("--workers", type=int)
     p.add_argument("--timings", action="store_true")
 
     p = add("enumerate", "list every canonical board of one width")
     p.add_argument("--m", type=int)
     p.add_argument("--n", required=True)
     p.add_argument("--budget", type=int)
-    p.add_argument("--workers", type=int)
 
     p = add("gf", "print the generating function of the chosen machine")
     p.add_argument("--m", type=int)
@@ -132,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("delahaye", "closed-form 3 x 2n count next to oracle counts")
     p.add_argument("--n", required=True, help="half-width, 1..6")
     p.add_argument("--budget", type=int)
-    p.add_argument("--workers", type=int)
 
     p = add("verify", "run the acceptance suite")
     p.add_argument("--only", help="comma-separated criterion names (default: all)")
@@ -170,8 +167,6 @@ def _validate(args: argparse.Namespace) -> None:
             f"--limit must be at most {ASYMPTOTICS_MAX_LIMIT}: the exact error profile "
             f"slows with the digits of c_n, and its errors underflow to 0 from about n = 4500"
         )
-    if args.workers < 1:
-        raise ValueError("--workers must be at least 1")
     if args.mode == "canonical" and args.m != 4 and args.command in (
         "gf", "terms", "recurrence", "automaton",
     ):
@@ -206,10 +201,7 @@ def _emit_json(args: argparse.Namespace, data) -> None:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    reports = [
-        oracle.count_report(args.m, n, budget=args.budget, workers=args.workers)
-        for n in args.n
-    ]
+    reports = [oracle.count_report(args.m, n, budget=args.budget) for n in args.n]
     if args.fmt == "json":
         data = [r.to_json_dict(timings=args.timings) for r in reports]
         _emit_json(args, data[0] if len(data) == 1 else data)
@@ -224,35 +216,34 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     (n,) = args.n
-    boards = oracle.enumerate_canonical(
-        args.m, n, budget=args.budget, workers=args.workers
-    )
+    boards = oracle.enumerate_canonical(args.m, n, budget=args.budget)
     if args.fmt == "json":
         _emit_json(args, {
             "m": args.m, "n": n, "count": len(boards),
             "boards": [b.to_json_dict() for b in boards],
         })
-    elif not boards:
-        _emit(args, "")
-    elif args.fmt == "ascii":
-        _emit(args, "\n\n".join(b.to_ascii() for b in boards) + "\n")
-    elif args.fmt == "svg":
-        _emit_svg(args, boards)
     else:
-        lines = ["/".join("".join(map(str, row)) for row in b.cells) for b in boards]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit_boards(args, boards)
     return EXIT_OK
 
 
-def _emit_svg(args: argparse.Namespace, boards: list[Board]) -> None:
-    if args.out and not args.out.endswith(".svg"):
+def _emit_boards(args: argparse.Namespace, boards: list[Board]) -> None:
+    """Write boards as text rows, ASCII art or SVG; no boards write nothing."""
+    if not boards:
+        _emit(args, "")
+    elif args.fmt == "ascii":
+        _emit(args, "\n\n".join(b.to_ascii() for b in boards) + "\n")
+    elif args.fmt == "svg" and args.out and not args.out.endswith(".svg"):
         directory = Path(args.out)
         directory.mkdir(parents=True, exist_ok=True)
         width = len(str(len(boards) - 1))
         for idx, board in enumerate(boards):
             (directory / f"board_{idx:0{width}d}.svg").write_text(board.to_svg())
-    else:
+    elif args.fmt == "svg":
         _emit(args, boards_to_svg(boards))
+    else:
+        lines = ["/".join("".join(map(str, row)) for row in b.cells) for b in boards]
+        _emit(args, "\n".join(lines) + "\n")
 
 
 def cmd_gf(args: argparse.Namespace) -> int:
@@ -354,28 +345,19 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    galleries = oracle.regenerate_figures(budget=args.budget)
-    boards = galleries["three_by_six"] + galleries["four_by_six"]
+    galleries = oracle.regenerate_figures()
     if args.fmt == "json":
         _emit_json(args, {
             "three_by_six": [b.to_json_dict() for b in galleries["three_by_six"]],
             "four_by_six": [b.to_json_dict() for b in galleries["four_by_six"]],
         })
-    elif args.fmt == "ascii":
-        _emit(args, "\n\n".join(b.to_ascii() for b in boards) + "\n")
-    elif args.fmt == "svg":
-        _emit_svg(args, boards)
     else:
-        lines = ["/".join("".join(map(str, row)) for row in b.cells) for b in boards]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit_boards(args, galleries["three_by_six"] + galleries["four_by_six"])
     return EXIT_OK
 
 
 def cmd_delahaye(args: argparse.Namespace) -> int:
-    reports = [
-        oracle.delahaye_report(n, budget=args.budget, workers=args.workers)
-        for n in args.n
-    ]
+    reports = [oracle.delahaye_report(n, budget=args.budget) for n in args.n]
     if args.fmt == "json":
         _emit_json(args, reports[0] if len(reports) == 1 else reports)
     else:

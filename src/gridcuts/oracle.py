@@ -12,8 +12,12 @@ skips work it can prove redundant without knowing anything about cuts:
   complement;
 * for odd n the middle column must be its own reversed complement, so only
   those 2^(m/2) columns are generated (none for odd m);
-* completed boards are built block by block as ORs of two precomputed
-  tables of partial boards.
+* completed boards are built block by block, at most 2^14 at a time, as
+  ORs of a slice of first-column values and two precomputed tables of
+  partial boards for the other columns.  The first column is sliced
+  because a one-column left half (n <= 2) has no other column to split
+  the candidates on, so a tall board would otherwise be one block of
+  2^(m-1) boards.
 
 Most left halves are rejected before they are completed by an isolated-cell
 sieve on each table of partial boards: a 1-cell with no 1-neighbour is a
@@ -36,7 +40,7 @@ popcounts per board, and it too only rejects.  At 4 x 12 the tables leave
 1694600 of the 8388608 swept left halves, the Euler sieve passes 6279 of
 those, and the flood fill accepts 4314.
 
-Connectivity of the survivors of a whole sweep range is then checked once,
+Connectivity of the survivors of the whole sweep is then checked once,
 per candidate, by a vectorized flood fill of the 1-region (the 0-region is
 its half-turn image, so it is connected exactly when the 1-region is): grow
 the lowest set bit to its 4-neighbourhood, dropping each candidate from the
@@ -56,7 +60,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,18 +117,17 @@ def _revcomp_columns(cols: np.ndarray, m: int) -> np.ndarray:
     return rev ^ u((1 << m) - 1)
 
 
-def _self_revcomp_columns(m: int) -> np.ndarray:
-    """All m-bit columns equal to their own reversed complement.
+def _self_revcomp_columns(m: int, top: np.ndarray) -> np.ndarray:
+    """The m-bit columns equal to their own reversed complement, one per top half.
 
-    The top half is free and fixes the bottom half, so there are 2^(m/2)
-    of them for even m and none for odd m (the centre cell would have to be
-    its own complement).
+    The top half of such a column fixes its bottom half, so each value in
+    top (m/2 bits) gives one column for even m; odd m gives none (the centre
+    cell would have to be its own complement).
     """
     if m % 2:
         return np.zeros(0, dtype=np.uint64)
-    half = m // 2
-    top = np.arange(1 << half, dtype=np.uint64)
-    return top | (_revcomp_columns(top, m) >> np.uint64(half) << np.uint64(half))
+    half = np.uint64(m // 2)
+    return top | (_revcomp_columns(top, m) >> half << half)
 
 
 def _row_masks(m: int, n: int) -> tuple[int, int]:
@@ -210,42 +212,56 @@ def _outer_or(parts: list[np.ndarray]) -> np.ndarray:
     return table
 
 
-def _candidate_blocks(m: int, n: int, start: int, step: int):
-    """Completed boards whose first column is start, start+step, ... (< 2^m).
+def _partial_boards(m: int, n: int, j: int, free: np.ndarray) -> np.ndarray:
+    """Left-half column j set from each free value, with its mirror column.
 
-    Left-half column j contributes itself at column j and its reversed
-    complement at column n-1-j; the middle column of an odd width is its
-    own reversed complement and contributes itself alone.  These column
-    groups are disjoint, so a completed board is an OR of one partial board
-    per left-half column: low columns are tabulated once, up to _CHUNK
-    entries, and each block ORs a few rows of the high-column table onto it.
+    Column j contributes itself at column j and its reversed complement at
+    column n-1-j.  The middle column of an odd width is its own reversed
+    complement: it contributes itself alone, and its free value is its top
+    half.
+    """
+    u = np.uint64
+    if 2 * j + 1 == n:
+        return _self_revcomp_columns(m, free) << u(j * m)
+    return (free << u(j * m)) | (_revcomp_columns(free, m) << u((n - 1 - j) * m))
+
+
+def _candidate_blocks(m: int, n: int):
+    """Completed boards with cell (0, 0) = 0, in blocks of at most _CHUNK.
+
+    The column groups of the left-half columns are disjoint, so a completed
+    board is an OR of one partial board per left-half column.  The first
+    column is taken in slices of at most _CHUNK even values.  Each slice is
+    ORed onto a table of the next few columns, up to _CHUNK entries, and
+    each block ORs a few rows of the table of the remaining columns onto
+    that; both tables are built once.
     """
     u = np.uint64
     k = (n + 1) // 2
-    choices = [np.arange(1 << m, dtype=np.uint64)] * k
-    if n % 2:
-        choices[k - 1] = _self_revcomp_columns(m)
-    choices[0] = choices[0][choices[0] % u(step) == u(start)]
-    parts = [
-        cols << u(j * m) if 2 * j + 1 == n
-        else (cols << u(j * m)) | (_revcomp_columns(cols, m) << u((n - 1 - j) * m))
-        for j, cols in enumerate(choices)
-    ]
-    split, size = 1, parts[0].size
-    while split < k and size * parts[split].size <= _CHUNK:
-        size *= parts[split].size
+    if k == 0:
+        return
+    free_bits = [m // 2 if 2 * j + 1 == n else m for j in range(k)]
+    rest = [_partial_boards(m, n, j, np.arange(1 << free_bits[j], dtype=u)) for j in range(1, k)]
+    split, size = 0, min(_CHUNK, 1 << (m - 1))  # size: of one first-column slice
+    while split < len(rest) and size * rest[split].size <= _CHUNK:
+        size *= rest[split].size
         split += 1
-    lo, hi = _outer_or(parts[:split]), _outer_or(parts[split:])
-    # sieve each table on the cells whose four neighbours lie in its own
-    # column groups: columns 0..split-2 for lo, split+1..k-1 for hi, and mirrors
+    lo_rest, hi = _outer_or(rest[:split]), _outer_or(rest[split:])
+    # sieve each table on the cells whose four neighbours lie in its own column
+    # groups: columns 0..split-1 for a slice's lo, split+2..k-1 for hi, and mirrors
     not_top, not_bottom = _row_masks(m, n)
-    lo_cells = _sieve_cells(m, n, [c for j in range(split - 1) for c in (j, n - 1 - j)])
-    hi_cells = _sieve_cells(m, n, [c for j in range(split + 1, k) for c in (j, n - 1 - j)])
-    lo = lo[~_isolated(lo, lo_cells, m, not_top, not_bottom)]
+    lo_cells = _sieve_cells(m, n, [c for j in range(split) for c in (j, n - 1 - j)])
+    hi_cells = _sieve_cells(m, n, [c for j in range(split + 2, k) for c in (j, n - 1 - j)])
     hi = hi[~_isolated(hi, hi_cells, m, not_top, not_bottom)]
-    rows = max(1, _CHUNK // max(lo.size, 1))
-    for r in range(0, hi.size, rows):
-        yield (hi[r:r + rows, None] | lo[None, :]).ravel()
+    # cell (0, 0) is bit 0 of the first column's free value
+    end = 1 << free_bits[0]
+    for start in range(0, end, 2 * _CHUNK):
+        first = _partial_boards(m, n, 0, np.arange(start, min(start + 2 * _CHUNK, end), 2, dtype=u))
+        lo = (first[:, None] | lo_rest[None, :]).ravel()
+        lo = lo[~_isolated(lo, lo_cells, m, not_top, not_bottom)]
+        rows = max(1, _CHUNK // max(lo.size, 1))
+        for r in range(0, hi.size, rows):
+            yield (hi[r:r + rows, None] | lo[None, :]).ravel()
 
 
 def _edges_minus_squares(bits: np.ndarray, m: int, not_bottom: int) -> np.ndarray:
@@ -260,21 +276,6 @@ def _edges_minus_squares(bits: np.ndarray, m: int, not_bottom: int) -> np.ndarra
     horiz = bits & (bits >> u(m))
     square = vert & (vert >> u(m))
     return np.bitwise_count(vert) + np.bitwise_count(horiz) - np.bitwise_count(square)
-
-
-def _sweep_range(m: int, n: int, start: int, step: int) -> np.ndarray:
-    """Graham bitboards whose first column is start, start+step, ... (< 2^m)."""
-    not_top, not_bottom = _row_masks(m, n)
-    # every candidate has V = m*n/2 one-cells, and a cut has Euler number 1
-    target = m * n // 2 - 1
-
-    found = [np.zeros(0, dtype=np.uint64)]
-    for boards in _candidate_blocks(m, n, start, step):
-        found.append(boards[_edges_minus_squares(boards, m, not_bottom) == target])
-    survivors = np.concatenate(found)
-    # the 0-region is the half-turn image of the 1-region, so it is connected
-    # exactly when the 1-region is; only the 1s need a flood fill
-    return survivors[_connected(survivors, m, not_top, not_bottom)]
 
 
 def check_shape(m: int, n: int, budget: int | None = None) -> None:
@@ -298,28 +299,28 @@ def check_shape(m: int, n: int, budget: int | None = None) -> None:
         raise ValueError(f"shape {m}x{n} has {m * n} cells; a bitboard holds at most 64")
 
 
-def sweep(m: int, n: int, *, budget: int | None = None, workers: int = 1) -> SweepResult:
+def sweep(m: int, n: int, *, budget: int | None = None) -> SweepResult:
     """Enumerate every complement-rule two-component board of the given shape.
 
     Raises BudgetError (never truncates) or ValueError as check_shape does.
-    The sweep is partitioned by the first column's value when
-    workers > 1 and merged into one sorted list, so results do not depend on
-    the worker count.
+    Candidates come in blocks of at most _CHUNK, with the first column taken
+    in slices, so memory grows with the tables of the other columns and the
+    Euler sieve's survivors, not with the first column's 2^(m-1) values.
     """
     # checked before the cache so exit codes do not depend on prior calls
     check_shape(m, n, budget)
     if (m, n) in _SWEEP_CACHE:
         return _SWEEP_CACHE[(m, n)]
-    if n == 0:
-        half = np.zeros(0, dtype=np.uint64)
-    elif workers <= 1:
-        half = _sweep_range(m, n, 0, 2)
-    else:
-        # one task per first-column value with cell (0, 0) = 0, merged in a fixed order
-        tasks = [(m, n, first, 1 << m) for first in range(0, 1 << m, 2)]
-        # a fork-based pool starts all its workers up front, so never ask for idle ones
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            half = np.concatenate(list(pool.map(_sweep_worker, tasks)))
+    not_top, not_bottom = _row_masks(m, n)
+    # every candidate has V = m*n/2 one-cells, and a cut has Euler number 1
+    target = m * n // 2 - 1
+    found = [np.zeros(0, dtype=np.uint64)]
+    for boards in _candidate_blocks(m, n):
+        found.append(boards[_edges_minus_squares(boards, m, not_bottom) == target])
+    survivors = np.concatenate(found)
+    # the 0-region is the half-turn image of the 1-region, so it is connected
+    # exactly when the 1-region is; only the 1s need a flood fill
+    half = survivors[_connected(survivors, m, not_top, not_bottom)]
     both = np.concatenate([half, half ^ np.uint64((1 << (m * n)) - 1)])
     graham = np.sort(both).tolist()
 
@@ -336,10 +337,6 @@ def sweep(m: int, n: int, *, budget: int | None = None, workers: int = 1) -> Swe
     result = SweepResult(m, n, tuple(graham), tuple(canonical))
     _SWEEP_CACHE[(m, n)] = result
     return result
-
-
-def _sweep_worker(args: tuple[int, int, int, int]) -> np.ndarray:
-    return _sweep_range(*args)
 
 
 @dataclass(frozen=True)
@@ -369,12 +366,12 @@ class CountReport:
         return data
 
 
-def count_report(m: int, n: int, *, budget: int | None = None, workers: int = 1) -> CountReport:
+def count_report(m: int, n: int, *, budget: int | None = None) -> CountReport:
     """Count canonical matrices, cuts and reflection orbits by full sweep."""
     if not 1 <= m <= 6:
         raise ValueError(f"row count {m} outside the validated sweep range 1..6")
     started = time.perf_counter()
-    result = sweep(m, n, budget=budget, workers=workers)
+    result = sweep(m, n, budget=budget)
     cuts = len(result.graham) // 2
 
     # a cut is represented by whichever of its two boards is the smaller integer
@@ -402,8 +399,7 @@ def count_report(m: int, n: int, *, budget: int | None = None, workers: int = 1)
     )
 
 
-def enumerate_canonical(m: int, n: int, *, budget: int | None = None,
-                        workers: int = 1) -> list[Board]:
+def enumerate_canonical(m: int, n: int, *, budget: int | None = None) -> list[Board]:
     """All canonical boards of shape m x n, sorted by their cell arrays.
 
     The stipulations are validated for m = 4 only, so other row counts are
@@ -411,7 +407,7 @@ def enumerate_canonical(m: int, n: int, *, budget: int | None = None,
     """
     if m != 4:
         raise ValueError("canonical enumeration is defined for m=4 boards")
-    result = sweep(m, n, budget=budget, workers=workers)
+    result = sweep(m, n, budget=budget)
     boards = [Board(m, n, b) for b in result.canonical]
     boards.sort(key=lambda b: b.cells)
     return boards
@@ -428,7 +424,7 @@ def check_half_width(n: int) -> None:
         raise ValueError("half-width n must be in 1..6")
 
 
-def delahaye_report(n: int, *, budget: int | None = None, workers: int = 1) -> dict:
+def delahaye_report(n: int, *, budget: int | None = None) -> dict:
     """Put the 3 x 2n closed form next to the oracle's own counts.
 
     No equality is asserted; the report records which conventions the
@@ -437,7 +433,7 @@ def delahaye_report(n: int, *, budget: int | None = None, workers: int = 1) -> d
     n = 3 the formula gives 12 while the sweep finds 23 cuts in 12 orbits.
     """
     check_half_width(n)
-    report = count_report(3, 2 * n, budget=budget, workers=workers)
+    report = count_report(3, 2 * n, budget=budget)
     formula = delahaye_formula(n)
     return {
         "n": n,
@@ -450,7 +446,7 @@ def delahaye_report(n: int, *, budget: int | None = None, workers: int = 1) -> d
     }
 
 
-def regenerate_figures(*, budget: int | None = None) -> dict[str, list[Board]]:
+def regenerate_figures() -> dict[str, list[Board]]:
     """Verify and return the two reference galleries.
 
     The twelve 4x6 boards must all appear in the canonical enumeration; the
@@ -460,7 +456,7 @@ def regenerate_figures(*, budget: int | None = None) -> dict[str, list[Board]]:
     """
     bad: list[str] = []
 
-    canonical_4x6 = set(enumerate_canonical(4, 6, budget=budget))
+    canonical_4x6 = set(enumerate_canonical(4, 6))
     for idx, board in enumerate(reference.GALLERY_4X6):
         if board not in canonical_4x6:
             bad.append(f"4x6 gallery board {idx} is not in the canonical enumeration:\n{board.to_ascii()}")

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gridcuts
 from gridcuts import oracle
 from gridcuts.board import SVG_FILL_ONE, Board
 from gridcuts.cli import main
@@ -86,11 +91,6 @@ class TestCount:
         assert err.count("\n") == 1 and err.startswith("gridcuts: ") and "budget" in err
         assert oracle._SWEEP_CACHE == {}
 
-    def test_deterministic_across_workers(self, capsys):
-        _, solo, _ = run_cli(capsys, "count", "--n", "5", "--workers", "1")
-        _, duo, _ = run_cli(capsys, "count", "--n", "5", "--workers", "2")
-        assert solo == duo
-
 
 class TestEnumerate:
     def test_text_count(self, capsys):
@@ -138,8 +138,9 @@ class TestEnumerate:
         assert oracle._SWEEP_CACHE == {}
 
     def test_empty_width_zero(self, capsys):
-        code, out, _ = run_cli(capsys, "enumerate", "--n", "0")
-        assert code == 0 and out == ""
+        for fmt in ("text", "ascii", "svg"):
+            code, out, _ = run_cli(capsys, "enumerate", "--n", "0", "--format", fmt)
+            assert code == 0 and out == ""
         code, out, _ = run_cli(capsys, "enumerate", "--n", "0", "--format", "json")
         assert json.loads(out)["count"] == 0
 
@@ -343,6 +344,18 @@ class TestVerifyCommand:
         assert err == "gridcuts: --only names no criterion\n"
 
 
+class TestImportCost:
+    def test_cli_import_loads_no_process_pool(self):
+        # a fresh interpreter: this one has imported whatever the other tests needed
+        src = str(Path(gridcuts.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = ("import sys, gridcuts.cli; "
+                 "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True, timeout=60)
+        assert result.stdout == "[]\n"
+
+
 class TestOutputDeterminism:
     @pytest.mark.parametrize("argv", [
         ("count", "--n", "1-6"),
@@ -411,6 +424,13 @@ GOLDEN_STDOUT = [
      "e6388a68cdaa964a34898395c907b9caeeccc95de15426b5e637bc9a099fc2f4"),
     (("figures", "--format", "json"), 9818,
      "b0397505c8772de0a8ca66f759b98fa1184cef2aa17433ef97764af39bdbecef"),
+    # recorded while enumerate and figures each kept their own board writers
+    (("figures",), 588,
+     "3110327747bfc09032aa3aefc706d2f60fc7d5f1a2a8de4c1894c99ea5ff7afe"),
+    (("figures", "--format", "ascii"), 611,
+     "bdbcbd0f68f5fd78b1d644f5883a9cf8b54933a2265a31944b07ca009b7e38e0"),
+    (("figures", "--format", "svg"), 46676,
+     "d42a3ebf39826f3dbd11cd20fde2289137a8a454d06f464e81bc7e2c85c91c2d"),
     (("delahaye", "--n", "1-3", "--format", "json"), 490,
      "fb8afa2b8e9ac1ec5301e1f23bce8bd098ad42f4cd653650318e9c4bd3aad386"),
     (("count", "--n", "1-10"), 51,

@@ -121,13 +121,6 @@ class TestCountReport:
         with pytest.raises(BudgetError):
             oracle.count_report(4, 9, budget=1 << 10)
 
-    def test_workers_do_not_change_results(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_SWEEP_CACHE", {})
-        solo = oracle.count_report(4, 6)
-        monkeypatch.setattr(oracle, "_SWEEP_CACHE", {})
-        duo = oracle.count_report(4, 6, workers=2)
-        assert (solo.canonical, solo.cuts, solo.orbits) == (duo.canonical, duo.cuts, duo.orbits)
-
     def test_elapsed_ms_times_this_call(self, monkeypatch):
         oracle.count_report(4, 5)
         ticks = itertools.count()
@@ -184,36 +177,19 @@ class TestSweepAgainstPurePython:
         for value in oracle.sweep(4, 5).graham:
             assert is_graham(Board(4, 5, value))
 
-    def test_workers_do_not_change_odd_width_sweep(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_SWEEP_CACHE", {})
-        solo = oracle.sweep(4, 7)
-        monkeypatch.setattr(oracle, "_SWEEP_CACHE", {})
-        duo = oracle.sweep(4, 7, workers=2)
-        assert (solo.graham, solo.canonical) == (duo.graham, duo.canonical)
+    @pytest.mark.parametrize("m", [16, 18])
+    def test_first_column_is_sliced(self, m):
+        # a one-column left half has 2^(m-1) even first columns to sweep
+        sizes = [block.size for block in oracle._candidate_blocks(m, 2)]
+        assert max(sizes) <= oracle._CHUNK
+        assert sum(sizes) == 1 << (m - 1)
 
-    def test_pool_is_no_larger_than_the_task_list(self, monkeypatch):
-        asked = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(oracle, "_SWEEP_CACHE", {})
-        solo = oracle.sweep(4, 5)
-        monkeypatch.setattr(oracle, "_SWEEP_CACHE", {})
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", SerialPool)
-        # one task per even first column: 8 of them at m = 4
-        assert oracle.sweep(4, 5, workers=10**6).graham == solo.graham
-        assert asked == [8]
+    def test_tall_strips(self):
+        # the transposes of the 2 x m strip, which has m cuts, and of the 1 x 32 strip
+        for m in range(15, 19):
+            assert len(oracle.sweep(m, 2).graham) == 2 * m
+        # a middle column is fixed by its top half: two slices of 16-bit top halves
+        assert len(oracle.sweep(32, 1, budget=1 << 32).graham) == 2
 
     def test_budget_compares_exponents(self):
         # 2^(4*5e19) candidates: the check must not build that integer
