@@ -22,6 +22,7 @@ from .automaton import (
     revcomp,
     transfer_matrix,
 )
+from .errors import GridcutsError
 from .oracle import (
     BudgetError,
     CountReport,
@@ -49,6 +50,7 @@ __all__ = [
     "Board",
     "BudgetError",
     "CountReport",
+    "GridcutsError",
     "Polynomial",
     "RationalFunction",
     "Recurrence",

@@ -33,6 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import GridcutsError
 from .series import Polynomial, RationalFunction, series_terms
 
 __all__ = [
@@ -49,7 +50,7 @@ _REFINE_WIDTH = Fraction(1, 10**30)
 _REFERENCE_TOLERANCE = 1e-6
 
 
-class UnsupportedPoleShape(ValueError):
+class UnsupportedPoleShape(GridcutsError, ValueError):
     """The dominant singularities are not a simple real z or pair +-z."""
 
 

@@ -36,6 +36,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
+from .errors import GridcutsError
+
 __all__ = [
     "Automaton",
     "ConnectivityProfile",
@@ -63,7 +65,7 @@ CANONICAL_START_BITS = (0b0000, 0b0001, 0b0011)
 STATE_CAP = 20_000
 
 
-class StateExplosionError(RuntimeError):
+class StateExplosionError(GridcutsError, RuntimeError):
     """State closure exceeded the configured cap."""
 
 

@@ -31,7 +31,7 @@ from .automaton import (
     transfer_matrix,
 )
 from .board import Board, boards_to_svg
-from .oracle import BudgetError
+from .errors import GridcutsError
 from .series import format_bfile, generating_function, recurrence_of, series_terms
 
 EXIT_OK = 0
@@ -411,9 +411,11 @@ def main(argv: list[str] | None = None) -> int:
         # downstream (e.g. `| head`) closed stdout; leave quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (BudgetError, ValueError, OSError) as exc:
-        # OSError: --out names a missing directory, a directory, or an unwritable path
-        print(f"gridcuts: {exc}", file=sys.stderr)
+    except (GridcutsError, ValueError, OSError) as exc:
+        # OSError: --out names a missing directory, a directory, or an unwritable path;
+        # a FigureMismatch lists its offending boards after the first line
+        first_line = str(exc).partition("\n")[0]
+        print(f"gridcuts: {first_line}", file=sys.stderr)
         return EXIT_RESOURCE
 
 

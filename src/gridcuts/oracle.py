@@ -12,12 +12,13 @@ skips work it can prove redundant without knowing anything about cuts:
   complement;
 * for odd n the middle column must be its own reversed complement, so only
   those 2^(m/2) columns are generated (none for odd m);
-* completed boards are built block by block, at most 2^14 at a time, as
-  ORs of a slice of first-column values and two precomputed tables of
-  partial boards for the other columns.  The first column is sliced
-  because a one-column left half (n <= 2) has no other column to split
-  the candidates on, so a tall board would otherwise be one block of
-  2^(m-1) boards.
+* the left-half columns (each with its mirror) fall into two groups, lo
+  (the first few) and hi (the rest).  The first column is taken in slices
+  of at most 2^13 values, each ORed onto a precomputed table of the other
+  lo columns, and the hi table is built once.  The first column is sliced
+  because a one-column left half (n <= 2) has no other column to split the
+  candidates on, so a tall board would otherwise be one table of 2^(m-1)
+  entries.
 
 Most left halves are rejected before they are completed by an isolated-cell
 sieve on each table of partial boards: a 1-cell with no 1-neighbour is a
@@ -28,17 +29,26 @@ already fix.  The sieve is exact because it only rejects; an isolated
 covers both labels; and it is skipped when m*n = 2, where each label is a
 single cell.
 
-Each completed board then meets an Euler-number sieve.  For the 1-cells,
-V - E + F (cells, 4-adjacent pairs, 2x2 blocks) is the 4-connectivity
-Euler number, the number of 4-components minus the number of 8-connected
-holes (the bit-quad count of Gray, IEEE Trans. Computers C-20, 1971).  In a
-cut the 1-region is one 4-component and the 0-region is one 4-component
-that touches the border (the half-turn maps the border onto itself), so
-the 1-region has no hole and its Euler number is 1.  Every candidate has
-V = m*n/2, so the sieve keeps a board exactly when E - F = m*n/2 - 1: three
-popcounts per board, and it too only rejects.  At 4 x 12 the tables leave
-1694600 of the 8388608 swept left halves, the Euler sieve passes 6279 of
-those, and the flood fill accepts 4314.
+Only the boards that pass an Euler-number sieve are ever built.  For the
+1-cells, V - E + F (cells, 4-adjacent pairs, 2x2 blocks) is the
+4-connectivity Euler number, the number of 4-components minus the number of
+8-connected holes (the bit-quad count of Gray, IEEE Trans. Computers C-20,
+1971).  In a cut the 1-region is one 4-component and the 0-region is one
+4-component that touches the border (the half-turn maps the border onto
+itself), so the 1-region has no hole and its Euler number is 1.  Every
+candidate has V = m*n/2, so the sieve keeps a board exactly when
+E - F = m*n/2 - 1, and it too only rejects.  E - F is a sum of terms on one
+column or on two adjacent ones, and only the terms between lo's last column
+and hi's first (and between their mirrors) straddle the groups, so
+E - F(lo | hi) = E - F(lo) + E - F(hi) + cross, where cross depends on those
+two boundary columns alone.  So each table entry is scored once, and a
+meet-in-the-middle join (Horowitz & Sahni, JACM 21, 1974) meets each entry
+of one table with each distinct boundary column of the other, then takes
+the run of entries whose E - F completes the sum.  At 4 x 12 the tables keep
+740 of 2048 lo and 2290 of 4096 hi entries, with 16 boundary columns each.
+The join makes 11840 queries where testing every completed board would take
+1694600, and it builds the 6279 boards with Euler number 1; the flood fill
+accepts 4314 of them.
 
 Connectivity of the survivors of the whole sweep is then checked once,
 per candidate, by a vectorized flood fill of the 1-region (the 0-region is
@@ -61,10 +71,13 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
 from .board import Board, is_graham
+from .errors import GridcutsError
 from . import reference
 
 __all__ = [
@@ -85,16 +98,18 @@ __all__ = [
 DEFAULT_BUDGET = 1 << 28
 BUDGET_ENV_VAR = "GRIDCUTS_BUDGET"
 
-# candidates per completed block: a 128 KB uint64 array, so the arrays one
-# Euler test touches stay in a 2 MB per-core L2 (2^15 ran 1.7x slower at 4 x 14)
-_CHUNK = 1 << 14
+# lo entries per first-column slice, and queries per join tile.  Their uint64
+# arrays are 64 KB, under glibc's 128 KB mmap threshold, so the temporaries
+# reuse heap pages; at 2^14 each one was a fresh mmap, and the benchmark's
+# oracle workload peaked about 0.4 MB higher
+_CHUNK = 1 << 13
 
 
-class BudgetError(RuntimeError):
+class BudgetError(GridcutsError, RuntimeError):
     """The sweep would exceed the candidate budget; nothing was computed."""
 
 
-class FigureMismatch(RuntimeError):
+class FigureMismatch(GridcutsError, RuntimeError):
     """A reference gallery board failed verification."""
 
 
@@ -109,12 +124,17 @@ def default_budget() -> int:
 
 
 def _revcomp_columns(cols: np.ndarray, m: int) -> np.ndarray:
-    """Element-wise: each m-bit column read bottom to top and complemented."""
+    """Element-wise: each m-bit column read bottom to top and complemented.
+
+    The 64-bit word is reversed by swapping ever larger blocks (Warren,
+    Hacker's Delight, section 7-1), then shifted down to m bits.
+    """
     u = np.uint64
-    rev = np.zeros_like(cols)
-    for i in range(m):
-        rev |= ((cols >> u(i)) & u(1)) << u(m - 1 - i)
-    return rev ^ u((1 << m) - 1)
+    rev = cols
+    for width in (1, 2, 4, 8, 16, 32):
+        low = u(sum(((1 << width) - 1) << i for i in range(0, 64, 2 * width)))
+        rev = ((rev >> u(width)) & low) | ((rev & low) << u(width))
+    return (rev >> u(64 - m)) ^ u((1 << m) - 1)
 
 
 def _self_revcomp_columns(m: int, top: np.ndarray) -> np.ndarray:
@@ -154,8 +174,7 @@ def _sieve_cells(m: int, n: int, columns) -> int:
     """
     if m * n <= 2:
         return 0
-    # a set: the middle column of an odd width is its own mirror
-    return sum(((1 << m) - 1) << (j * m) for j in set(columns))
+    return _columns_mask(m, columns)
 
 
 def _isolated(bits: np.ndarray, cells: int, m: int, not_top: int, not_bottom: int) -> np.ndarray:
@@ -226,15 +245,108 @@ def _partial_boards(m: int, n: int, j: int, free: np.ndarray) -> np.ndarray:
     return (free << u(j * m)) | (_revcomp_columns(free, m) << u((n - 1 - j) * m))
 
 
-def _candidate_blocks(m: int, n: int):
-    """Completed boards with cell (0, 0) = 0, in blocks of at most _CHUNK.
+def _columns_mask(m: int, columns) -> int:
+    """Mask of every cell in these columns."""
+    # a set: the middle column of an odd width is its own mirror
+    return sum(((1 << m) - 1) << (j * m) for j in set(columns))
+
+
+class _Half(NamedTuple):
+    """Partial boards of one column group, sorted by (boundary column, E - F).
+
+    The boundary column is the group's column next to the other group; it
+    and its mirror are the only cells whose pairs and 2x2 blocks straddle
+    the two groups.  edge is each board cut down to those two columns,
+    group the index of its boundary column among the distinct ones, and
+    head the first entry of each group.  The join reads a group's edge from
+    its head, so the mirror must be fixed by the boundary column, as the
+    complement rule fixes it.
+    """
+
+    boards: np.ndarray
+    score: np.ndarray
+    edge: np.ndarray
+    group: np.ndarray
+    head: np.ndarray
+
+
+def _half(boards: np.ndarray, m: int, col: int, mirror: int, target: int, not_bottom: int) -> _Half:
+    """The boards with E - F <= target, keyed for the join on column col.
+
+    E - F is never negative, of a half or of the straddling terms: each
+    2x2 block holds two of the pairs counted with it, and each pair lies in
+    at most two blocks.  So E - F of a completed board is at least that of
+    either half, a half above target never completes to a cut, and dropping
+    it keeps every score inside the join's cells.
+    """
+    u = np.uint64
+    score = _edges_minus_squares(boards, m, not_bottom)
+    keep = score <= target
+    boards = boards[keep]
+    # one sort of (boundary column, E - F, index): a join has two column groups,
+    # so n >= 3, m <= 21, and the key takes 21 + 8 + 32 bits
+    column = (boards >> u(col * m)) & u((1 << m) - 1)
+    key = np.sort((column << u(40)) | (score[keep].astype(u) << u(32)) | np.arange(boards.size, dtype=u))
+    boards, column = boards[(key & u(0xFFFFFFFF)).astype(np.int64)], key >> u(40)
+    # the entries whose column differs from the one before (the first always does)
+    head = np.flatnonzero(np.concatenate([column[:1] + u(1), column[:-1]]) != column)
+    group = np.repeat(np.arange(head.size), np.diff(head, append=boards.size))
+    edge = boards & u(_columns_mask(m, (col, mirror)))
+    score = ((key >> u(32)) & u(0xFF)).astype(np.int64)
+    return _Half(boards, score, edge, group, head)
+
+
+def _join(q: _Half, t: _Half, m: int, target: int, not_bottom: int):
+    """Every q | t board whose E - F is target, in blocks.
+
+    E - F(q | t) = E - F(q) + E - F(t) + cross, where cross counts the pairs
+    and 2x2 blocks that straddle the groups, so it depends on the two
+    boundary columns alone.  Each q entry meets each distinct boundary
+    column of t, in tiles of at most _CHUNK such queries.  cross comes from
+    the same _edges_minus_squares, on boards that hold only the boundary
+    columns, and the t entries that match are those of that group whose
+    E - F completes q to target.
+    """
+    # t's entries of group g with E - F = s make up cell g * width + 1 + s.  A
+    # wanted E - F is at most target, and one below 0 is clipped to -1, whose
+    # cell g * width is always empty
+    width = target + 2
+    rep = t.edge[t.head]
+    count = np.bincount(t.group * width + 1 + t.score, minlength=rep.size * width)
+    run = np.cumsum(count) - count
+    occupied = count.astype(bool)
+    # the wanted E - F is target - E-F(q) - cross, and
+    # cross = E-F(q.edge | rep) - E-F(q.edge) - E-F(rep)
+    q_part = _edges_minus_squares(q.edge, m, not_bottom) - q.score
+    t_part = _edges_minus_squares(rep, m, not_bottom).astype(np.int64) + target
+    base = np.arange(rep.size) * width + 1
+    cols = max(1, min(rep.size, _CHUNK))
+    rows = _CHUNK // cols
+    for r in range(0, q.boards.size, rows):
+        for c in range(0, rep.size, cols):
+            edges = q.edge[r:r + rows, None] | rep[c:c + cols]
+            need = t_part[c:c + cols] + q_part[r:r + rows, None] - _edges_minus_squares(edges, m, not_bottom)
+            cell = (base[c:c + cols] + np.maximum(need, -1)).ravel()
+            found = np.flatnonzero(occupied[cell])
+            cell = cell[found]
+            first, hits = run[cell], count[cell]
+            # the hits[i] entries of t from first[i] on, for every query i
+            pos = np.repeat(first - np.cumsum(hits) + hits, hits) + np.arange(hits.sum())
+            yield q.boards[r + np.repeat(found // edges.shape[1], hits)] | t.boards[pos]
+
+
+def _euler_blocks(m: int, n: int):
+    """Completed boards with cell (0, 0) = 0 and Euler number 1, in blocks.
 
     The column groups of the left-half columns are disjoint, so a completed
     board is an OR of one partial board per left-half column.  The first
-    column is taken in slices of at most _CHUNK even values.  Each slice is
-    ORed onto a table of the next few columns, up to _CHUNK entries, and
-    each block ORs a few rows of the table of the remaining columns onto
-    that; both tables are built once.
+    column is taken in slices of at most _CHUNK even values, each ORed onto
+    a table lo_rest of the next split columns, to give at most _CHUNK lo
+    entries; a table hi of the remaining columns is built once.  The Euler
+    test splits as E - F(lo) + E - F(hi) + cross (see _join), so each slice
+    is joined to hi on that sum and only the boards it passes are built.
+    When lo takes every column there is no hi, and each slice is tested
+    board by board.
     """
     u = np.uint64
     k = (n + 1) // 2
@@ -246,22 +358,34 @@ def _candidate_blocks(m: int, n: int):
     while split < len(rest) and size * rest[split].size <= _CHUNK:
         size *= rest[split].size
         split += 1
-    lo_rest, hi = _outer_or(rest[:split]), _outer_or(rest[split:])
+    lo_rest = _outer_or(rest[:split])
     # sieve each table on the cells whose four neighbours lie in its own column
     # groups: columns 0..split-1 for a slice's lo, split+2..k-1 for hi, and mirrors
     not_top, not_bottom = _row_masks(m, n)
     lo_cells = _sieve_cells(m, n, [c for j in range(split) for c in (j, n - 1 - j)])
     hi_cells = _sieve_cells(m, n, [c for j in range(split + 2, k) for c in (j, n - 1 - j)])
-    hi = hi[~_isolated(hi, hi_cells, m, not_top, not_bottom)]
+    # every candidate has V = m*n/2 one-cells, and a cut has Euler number 1
+    target = m * n // 2 - 1
+    hi = None
+    if split < len(rest):
+        hi = _outer_or(rest[split:])
+        hi = _half(hi[~_isolated(hi, hi_cells, m, not_top, not_bottom)],
+                   m, split + 1, n - 2 - split, target, not_bottom)
     # cell (0, 0) is bit 0 of the first column's free value
     end = 1 << free_bits[0]
     for start in range(0, end, 2 * _CHUNK):
         first = _partial_boards(m, n, 0, np.arange(start, min(start + 2 * _CHUNK, end), 2, dtype=u))
         lo = (first[:, None] | lo_rest[None, :]).ravel()
         lo = lo[~_isolated(lo, lo_cells, m, not_top, not_bottom)]
-        rows = max(1, _CHUNK // max(lo.size, 1))
-        for r in range(0, hi.size, rows):
-            yield (hi[r:r + rows, None] | lo[None, :]).ravel()
+        if hi is None:
+            yield lo[_edges_minus_squares(lo, m, not_bottom) == target]
+            continue
+        lo = _half(lo, m, split, n - 1 - split, target, not_bottom)
+        # query from the side that meets fewer boundary columns in total
+        if lo.boards.size * hi.head.size <= hi.boards.size * lo.head.size:
+            yield from _join(lo, hi, m, target, not_bottom)
+        else:
+            yield from _join(hi, lo, m, target, not_bottom)
 
 
 def _edges_minus_squares(bits: np.ndarray, m: int, not_bottom: int) -> np.ndarray:
@@ -303,37 +427,31 @@ def sweep(m: int, n: int, *, budget: int | None = None) -> SweepResult:
     """Enumerate every complement-rule two-component board of the given shape.
 
     Raises BudgetError (never truncates) or ValueError as check_shape does.
-    Candidates come in blocks of at most _CHUNK, with the first column taken
-    in slices, so memory grows with the tables of the other columns and the
-    Euler sieve's survivors, not with the first column's 2^(m-1) values.
+    The first column is taken in slices, and the join in tiles, of at most
+    _CHUNK, so memory grows with the hi table and the Euler sieve's
+    survivors, not with the first column's 2^(m-1) values.
     """
     # checked before the cache so exit codes do not depend on prior calls
     check_shape(m, n, budget)
     if (m, n) in _SWEEP_CACHE:
         return _SWEEP_CACHE[(m, n)]
+    u = np.uint64
     not_top, not_bottom = _row_masks(m, n)
-    # every candidate has V = m*n/2 one-cells, and a cut has Euler number 1
-    target = m * n // 2 - 1
-    found = [np.zeros(0, dtype=np.uint64)]
-    for boards in _candidate_blocks(m, n):
-        found.append(boards[_edges_minus_squares(boards, m, not_bottom) == target])
-    survivors = np.concatenate(found)
+    survivors = np.concatenate([np.zeros(0, dtype=u), *_euler_blocks(m, n)])
     # the 0-region is the half-turn image of the 1-region, so it is connected
     # exactly when the 1-region is; only the 1s need a flood fill
     half = survivors[_connected(survivors, m, not_top, not_bottom)]
-    both = np.concatenate([half, half ^ np.uint64((1 << (m * n)) - 1)])
-    graham = np.sort(both).tolist()
+    boards = np.sort(np.concatenate([half, half ^ u((1 << (m * n)) - 1)]))
 
     if m * n % 2 == 1:
-        assert not graham
+        assert not boards.size
 
-    k = (n + 1) // 2
-    mask_m = (1 << m) - 1
-    bottom_left = sum(1 << (j * m + m - 1) for j in range(k))
-    canonical = [
-        b for b in graham
-        if (b & bottom_left) == 0 and 2 * int.bit_count(b & mask_m) <= m
-    ]
+    # the stipulations of board.is_canonical, on the whole array
+    bottom_left = sum(1 << (j * m + m - 1) for j in range((n + 1) // 2))
+    keep = ((boards & u(bottom_left)) == 0) & (2 * np.bitwise_count(boards & u((1 << m) - 1)) <= m)
+    # canonical shares graham's int objects, as the cache holds both
+    graham = boards.tolist()
+    canonical = list(compress(graham, keep.tolist()))
     result = SweepResult(m, n, tuple(graham), tuple(canonical))
     _SWEEP_CACHE[(m, n)] = result
     return result

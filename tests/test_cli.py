@@ -219,6 +219,14 @@ class TestAutomatonCommand:
         assert code == 0
         assert "mode general" in out
 
+    def test_state_explosion_is_one_line(self, capsys, monkeypatch):
+        from gridcuts import automaton
+
+        monkeypatch.setattr(automaton, "STATE_CAP", 5)
+        code, out, err = run_cli(capsys, "automaton", "--mode", "general", "--m", "4")
+        assert code == 2 and out == ""
+        assert err == "gridcuts: more than 5 states for m=4 mode=general\n"
+
 
 class TestAsymptoticsCommand:
     @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -261,6 +269,16 @@ class TestFiguresAndDelahaye:
     def test_figures_svg(self, capsys):
         code, out, _ = run_cli(capsys, "figures", "--format", "svg")
         assert len(svg_boards(out)) == 24
+
+    def test_figure_mismatch_is_one_line(self, capsys, monkeypatch):
+        from gridcuts import reference
+
+        tampered = list(reference.GALLERY_4X6)
+        tampered[0] = Board.from_rows([[0, 1] * 3] * 4)
+        monkeypatch.setattr(reference, "GALLERY_4X6", tuple(tampered))
+        code, out, err = run_cli(capsys, "figures")
+        assert code == 2 and out == ""
+        assert err == "gridcuts: 4x6 gallery board 0 is not in the canonical enumeration:\n"
 
     def test_delahaye_json(self, capsys):
         code, out, _ = run_cli(capsys, "delahaye", "--n", "3", "--format", "json")
@@ -374,6 +392,16 @@ class TestOutputDeterminism:
         out_file = tmp_path / "terms.txt"
         run_cli(capsys, "terms", "--limit", "5", "--out", str(out_file))
         assert out_file.read_text() == stdout
+
+
+class TestErrorBase:
+    def test_library_errors_share_one_base(self):
+        from gridcuts.asymptotics import UnsupportedPoleShape
+        from gridcuts.automaton import StateExplosionError
+
+        for error, builtin in [(oracle.BudgetError, RuntimeError), (StateExplosionError, RuntimeError),
+                               (oracle.FigureMismatch, RuntimeError), (UnsupportedPoleShape, ValueError)]:
+            assert issubclass(error, gridcuts.GridcutsError) and issubclass(error, builtin)
 
 
 class TestBadOutputPath:

@@ -145,6 +145,19 @@ class TestCountReport:
         }
 
 
+def record_shapes(monkeypatch, name):
+    """Wrap oracle.<name> to record the shape of every array it is passed."""
+    shapes = []
+    real = getattr(oracle, name)
+
+    def recording(bits, *args):
+        shapes.append(bits.shape)
+        return real(bits, *args)
+
+    monkeypatch.setattr(oracle, name, recording)
+    return shapes
+
+
 class TestSweepAgainstPurePython:
     """The numpy sweep must agree with the plain flood-fill path."""
 
@@ -178,11 +191,27 @@ class TestSweepAgainstPurePython:
             assert is_graham(Board(4, 5, value))
 
     @pytest.mark.parametrize("m", [16, 18])
-    def test_first_column_is_sliced(self, m):
-        # a one-column left half has 2^(m-1) even first columns to sweep
-        sizes = [block.size for block in oracle._candidate_blocks(m, 2)]
-        assert max(sizes) <= oracle._CHUNK
-        assert sum(sizes) == 1 << (m - 1)
+    def test_first_column_is_sliced(self, m, monkeypatch):
+        # a one-column left half has 2^(m-1) even first columns to sweep; they
+        # reach the isolated-cell sieve, and then the Euler test, in slices
+        sieved = record_shapes(monkeypatch, "_isolated")
+        scored = record_shapes(monkeypatch, "_edges_minus_squares")
+        list(oracle._euler_blocks(m, 2))
+        assert max(size for (size,) in sieved) <= oracle._CHUNK
+        assert sum(size for (size,) in sieved) == 1 << (m - 1)
+        assert max(size for (size,) in scored) <= oracle._CHUNK
+
+    # (8, 4) has 256 boundary columns in its second column, so tiles split them
+    @pytest.mark.parametrize("m,n", [(4, 8), (5, 6), (6, 6), (6, 7), (8, 4)])
+    def test_join_tiles_are_chunked(self, m, n, monkeypatch):
+        expected = oracle.sweep(m, n)
+        monkeypatch.setattr(oracle, "_SWEEP_CACHE", {})
+        monkeypatch.setattr(oracle, "_CHUNK", 64)
+        scored = record_shapes(monkeypatch, "_edges_minus_squares")
+        assert oracle.sweep(m, n) == expected
+        # the join scores its (entry, boundary column) queries as 2-D tiles
+        tiles = [shape[0] * shape[1] for shape in scored if len(shape) == 2]
+        assert tiles and max(tiles) <= 64
 
     def test_tall_strips(self):
         # the transposes of the 2 x m strip, which has m cuts, and of the 1 x 32 strip
@@ -233,6 +262,20 @@ class TestFullSweepAnswers:
         assert oracle.count_report(4, 13).cuts == term
 
 
+class TestSmallShapesDigest:
+    def test_every_small_shape(self):
+        # every shape with m*ceil(n/2) <= 20 and m*n <= 64 (132 shapes), recorded
+        # with the sweep that tested the Euler number of every completed board
+        digest = hashlib.sha256()
+        for m in range(1, 21):
+            for n in range(1, 65):
+                if m * ((n + 1) // 2) <= 20 and m * n <= 64:
+                    result = oracle.sweep(m, n)
+                    graham, canonical = (",".join(map(str, boards)) for boards in (result.graham, result.canonical))
+                    digest.update(f"{m}x{n}:{graham}:{canonical};".encode())
+        assert digest.hexdigest() == "759e62974405787205135100e40b52eaabc98077c836352155df91407fb32a0e"
+
+
 def count_components(bits, m, n, eight):
     """Element-wise number of 4- (or 8-) connected components of the set cells.
 
@@ -276,6 +319,13 @@ def count_holes(bits, m, n):
     return count_components(zeros, m + 2, n + 2, eight=True) - 1
 
 
+def columns_or(m, n, columns):
+    """Every OR of one partial board (a left-half column and its mirror) per column."""
+    free = [m // 2 if 2 * j + 1 == n else m for j in columns]
+    return oracle._outer_or([oracle._partial_boards(m, n, j, np.arange(1 << bits, dtype=np.uint64))
+                             for j, bits in zip(columns, free)])
+
+
 class TestEulerSieve:
     # every board of each shape (4 x 5, all 2^20 boards, also holds but takes 2 s)
     @pytest.mark.parametrize("m,n", [(1, 6), (3, 3), (4, 4), (3, 5), (2, 7), (5, 2)])
@@ -294,6 +344,77 @@ class TestEulerSieve:
         assert count_components(bits, 3, 3, eight=False)[0] == 1
         assert count_holes(bits, 3, 3)[0] == 1
         assert 8 - oracle._edges_minus_squares(bits, 3, oracle._row_masks(3, 3)[1])[0] == 0
+
+    # every split of every shape with m*ceil(n/2) <= 12: even n, odd n with the
+    # middle column in hi, and an empty hi (split = k - 1)
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_split_adds_up(self, m):
+        u = np.uint64
+        for n in range(1, 12 // m * 2 + 1):
+            k = (n + 1) // 2
+            boards = columns_or(m, n, range(k))
+            not_bottom = oracle._row_masks(m, n)[1]
+
+            def score(bits):
+                return oracle._edges_minus_squares(bits, m, not_bottom).astype(np.int64)
+
+            for split in range(k):
+                lo_mask = oracle._columns_mask(m, [c for j in range(split + 1) for c in (j, n - 1 - j)])
+                c = boards & u(oracle._columns_mask(m, (split, n - 1 - split)))
+                d = boards & u(oracle._columns_mask(m, (split + 1, n - 2 - split)) if split + 1 < k else 0)
+                cross = score(c | d) - score(c) - score(d)
+                lo, hi = boards & u(lo_mask), boards & ~u(lo_mask)
+                assert np.array_equal(score(lo) + score(hi) + cross, score(boards)), (n, split)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_join_keeps_what_the_per_board_test_keeps(self, m):
+        u = np.uint64
+        for n in range(3, 12 // m * 2 + 1):
+            k = (n + 1) // 2
+            not_bottom = oracle._row_masks(m, n)[1]
+            target = m * n // 2 - 1
+            for split in range(k - 1):
+                lo, hi = columns_or(m, n, range(split + 1)), columns_or(m, n, range(split + 1, k))
+                boards = (lo[:, None] | hi[None, :]).ravel()
+                expected = np.sort(boards[oracle._edges_minus_squares(boards, m, not_bottom) == target])
+                lo = oracle._half(lo, m, split, n - 1 - split, target, not_bottom)
+                hi = oracle._half(hi, m, split + 1, n - 2 - split, target, not_bottom)
+                for q, t in ((lo, hi), (hi, lo)):
+                    joined = np.concatenate([np.zeros(0, dtype=u), *oracle._join(q, t, m, target, not_bottom)])
+                    assert np.array_equal(np.sort(joined), expected), (n, split)
+
+    @pytest.mark.parametrize("m,n,split", [(8, 4, 0), (4, 8, 0), (4, 8, 1), (4, 7, 1), (3, 10, 0), (3, 10, 2)])
+    def test_join_on_dense_halves(self, m, n, split):
+        # halves dense in 1s, so a query's wanted E - F is often below 0, where it
+        # must find nothing.  The join reads a table's boundary column and its
+        # mirror from one entry per boundary column, so in hi the mirror of each
+        # column copies it; lo is arbitrary
+        u = np.uint64
+        rng = np.random.default_rng(m * n)
+        k = (n + 1) // 2
+        not_bottom = oracle._row_masks(m, n)[1]
+        target = m * n // 2 - 1
+
+        def dense_columns():
+            # each cell 1 with probability 7/8
+            x = rng.integers(0, 1 << m, size=(3, 400)).astype(u)
+            return x[0] | x[1] | x[2]
+
+        def half(columns, copy_mirror):
+            bits = np.zeros(400, dtype=u)
+            for j in columns:
+                column = dense_columns()
+                mirror = column if copy_mirror else dense_columns()
+                bits |= (column << u(j * m)) | (mirror << u((n - 1 - j) * m))
+            return bits
+
+        lo, hi = half(range(split + 1), False), half(range(split + 1, k), True)
+        boards = (lo[:, None] | hi[None, :]).ravel()
+        expected = np.sort(boards[oracle._edges_minus_squares(boards, m, not_bottom) == target])
+        lo = oracle._half(lo, m, split, n - 1 - split, target, not_bottom)
+        hi = oracle._half(hi, m, split + 1, n - 2 - split, target, not_bottom)
+        joined = np.concatenate([np.zeros(0, dtype=u), *oracle._join(lo, hi, m, target, not_bottom)])
+        assert expected.size and np.array_equal(np.sort(joined), expected)
 
     def test_sweep_flood_fills_once_per_range(self, monkeypatch):
         calls = []
