@@ -3,21 +3,23 @@
 A board is read one column at a time, left half only.  A column is an m-bit
 int with the top row in bit 0, exactly the column's slice of a board's bits,
 so machine words feed `board.complete_board` as they are.  A state is the
-column just read plus a connectivity profile: the partition of that column's
-cells into components of the board prefix, per label.  Reading a next column
-merges profile blocks with the new column's vertical runs through row-wise
-adjacency; a block that touches no cell of the new column can never grow
-again, and since the completed board always holds further cells of its label,
-the word is rejected immediately.
+column just read plus the partition of that column's cells into components
+of the board prefix, per label.
 
-Acceptance is decided from the final state alone.  The right half of the
-board is the half-turn complement of the left half, so its component
-structure at the seam is the mirror image of the final profile with labels
-flipped.  For even widths the profile and its mirror sit on adjacent columns
-and are glued where labels agree across the seam; for odd widths the final
-column is the shared middle column (it must equal its own reversed
-complement) and the two partitions are glued cell by cell.  The word is
-accepted iff the glued structure has exactly one block of each label.
+One operation, `_glue`, does all the connectivity work.  It takes the blocks
+of two columns side by side as m-bit row masks, in the same encoding as the
+columns, and joins a left block to a right block wherever they share a row
+at which the two columns agree.  Reading a next column glues the old blocks
+to the new column's vertical runs; a block that touches no cell of the new
+column can never grow again, and since the completed board always holds
+further cells of its label, the word is rejected immediately.  Acceptance is
+decided from the final state alone: the right half of the board is the
+half-turn complement of the left half, so at the seam it is the mirror image
+of the final blocks with labels flipped, a partition of the final column's
+reversed complement.  Gluing the blocks to their mirror images gives the
+board's components; the word is accepted iff exactly one of each label
+remains.  For odd widths the final column is the shared middle column, which
+must equal its own reversed complement.
 
 Two modes share this machinery.  The canonical machine (m = 4) restricts the
 alphabet to the eight columns with a 0 bottom cell and starts from the three
@@ -40,7 +42,6 @@ from .errors import GridcutsError
 
 __all__ = [
     "Automaton",
-    "ConnectivityProfile",
     "State",
     "StateExplosionError",
     "TransferMatrix",
@@ -74,6 +75,11 @@ def column_bits(m: int, col: int) -> tuple[int, ...]:
     return tuple((col >> i) & 1 for i in range(m))
 
 
+def _reverse(m: int, mask: int) -> int:
+    """An m-bit row mask turned upside down: row i goes to row m-1-i."""
+    return int(f"{mask:0{m}b}"[::-1], 2)
+
+
 def revcomp(m: int, col: int) -> int:
     """Reverse an m-bit column top-to-bottom and flip every label.
 
@@ -81,21 +87,23 @@ def revcomp(m: int, col: int) -> int:
     a valid board determines column n-1-j as its reversed complement.  It is
     an involution.
     """
-    return int(f"{col:0{m}b}"[::-1], 2) ^ ((1 << m) - 1)
+    return _reverse(m, col) ^ ((1 << m) - 1)
 
 
 Blocks = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True, order=True)
-class ConnectivityProfile:
-    """Partition of one column's cells into live components, per label.
+class State:
+    """The column just read, as an m-bit int, and the partition of its cells
+    into live components of the board prefix, per label.
 
     Blocks hold row indices; every cell of the column sits in exactly one
     block of its label's partition, so the blocks together cover rows
     0..m-1.
     """
 
+    column: int
     zero_blocks: Blocks
     one_blocks: Blocks
 
@@ -104,133 +112,93 @@ class ConnectivityProfile:
         return sum(map(len, self.zero_blocks)) + sum(map(len, self.one_blocks))
 
 
-@dataclass(frozen=True, order=True)
-class State:
-    """The column just read, as an m-bit int, and its connectivity profile."""
-
-    column: int
-    profile: ConnectivityProfile
+def _masks(state: State) -> list[int]:
+    """Every block of the state as a row mask, row i in bit i."""
+    return [sum(1 << i for i in rows) for rows in state.zero_blocks + state.one_blocks]
 
 
-class _DSU:
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+def _state(m: int, col: int, blocks: list[int]) -> State:
+    """The state for `col` whose blocks are the given row masks."""
+    rows = [(bool(b & col), tuple(i for i in range(m) if (b >> i) & 1)) for b in blocks]
+    return State(
+        col,
+        tuple(sorted(r for label, r in rows if not label)),
+        tuple(sorted(r for label, r in rows if label)),
+    )
 
 
-def _runs(m: int, col: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Maximal vertical runs of equal label, as (label, rows)."""
+def _runs(m: int, col: int) -> list[int]:
+    """Maximal vertical runs of equal label, as row masks."""
     runs = []
     start = 0
     for i in range(1, m + 1):
         if i == m or ((col >> i) ^ (col >> start)) & 1:
-            runs.append(((col >> start) & 1, tuple(range(start, i))))
+            runs.append((1 << i) - (1 << start))
             start = i
     return runs
 
 
-def _profile_from_blocks(labelled: list[tuple[int, tuple[int, ...]]]) -> ConnectivityProfile:
-    zeros = tuple(sorted(rows for label, rows in labelled if label == 0))
-    ones = tuple(sorted(rows for label, rows in labelled if label == 1))
-    return ConnectivityProfile(zeros, ones)
+def _glue(left: list[int], right: list[int], rows: int) -> list[tuple[int, int]]:
+    """The components of two partitions glued at `rows`, as (left, right)
+    row-mask pairs.
+
+    `left` and `right` are the blocks of two columns side by side; a left
+    block and a right block join when they share a row in `rows`.  Each
+    right block in turn absorbs every component whose left part it meets.
+    """
+    comps = [(block, 0) for block in left]
+    for block in right:
+        glued_left, glued_right, rest = 0, block, []
+        for comp_left, comp_right in comps:
+            if comp_left & block & rows:
+                glued_left, glued_right = glued_left | comp_left, glued_right | comp_right
+            else:
+                rest.append((comp_left, comp_right))
+        comps = rest + [(glued_left, glued_right)]
+    return comps
 
 
 def start_state(m: int, col: int) -> State:
     """State after reading `col` as the first column: blocks are its runs."""
-    return State(col, _profile_from_blocks(_runs(m, col)))
+    return _state(m, col, _runs(m, col))
 
 
 def step_state(state: State, col: int) -> State | None:
     """Read one more column; None means the word can never be completed.
 
-    The new column's runs are united with the previous blocks wherever the
-    labels agree row-wise.  Any previous block left untouched has lost its
-    frontier and is rejected on the spot.  Runs touched by no block simply
-    start new components.
+    The old blocks are glued to the new column's runs at the rows where the
+    labels agree.  An old block left untouched has lost its frontier and is
+    rejected on the spot.  Runs touched by no block simply start new
+    components.
     """
-    m = state.profile.m
+    m = state.m
     if not 0 <= col < 1 << m:
         raise ValueError(f"column {col} does not fit {m} rows")
-    blocks = [(0, rows) for rows in state.profile.zero_blocks]
-    blocks += [(1, rows) for rows in state.profile.one_blocks]
-    runs = _runs(m, col)
-
-    block_at = {}
-    for idx, (_, rows) in enumerate(blocks):
-        for i in rows:
-            block_at[i] = idx
-    run_at = {}
-    for idx, (_, rows) in enumerate(runs):
-        for i in rows:
-            run_at[i] = idx
-
-    dsu = _DSU(len(blocks) + len(runs))
-    differ = state.column ^ col
-    for i in range(m):
-        if not (differ >> i) & 1:
-            dsu.union(block_at[i], len(blocks) + run_at[i])
-
-    touched = {dsu.find(len(blocks) + r) for r in range(len(runs))}
-    if any(dsu.find(b) not in touched for b in range(len(blocks))):
+    comps = _glue(_masks(state), _runs(m, col), ~(state.column ^ col))
+    if not all(right for _, right in comps):
         return None
-
-    merged: dict[int, list[int]] = {}
-    for idx, (_, rows) in enumerate(runs):
-        merged.setdefault(dsu.find(len(blocks) + idx), []).extend(rows)
-    labelled = [
-        ((col >> rows[0]) & 1, tuple(sorted(rows))) for rows in merged.values()
-    ]
-    return State(col, _profile_from_blocks(labelled))
+    return _state(m, col, [right for _, right in comps])
 
 
 def acceptance(state: State) -> tuple[bool, bool]:
     """(even, odd) acceptance, computed from the state alone.
 
-    The mirror image of a block (rows R, label L) is (rows m-1-R, label 1-L);
-    the mirrored profile describes the right half at the seam.  Even: glue
-    across the seam at rows where the final column and its reversed
-    complement agree.  Odd: the final column is the middle column, shared by
-    both halves, so glue at every row; this requires the column to be its own
-    reversed complement.
+    The mirror image of a block (rows R, label L) is (rows m-1-R, label 1-L),
+    a block of the reversed complement column: the right half at the seam.
+    Even: glue the blocks to their mirror images at the rows where the final
+    column and its reversed complement agree, and accept iff exactly one
+    component of each label remains.  A component has one label and the
+    mirror flips every label, so both labels occur: that is two components.
+    Odd: the final column is the middle column, shared by both halves, so it
+    must be its own reversed complement; then the two columns agree at every
+    row and the glue is the even one.
     """
-    col, m = state.column, state.profile.m
+    col, m = state.column, state.m
     rc = revcomp(m, col)
-    blocks = [(0, rows) for rows in state.profile.zero_blocks]
-    blocks += [(1, rows) for rows in state.profile.one_blocks]
-    nblocks = len(blocks)
-    block_at = {}
-    for idx, (_, rows) in enumerate(blocks):
-        for i in rows:
-            block_at[i] = idx
-
-    def glued_ok(rows_to_glue: Iterator[int]) -> bool:
-        # node b = left block b, node nblocks + b = its mirror image
-        dsu = _DSU(2 * nblocks)
-        for i in rows_to_glue:
-            dsu.union(block_at[i], nblocks + block_at[m - 1 - i])
-        labels = {}
-        counts = [0, 0]
-        for node in range(2 * nblocks):
-            label = blocks[node][0] if node < nblocks else 1 - blocks[node - nblocks][0]
-            root = dsu.find(node)
-            if root not in labels:
-                labels[root] = label
-                counts[label] += 1
-        return counts == [1, 1]
-
-    even = glued_ok(i for i in range(m) if not ((col ^ rc) >> i) & 1)
-    odd = col == rc and glued_ok(iter(range(m)))
-    return even, odd
+    blocks = _masks(state)
+    comps = _glue(blocks, [_reverse(m, b) for b in blocks], ~(col ^ rc))
+    even = len(comps) == 2
+    return even, even and col == rc
 
 
 @dataclass(frozen=True)
@@ -276,22 +244,14 @@ def _build(m: int, mode: str, alphabet: tuple[int, ...],
             order.append(state)
         return idx
 
-    frontier = [intern(start_state(m, col)) for col in start_cols]
-    start_set = set(frontier)
-    seen = set(frontier)
-    while frontier:
-        nxt_frontier = []
-        for src in frontier:
-            for col in alphabet:
-                dst_state = step_state(order[src], col)
-                if dst_state is None:
-                    continue
-                dst = intern(dst_state)
-                edges[(src, col)] = dst
-                if dst not in seen:
-                    seen.add(dst)
-                    nxt_frontier.append(dst)
-        frontier = nxt_frontier
+    start_set = {intern(start_state(m, col)) for col in start_cols}
+    src = 0
+    while src < len(order):  # every interned state is stepped once, in order
+        for col in alphabet:
+            dst_state = step_state(order[src], col)
+            if dst_state is not None:
+                edges[(src, col)] = intern(dst_state)
+        src += 1
 
     accepts = [acceptance(state) for state in order]
 
@@ -358,13 +318,9 @@ def live_words(a: Automaton, upto: int) -> Iterator[tuple[tuple[int, ...], int]]
     """Every word of length 1..upto the machine has not rejected, with the
     index of the state it ends in; shorter words first, each length in
     alphabet order."""
-    start_index = {a.states[i]: i for i in a.start}
     edges = a._edge_map
-    frontier = []
-    for col in a.alphabet:
-        idx = start_index.get(start_state(a.m, col))
-        if idx is not None:
-            frontier.append(((col,), idx))
+    # states sort by column first, and each start column has one start state
+    frontier = [((a.states[i].column,), i) for i in a.start]
     for length in range(1, upto + 1):
         if length > 1:
             frontier = [
@@ -517,8 +473,8 @@ def to_json_dict(a: Automaton) -> dict:
             {
                 "column": list(column_bits(a.m, s.column)),
                 "profile": {
-                    "zero": [list(b) for b in s.profile.zero_blocks],
-                    "one": [list(b) for b in s.profile.one_blocks],
+                    "zero": [list(b) for b in s.zero_blocks],
+                    "one": [list(b) for b in s.one_blocks],
                 },
             }
             for s in a.states
@@ -556,9 +512,7 @@ def to_dot(a: Automaton) -> str:
             fill = "khaki"
         else:
             fill = "white"
-        profile = ";".join(
-            "".join(map(str, b)) for b in state.profile.zero_blocks + state.profile.one_blocks
-        )
+        profile = ";".join("".join(map(str, b)) for b in state.zero_blocks + state.one_blocks)
         label = f"{text(state.column)}\\n[{profile}]"
         lines.append(f'  s{idx} [label="{label}", shape={shape}, fillcolor={fill}];')
     for src, sym, dst in a.transitions:

@@ -11,6 +11,7 @@ GRIDCUTS_BUDGET environment variable).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -80,6 +81,7 @@ def _parse_n_values(value: str) -> range:
     raise ValueError(f"bad width {value!r}; use a number or a range like 1-12")
 
 
+@functools.cache  # built on first use, once per process; parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridcuts",

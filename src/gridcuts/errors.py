@@ -6,6 +6,6 @@ __all__ = ["GridcutsError"]
 class GridcutsError(Exception):
     """A refused or failed computation; the CLI reports it as one line, exit 2.
 
-    Each subclass also derives from RuntimeError or ValueError, so callers
-    that catch those builtins catch it too.
+    Each subclass also derives from RuntimeError, ValueError or
+    ArithmeticError, so callers that catch those builtins catch it too.
     """

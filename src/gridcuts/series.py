@@ -40,8 +40,10 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .automaton import TransferMatrix
+from .errors import GridcutsError
 
 __all__ = [
+    "InexactError",
     "Polynomial",
     "RationalFunction",
     "Recurrence",
@@ -53,6 +55,11 @@ __all__ = [
     "resolvent_sum",
     "series_terms",
 ]
+
+class InexactError(GridcutsError, ArithmeticError):
+    """An exact computation met a value it cannot represent: a certificate
+    failed, a division was inexact, or a term was not an integer."""
+
 
 class Polynomial:
     """Dense univariate integer polynomial; coeffs[i] is the degree-i coefficient."""
@@ -123,8 +130,8 @@ class Polynomial:
         return Polynomial(rem)
 
     def divexact(self, other: "Polynomial") -> "Polynomial":
-        """The integer polynomial q with q * other == self; ArithmeticError
-        when there is none."""
+        """The integer polynomial q with q * other == self; InexactError when
+        there is none."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem, lead, top = list(self.coeffs), other.leading(), other.degree
@@ -135,7 +142,7 @@ class Polynomial:
             for j, b in enumerate(other.coeffs):
                 rem[i + j] -= quot[i] * b
         if any(rem):
-            raise ArithmeticError(f"{self} is not divisible by {other} over the integers")
+            raise InexactError(f"{self} is not divisible by {other} over the integers")
         return Polynomial(quot)
 
     def derivative(self) -> "Polynomial":
@@ -296,7 +303,7 @@ def certified_series(terms: Sequence[int], degree_bound: int) -> tuple[Polynomia
     Uniqueness is what makes the guess a proof: if the true function also
     obeys the bound, the two agree on 2*degree_bound + 1 coefficients and so
     coincide.  Raises ValueError when fewer terms are given, and
-    ArithmeticError when the shortest fit exceeds the bound; given at least
+    InexactError when the shortest fit exceeds the bound; given at least
     2*degree_bound + 2 terms, that means no function within the bound fits.
     P/Q is in lowest terms up to a rational factor (a shorter recurrence
     would exist otherwise) but is not normalized.
@@ -314,12 +321,12 @@ def certified_series(terms: Sequence[int], degree_bound: int) -> tuple[Polynomia
     ]
     num = Polynomial(convolved[:length])
     if num.degree > degree_bound or den.degree > degree_bound:
-        raise ArithmeticError(
+        raise InexactError(
             f"shortest rational fit of the terms exceeds degree {degree_bound}: "
             f"numerator degree {num.degree}, denominator degree {den.degree}"
         )
     if any(convolved[length:]):
-        raise ArithmeticError("guessed rational function does not reproduce the terms")
+        raise InexactError("guessed rational function does not reproduce the terms")
     return num, den
 
 
@@ -428,7 +435,7 @@ def charpoly(matrix: Sequence[Sequence[int]]) -> Polynomial:
         )
         e_k, rem = divmod(acc, k)
         if rem:
-            raise ArithmeticError(f"Newton identity {k} does not divide: {acc}/{k}")
+            raise InexactError(f"Newton identity {k} does not divide: {acc}/{k}")
         elementary.append(e_k)
     return Polynomial([(-1) ** k * elementary[k] for k in range(size, -1, -1)])
 
@@ -438,7 +445,7 @@ def series_terms(G: RationalFunction, count: int) -> list[int]:
 
     Runs the linear recurrence given by the denominator in integers;
     requires a nonzero constant term.  Non-integer coefficients mean a
-    corrupted input and raise ArithmeticError rather than rounding.  A
+    corrupted input and raise InexactError rather than rounding.  A
     fractional c_0 = a/b is allowed: the recurrence then runs on b*c_n.
     """
     num, den = G.numerator.coeffs, G.denominator.coeffs
@@ -457,7 +464,7 @@ def series_terms(G: RationalFunction, count: int) -> list[int]:
         )
         value, rem = divmod(acc, divisor)
         if rem:
-            raise ArithmeticError(
+            raise InexactError(
                 f"coefficient {n} is not an integer: {Fraction(acc, divisor)}"
             )
         out.append(value)
@@ -500,7 +507,7 @@ def recurrence_of(G: RationalFunction) -> Recurrence:
         raise ValueError("denominator must have a nonzero constant term")
     c0 = Fraction(G.numerator.constant(), den.constant())
     if c0.denominator != 1:
-        raise ArithmeticError(f"coefficient 0 is not an integer: {c0}")
+        raise InexactError(f"coefficient 0 is not an integer: {c0}")
     valid_from = max(G.numerator.degree + 1, 1)
     return Recurrence(
         order=den.degree,

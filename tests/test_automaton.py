@@ -1,11 +1,12 @@
+import hashlib
 import json
+from itertools import product
 
 import pytest
 
 from gridcuts import automaton, oracle
 from gridcuts.automaton import (
     Automaton,
-    ConnectivityProfile,
     State,
     acceptance,
     accepted_words,
@@ -61,10 +62,8 @@ def automaton_from_json_dict(data):
         states=tuple(
             State(
                 col(*s["column"]),
-                ConnectivityProfile(
-                    tuple(tuple(b) for b in s["profile"]["zero"]),
-                    tuple(tuple(b) for b in s["profile"]["one"]),
-                ),
+                tuple(tuple(b) for b in s["profile"]["zero"]),
+                tuple(tuple(b) for b in s["profile"]["one"]),
             )
             for s in data["states"]
         ),
@@ -84,8 +83,8 @@ class TestStep:
     def test_trivial_edge_keeps_connectivity(self):
         state = step_state(start_state(4, col(1, 1, 0, 0)), col(1, 1, 0, 0))
         assert state is not None
-        assert state.profile.one_blocks == ((0, 1),)
-        assert state.profile.zero_blocks == ((2, 3),)
+        assert state.one_blocks == ((0, 1),)
+        assert state.zero_blocks == ((2, 3),)
 
     def test_disconnecting_edge_rejected(self):
         # the single 1-block loses its whole frontier
@@ -95,14 +94,63 @@ class TestStep:
         state = step_state(start_state(4, col(1, 0, 0, 0)), col(1, 0, 1, 0))
         assert state is not None
         # 1s split into the old top block and a fresh one; 0s joined up
-        assert state.profile.one_blocks == ((0,), (2,))
-        assert state.profile.zero_blocks == ((1, 3),)
+        assert state.one_blocks == ((0,), (2,))
+        assert state.zero_blocks == ((1, 3),)
 
     @pytest.mark.parametrize("column", [-1, 16, 1 << 5])
     def test_column_must_fit_the_profile_height(self, column):
         # the profile's blocks cover rows 0..3, so a column has 4 bits
         with pytest.raises(ValueError, match="does not fit 4 rows"):
             step_state(start_state(4, col(1, 1, 0, 0)), column)
+
+
+def prefix_components(m, word):
+    """The 4-components of the board whose columns are `word`, each as a set
+    of (row, column) cells; a flood fill independent of the machine."""
+    label = {(i, j): (c >> i) & 1 for j, c in enumerate(word) for i in range(m)}
+    seen, components = set(), []
+    for cell in label:
+        if cell in seen:
+            continue
+        seen.add(cell)
+        component, stack = set(), [cell]
+        while stack:
+            i, j = stack.pop()
+            component.add((i, j))
+            for nxt in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                if nxt in label and nxt not in seen and label[nxt] == label[cell]:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        components.append(component)
+    return components
+
+
+class TestAgainstFloodFill:
+    """`start_state`/`step_state` and `acceptance` against a flood fill of the
+    prefix board and `is_graham` of the completed board, for every short word."""
+
+    @pytest.mark.parametrize("m,longest", [(1, 3), (2, 3), (3, 3), (4, 3), (5, 2)])
+    def test_every_short_word(self, m, longest):
+        for word in (w for k in range(1, longest + 1) for w in product(range(1 << m), repeat=k)):
+            state = start_state(m, word[0])
+            for column in word[1:]:
+                state = state and step_state(state, column)
+            last = len(word) - 1
+            components = prefix_components(m, word)
+            if any(all(j != last for _, j in comp) for comp in components):
+                assert state is None, word
+                assert not is_graham(complete_board(m, 2 * len(word), word)), word
+                continue
+            assert state is not None, word
+            blocks = [tuple(sorted(i for i, j in comp if j == last)) for comp in components]
+            assert state.zero_blocks == tuple(sorted(b for b in blocks if not (word[-1] >> b[0]) & 1))
+            assert state.one_blocks == tuple(sorted(b for b in blocks if (word[-1] >> b[0]) & 1))
+            even, odd = acceptance(state)
+            assert even == is_graham(complete_board(m, 2 * len(word), word)), word
+            if revcomp(m, word[-1]) == word[-1]:
+                assert odd == is_graham(complete_board(m, 2 * len(word) - 1, word)), word
+            else:
+                assert not odd, word
 
 
 class TestAcceptance:
@@ -127,7 +175,7 @@ class TestCanonicalStructure:
     def test_two_states_share_the_split_column(self, canonical):
         split = [s for s in canonical.states if s.column == col(1, 0, 1, 0)]
         assert len(split) == 2
-        profiles = {(s.profile.zero_blocks, s.profile.one_blocks) for s in split}
+        profiles = {(s.zero_blocks, s.one_blocks) for s in split}
         assert profiles == {
             (((1,), (3,)), ((0, 2),)),  # 1s connected, 0s split
             (((1, 3),), ((0,), (2,))),  # 0s connected, 1s split
@@ -236,6 +284,19 @@ class TestGeneralMachines:
             0, 5, 0, 39, 0, 263, 0, 1675,
         ]
 
+    @pytest.mark.parametrize("m,states,edges,digest", [
+        (5, 42, 348, "6dc30b93de74d1526862b78610429c2f317f3ebe24796a546a415ade12e917a2"),
+        (6, 102, 1378, "ee7af4e9140462cf6ee2d257ada4b51dd4af1b5b944f985b51f16d25f8181c96"),
+    ])
+    def test_state_numbering_is_pinned(self, m, states, edges, digest):
+        # SHA-256 of the sorted-key JSON form: every state's number, blocks and
+        # accept flags and every edge; m = 6 is past build_general's cap
+        alphabet = tuple(range(1 << m))
+        machine = automaton._build(m, "general", alphabet, alphabet, 2)
+        assert (len(machine.states), len(machine.transitions)) == (states, edges)
+        text = json.dumps(to_json_dict(machine), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_row_count_range(self):
         with pytest.raises(ValueError):
             build_general(6)
@@ -297,8 +358,8 @@ class TestInvariants:
             bits = column_bits(machine.m, state.column)
             zeros = [i for i, b in enumerate(bits) if b == 0]
             ones = [i for i, b in enumerate(bits) if b == 1]
-            assert sorted(r for block in state.profile.zero_blocks for r in block) == zeros
-            assert sorted(r for block in state.profile.one_blocks for r in block) == ones
+            assert sorted(r for block in state.zero_blocks for r in block) == zeros
+            assert sorted(r for block in state.one_blocks for r in block) == ones
 
     def test_odd_accepting_states_have_self_revcomp_columns(self, canonical):
         for idx in canonical.accept_odd:
@@ -332,8 +393,8 @@ class TestTransferMatrixInvariant:
         divisor=1,
         alphabet=(col(0), col(1)),
         states=(
-            State(col(0), ConnectivityProfile(((0,),), ())),
-            State(col(1), ConnectivityProfile((), ((0,),))),
+            State(col(0), ((0,),), ()),
+            State(col(1), (), ((0,),)),
         ),
         start=(0,),
         transitions=((0, 0, 1), (0, 1, 1)),

@@ -190,6 +190,22 @@ class TestSeriesCommands:
         assert code == 2
         assert "general" in err
 
+    def test_failed_certificate_is_one_line(self, capsys, monkeypatch):
+        from gridcuts import series
+
+        counts = series._board_counts
+
+        def corrupted(T, count):
+            out = counts(T, count)
+            out[-1] += 1
+            return out
+
+        monkeypatch.setattr(series, "_board_counts", corrupted)
+        code, out, err = run_cli(capsys, "gf", "--mode", "general", "--m", "3")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("gridcuts: shortest rational fit of the terms exceeds degree ")
+
 
 class TestAutomatonCommand:
     def test_text_reports_nine_states_and_similarity(self, capsys):
@@ -402,6 +418,20 @@ class TestErrorBase:
         for error, builtin in [(oracle.BudgetError, RuntimeError), (StateExplosionError, RuntimeError),
                                (oracle.FigureMismatch, RuntimeError), (UnsupportedPoleShape, ValueError)]:
             assert issubclass(error, gridcuts.GridcutsError) and issubclass(error, builtin)
+
+    def test_inexact_series_arithmetic_is_a_library_error(self):
+        from gridcuts.series import InexactError, Polynomial
+
+        assert issubclass(InexactError, gridcuts.GridcutsError) and issubclass(InexactError, ArithmeticError)
+        with pytest.raises(InexactError, match="is not divisible"):
+            Polynomial([1, 0, 1]).divexact(Polynomial([2, 1]))
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        from gridcuts.cli import build_parser
+
+        assert build_parser() is build_parser()
 
 
 class TestBadOutputPath:
