@@ -30,12 +30,26 @@ column as a start, so each cut is accepted twice, once per labelling
 reachable are trimmed; this never removes a state that lies on some
 accepting path.  `live_words` is the one walk over a built machine: it
 yields every word not yet rejected, with its state, shortest first.
+
+The closure never leaves the mask encoding.  A state is interned by the key
+(column, sorted block masks), which names it as exactly as the `State` does:
+the column fixes each block's label.  Each interned state's masks and each
+symbol's runs are computed once, a successor is glued straight from them by
+`_step`, the same helper `step_state` wraps, and the `State` object with
+its row tuples is made only the first time a key is seen.  Interning order,
+and so the STATE_CAP check, follow the same breadth-first discovery as
+stepping `State`s one at a time would.
+
+`build_canonical` and `build_general` are cached per process, and so is
+`series.generating_function`: a machine and its gf are immutable values, so
+every query in a process shares one object, and `cache_info()` counts the
+reuses as hits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator, Sequence
 
 from .errors import GridcutsError
@@ -163,6 +177,19 @@ def start_state(m: int, col: int) -> State:
     return _state(m, col, _runs(m, col))
 
 
+def _step(blocks: Sequence[int], column: int, col: int, runs: list[int]) -> list[int] | None:
+    """The blocks after reading `col` (whose runs are `runs`) next to
+    `column`, or None if an old block loses its frontier.
+
+    A block touches the new column iff it holds a row where the labels
+    agree; one that does not is rejected before any gluing.
+    """
+    agree = ~(column ^ col)
+    if not all(block & agree for block in blocks):
+        return None
+    return [right for _, right in _glue(blocks, runs, agree)]
+
+
 def step_state(state: State, col: int) -> State | None:
     """Read one more column; None means the word can never be completed.
 
@@ -174,10 +201,16 @@ def step_state(state: State, col: int) -> State | None:
     m = state.m
     if not 0 <= col < 1 << m:
         raise ValueError(f"column {col} does not fit {m} rows")
-    comps = _glue(_masks(state), _runs(m, col), ~(state.column ^ col))
-    if not all(right for _, right in comps):
-        return None
-    return _state(m, col, [right for _, right in comps])
+    blocks = _step(_masks(state), state.column, col, _runs(m, col))
+    return None if blocks is None else _state(m, col, blocks)
+
+
+def _accepts(m: int, col: int, blocks: Sequence[int]) -> tuple[bool, bool]:
+    """`acceptance` of the state for `col` with the given block masks."""
+    rc = revcomp(m, col)
+    comps = _glue(blocks, [_reverse(m, b) for b in blocks], ~(col ^ rc))
+    even = len(comps) == 2
+    return even, even and col == rc
 
 
 def acceptance(state: State) -> tuple[bool, bool]:
@@ -193,12 +226,7 @@ def acceptance(state: State) -> tuple[bool, bool]:
     must be its own reversed complement; then the two columns agree at every
     row and the glue is the even one.
     """
-    col, m = state.column, state.m
-    rc = revcomp(m, col)
-    blocks = _masks(state)
-    comps = _glue(blocks, [_reverse(m, b) for b in blocks], ~(col ^ rc))
-    even = len(comps) == 2
-    return even, even and col == rc
+    return _accepts(state.m, state.column, _masks(state))
 
 
 @dataclass(frozen=True)
@@ -228,32 +256,38 @@ class Automaton:
 
 def _build(m: int, mode: str, alphabet: tuple[int, ...],
            start_cols: tuple[int, ...], divisor: int) -> Automaton:
-    states: dict[State, int] = {}
-    edges: dict[tuple[int, int], int] = {}
+    # a state is interned by (column, sorted block masks); see the module docstring
+    index: dict[tuple[int, tuple[int, ...]], int] = {}
+    keys: list[tuple[int, tuple[int, ...]]] = []
     order: list[State] = []
+    edges: dict[tuple[int, int], int] = {}
+    runs = {col: _runs(m, col) for col in alphabet}
 
-    def intern(state: State) -> int:
-        idx = states.get(state)
+    def intern(col: int, blocks: list[int]) -> int:
+        key = (col, tuple(sorted(blocks)))
+        idx = index.get(key)
         if idx is None:
             if len(order) >= STATE_CAP:
                 raise StateExplosionError(
                     f"more than {STATE_CAP} states for m={m} mode={mode}"
                 )
             idx = len(order)
-            states[state] = idx
-            order.append(state)
+            index[key] = idx
+            keys.append(key)
+            order.append(_state(m, col, blocks))
         return idx
 
-    start_set = {intern(start_state(m, col)) for col in start_cols}
+    start_set = {intern(col, _runs(m, col)) for col in start_cols}
     src = 0
     while src < len(order):  # every interned state is stepped once, in order
+        column, blocks = keys[src]
         for col in alphabet:
-            dst_state = step_state(order[src], col)
-            if dst_state is not None:
-                edges[(src, col)] = intern(dst_state)
+            stepped = _step(blocks, column, col, runs[col])
+            if stepped is not None:
+                edges[(src, col)] = intern(col, stepped)
         src += 1
 
-    accepts = [acceptance(state) for state in order]
+    accepts = [_accepts(m, col, blocks) for col, blocks in keys]
 
     # trim states that cannot reach any accepting state
     reverse: dict[int, set[int]] = {i: set() for i in range(len(order))}
@@ -291,6 +325,7 @@ def _build(m: int, mode: str, alphabet: tuple[int, ...],
     )
 
 
+@cache
 def build_canonical(m: int = 4) -> Automaton:
     """The canonical-convention machine; derived and validated for m = 4.
 
@@ -306,6 +341,7 @@ def build_canonical(m: int = 4) -> Automaton:
     return _build(m, "canonical", alphabet, CANONICAL_START_BITS, 1)
 
 
+@cache
 def build_general(m: int) -> Automaton:
     """The unrestricted machine for m-row boards; every cut is read twice."""
     if not 1 <= m <= 5:

@@ -11,6 +11,7 @@ GRIDCUTS_BUDGET environment variable).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -257,13 +258,32 @@ def cmd_gf(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _exact_digits():
+    """Lift Python's int-to-str digit limit while the CLI formats its output.
+
+    The limit guards parsing untrusted text; the terms printed here are
+    exact and computed, and far enough out they run past 4300 digits.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def cmd_terms(args: argparse.Namespace) -> int:
     terms = series_terms(generating_function(_machine(args)), args.limit)
-    if args.fmt == "json":
-        _emit_json(args, terms)
-    else:
-        # text and b-file agree: "n value" lines, n from 1, newline-terminated
-        _emit(args, format_bfile(terms))
+    with _exact_digits():
+        if args.fmt == "json":
+            _emit_json(args, terms)
+        else:
+            # text and b-file agree: "n value" lines, n from 1, newline-terminated
+            _emit(args, format_bfile(terms))
     return EXIT_OK
 
 

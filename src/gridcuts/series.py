@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd as int_gcd
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -373,8 +374,13 @@ def resolvent_sum(T: TransferMatrix) -> RationalFunction:
     return rational_function(num, den)
 
 
+@cache
 def generating_function(automaton) -> RationalFunction:
-    """Machine gf over its divisor (general machines read each cut twice)."""
+    """Machine gf over its divisor (general machines read each cut twice).
+
+    Cached per process: a machine and its gf are immutable values, so equal
+    machines share one certified gf.
+    """
     from .automaton import transfer_matrix
 
     gf = resolvent_sum(transfer_matrix(automaton))

@@ -26,6 +26,7 @@ from gridcuts.automaton import (
 )
 from gridcuts.board import complete_board, is_canonical, is_graham
 from gridcuts.reference import REFERENCE_TRANSFER_MATRIX
+from gridcuts.series import generating_function
 
 
 def col(*bits):
@@ -302,9 +303,74 @@ class TestGeneralMachines:
             build_general(6)
 
     def test_state_cap(self, monkeypatch):
+        build_general.cache_clear()  # a cached machine would never meet the cap
         monkeypatch.setattr(automaton, "STATE_CAP", 5)
         with pytest.raises(StateExplosionError, match="more than 5 states for m=4 mode=general"):
             build_general(4)
+
+
+CLOSURE_MACHINES = [("canonical", 4)] + [("general", m) for m in range(1, 7)]
+
+
+def closure_machine(mode, m):
+    """A freshly closed machine; general m = 6 is past build_general's cap."""
+    if mode == "canonical":
+        return automaton._build(m, mode, tuple(range(1 << (m - 1))),
+                                automaton.CANONICAL_START_BITS, 1)
+    alphabet = tuple(range(1 << m))
+    return automaton._build(m, mode, alphabet, alphabet, 2)
+
+
+class TestClosureMatchesStepState:
+    """The closure steps interned masks; `step_state` steps `State`s."""
+
+    @pytest.mark.parametrize("mode,m", CLOSURE_MACHINES)
+    def test_edges_are_single_steps(self, mode, m):
+        machine = closure_machine(mode, m)
+        kept = set(machine.states)
+        edges = machine._edge_map
+        for src, state in enumerate(machine.states):
+            for sym in machine.alphabet:
+                stepped = step_state(state, sym)
+                if (src, sym) in edges:
+                    assert stepped == machine.states[edges[src, sym]]
+                else:  # rejected on the spot, or led to a trimmed state
+                    assert stepped is None or stepped not in kept
+
+    @pytest.mark.parametrize("mode,m", CLOSURE_MACHINES)
+    def test_start_states_are_kept_first_columns(self, mode, m):
+        machine = closure_machine(mode, m)
+        firsts = {start_state(m, c) for c in
+                  (automaton.CANONICAL_START_BITS if mode == "canonical" else machine.alphabet)}
+        assert {machine.states[i] for i in machine.start} == firsts & set(machine.states)
+
+    def test_canonical_closure_is_the_built_machine(self):
+        assert closure_machine("canonical", 4) == build_canonical(4)
+
+
+class TestPerProcessCaches:
+    def test_second_build_is_a_hit(self):
+        first = build_general(4)
+        hits = build_general.cache_info().hits
+        assert build_general(4) is first
+        assert build_general.cache_info().hits == hits + 1
+
+    def test_second_gf_is_a_hit(self):
+        machine = build_general(4)
+        first = generating_function(machine)
+        hits = generating_function.cache_info().hits
+        assert generating_function(machine) is first
+        assert generating_function.cache_info().hits == hits + 1
+
+    def test_rebuilt_after_clear_equals_cached(self):
+        machine, gf = build_general(4), generating_function(build_general(4))
+        build_general.cache_clear()
+        generating_function.cache_clear()
+        rebuilt = build_general(4)
+        assert rebuilt is not machine and rebuilt == machine
+        assert to_json_dict(rebuilt) == to_json_dict(machine)
+        regf = generating_function(rebuilt)
+        assert regf is not gf and regf == gf
 
 
 class TestWordRuns:
