@@ -5,8 +5,8 @@ the smallest-modulus zeros of its denominator.  The smallest positive pole
 z is found by one descent: Sturm sign-variation counts on the squarefree
 part of the denominator halve (0, Cauchy bound] toward the leftmost positive
 root until it is alone, and bisection refines that one root.  The chain is
-built in integers from pseudo-remainders, and the only Fractions are the
-points it is evaluated at.  The reported interval is certified: the
+built in integers from pseudo-remainders, and bisection keeps both ends
+over one common denominator.  The reported interval is certified: the
 polynomial changes sign across it and it contains exactly one root.  That
 one Sturm chain is the only one built: whether z is a multiple pole, and
 whether -z is a pole too, are each a gcd with the squarefree part and a
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,12 +68,23 @@ def sturm_chain(p: Polynomial) -> list[Polynomial]:
     return chain
 
 
+def _sign_at(coeffs: Sequence[int], a: int, q: int, shift: int) -> int:
+    """Sign of p(a/Q) for Q = q * 2^shift, by homogeneous Horner in ints."""
+    # Q^d p(a/Q) = sum c_i a^i Q^(d-i); the powers of 2^shift are shifts
+    value, power, bits = 0, 1, 0
+    for c in reversed(coeffs):
+        value = value * a + (c * power << bits)
+        power *= q
+        bits += shift
+    return (value > 0) - (value < 0)
+
+
 def _variations(chain: Sequence[Polynomial], x: Fraction) -> int:
     signs = []
     for p in chain:
-        v = p(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+        sign = _sign_at(p.coeffs, x.numerator, x.denominator, 0)
+        if sign:
+            signs.append(sign)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -87,21 +98,24 @@ def refine_root(p: Polynomial, lo: Fraction, hi: Fraction, width: Fraction) -> t
     Refinement only ever subdivides, so intervals from successively smaller
     widths are nested.
     """
-    flo = p(lo)
-    if flo == 0:
+    # the ends are a/Q, b/Q with Q = q * 2^k, so halving only increments k
+    q, k = lcm(lo.denominator, hi.denominator), 0
+    a, b = lo.numerator * q // lo.denominator, hi.numerator * q // hi.denominator
+    s_lo = _sign_at(p.coeffs, a, q, k)
+    if s_lo == 0:
         return lo, lo
-    if p(hi) == 0:
+    if _sign_at(p.coeffs, b, q, k) == 0:
         return hi, hi
-    while hi - lo >= width:
-        mid = (lo + hi) / 2
-        fmid = p(mid)
-        if fmid == 0:
-            return mid, mid
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
+    while (b - a) * width.denominator >= (width.numerator * q) << k:
+        mid, a, b, k = a + b, 2 * a, 2 * b, k + 1
+        s_mid = _sign_at(p.coeffs, mid, q, k)
+        if s_mid == 0:
+            return Fraction(mid, q << k), Fraction(mid, q << k)
+        if s_mid == s_lo:
+            a = mid
         else:
-            hi = mid
-    return lo, hi
+            b = mid
+    return Fraction(a, q << k), Fraction(b, q << k)
 
 
 def smallest_positive_root(sqf: Polynomial) -> tuple[Fraction, Fraction] | None:
@@ -250,6 +264,14 @@ def _amplitude(G: RationalFunction, x: Fraction) -> Fraction:
     return -G.numerator(x) / (x * G.denominator.derivative()(x))
 
 
+def _decimal_digits(n: int) -> int:
+    """len(str(n)) for n >= 0, without str() and its 4300-digit limit."""
+    # log10(2) < 0.301029995664, so n has floor(0.301029995664 * bit_length)
+    # + 1 digits or one fewer, exactly so while bit_length < 10^13
+    digits = n.bit_length() * 301029995664 // 10**12 + 1
+    return digits - (0 < n < 10 ** (digits - 1))
+
+
 def error_profile(
     G: RationalFunction, estimate: AsymptoticEstimate, count: int
 ) -> list[tuple[int, float]]:
@@ -263,7 +285,7 @@ def error_profile(
     """
     G = G.normalized()
     exact = series_terms(G, count)
-    digits = len(str(max(map(abs, exact), default=0))) + 25
+    digits = _decimal_digits(max(map(abs, exact), default=0)) + 25
     lo, hi = refine_root(G.denominator, *estimate.pole_interval, Fraction(1, 10**digits))
     mid = (lo + hi) / 2
     amp_plus = _amplitude(G, mid)

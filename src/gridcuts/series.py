@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd as int_gcd
-from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .automaton import TransferMatrix
@@ -231,9 +230,6 @@ class RationalFunction:
 
     def normalized(self) -> "RationalFunction":
         return rational_function(self.numerator, self.denominator)
-
-    def __call__(self, x: int | Fraction) -> Fraction:
-        return Fraction(self.numerator(x)) / Fraction(self.denominator(x))
 
     def to_json_dict(self) -> dict:
         return {
@@ -449,32 +445,37 @@ def charpoly(matrix: Sequence[Sequence[int]]) -> Polynomial:
 def series_terms(G: RationalFunction, count: int) -> list[int]:
     """Exact coefficients c_1..c_count of the power series of G.
 
-    Runs the linear recurrence given by the denominator in integers;
-    requires a nonzero constant term.  Non-integer coefficients mean a
-    corrupted input and raise InexactError rather than rounding.  A
-    fractional c_0 = a/b is allowed: the recurrence then runs on b*c_n.
+    Runs the linear recurrence given by the denominator in integers over
+    its nonzero taps; requires a nonzero constant term.  Non-integer
+    coefficients mean a corrupted input and raise InexactError rather than
+    rounding.  A fractional c_0 = a/b is allowed: the recurrence then runs
+    on b*c_n, and otherwise on the returned terms themselves.
     """
     num, den = G.numerator.coeffs, G.denominator.coeffs
     if not den or den[0] == 0:
         raise ValueError("denominator must have a nonzero constant term")
+    if den[0] < 0:  # G = -num / -den, so the divisor below is positive
+        num, den = [-c for c in num], [-c for c in den]
     c0 = Fraction(num[0] if num else 0, den[0])
     scale = c0.denominator
     divisor = scale * den[0]
-    tail = den[1:]
+    taps = [(i, c) for i, c in enumerate(den) if i and c]
     scaled = [c0.numerator]  # scale * c_n
     out = []
     for n in range(1, count + 1):
-        k = min(n, len(tail))
-        acc = scale * (num[n] if n < len(num) else 0) - sum(
-            map(mul, tail[:k], reversed(scaled[n - k : n]))
-        )
-        value, rem = divmod(acc, divisor)
-        if rem:
-            raise InexactError(
-                f"coefficient {n} is not an integer: {Fraction(acc, divisor)}"
-            )
-        out.append(value)
-        scaled.append(scale * value)
+        acc = scale * num[n] if n < len(num) else 0
+        for i, c in taps:
+            if i > n:
+                break
+            acc -= c * scaled[n - i]
+        if divisor != 1:
+            acc, rem = divmod(acc, divisor)
+            if rem:
+                raise InexactError(
+                    f"coefficient {n} is not an integer: {acc + Fraction(rem, divisor)}"
+                )
+        out.append(acc)
+        scaled.append(acc if scale == 1 else scale * acc)
     return out
 
 

@@ -1,13 +1,19 @@
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import isqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from gridcuts import automaton, oracle
 from gridcuts.asymptotics import (
     UnsupportedPoleShape,
+    _REFINE_WIDTH,
+    _decimal_digits,
     _root_bound,
+    _sign_at,
     _variations,
     dominant_form,
     error_profile,
@@ -29,16 +35,46 @@ from gridcuts.series import (
     resolvent_sum,
     series_terms,
 )
-from test_series import nonzero_polys, rational_divmod
+from test_series import fraction_horner, fractions, integer_polys, nonzero_polys, rational_divmod
 
 
 def poly(*coeffs):
     return Polynomial(coeffs)
 
 
+def fraction_variations(chain, x):
+    """Sign variations of the chain at x, evaluated in Fractions."""
+    signs = []
+    for p in chain:
+        v = p(x)
+        if v != 0:
+            signs.append(1 if v > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def fraction_refine_root(p, lo, hi, width):
+    """Bisection of a sign-change bracket in Fraction arithmetic: the
+    reference for the library's common-denominator `refine_root`."""
+    flo = p(lo)
+    if flo == 0:
+        return lo, lo
+    if p(hi) == 0:
+        return hi, hi
+    while hi - lo >= width:
+        mid = (lo + hi) / 2
+        fmid = p(mid)
+        if fmid == 0:
+            return mid, mid
+        if (fmid > 0) == (flo > 0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def root_count(chain, lo, hi):
     """Number of distinct real roots in (lo, hi]."""
-    return _variations(chain, lo) - _variations(chain, hi)
+    return fraction_variations(chain, lo) - fraction_variations(chain, hi)
 
 
 def isolate_real_roots(p, interval=None, width=Fraction(1, 10**12)):
@@ -46,8 +82,9 @@ def isolate_real_roots(p, interval=None, width=Fraction(1, 10**12)):
     than `width`, ordered left to right.
 
     Test-local reference: the all-roots isolator the library used before
-    dominant_form searched for the smallest positive pole alone.  Works on
-    the squarefree part of p, so multiple roots are located once.
+    dominant_form searched for the smallest positive pole alone, in
+    Fraction arithmetic throughout.  Works on the squarefree part of p, so
+    multiple roots are located once.
     """
     if p.degree < 1:
         return []
@@ -69,7 +106,7 @@ def isolate_real_roots(p, interval=None, width=Fraction(1, 10**12)):
         if count == 0:
             return
         if count == 1:
-            found.append(refine_root(sqf, a, b, width))
+            found.append(fraction_refine_root(sqf, a, b, width))
             return
         mid = (a + b) / 2
         if sqf(mid) == 0:
@@ -185,6 +222,90 @@ class TestSmallestPositiveRoot:
         assert smallest_positive_root(poly(*coeffs)) is None
 
 
+rational_roots = st.lists(
+    st.fractions(min_value=-6, max_value=6, max_denominator=60), min_size=1, max_size=4, unique=True
+)
+
+
+@st.composite
+def squarefree_polys(draw):
+    """Distinct rational linear factors times x^2 + c (no real root), x^2 - k
+    (irrational roots +-sqrt k) or 1, and one real root of each product."""
+    p, roots = poly(1), draw(rational_roots)
+    for r in roots:
+        p = p * poly(-r.numerator, r.denominator)
+    c = draw(st.sampled_from([0, 1, 3, -2, -3, -5, -7]))
+    if c:
+        p = p * poly(c, 0, 1)
+    if c < 0:
+        # sqrt(-c) within 10^-3
+        roots.append(Fraction(isqrt(-c * 10**6), 1000))
+    return p, draw(st.sampled_from(roots))
+
+
+@st.composite
+def brackets(draw, around=Fraction(0)):
+    """lo < hi around a point, the two ends over different denominators."""
+    primes = st.sampled_from([7, 11, 13, 17, 19, 23, 97])
+    below, above = draw(st.lists(primes, min_size=2, max_size=2, unique=True))
+    lo = around - Fraction(draw(st.integers(1, 5)), below)
+    hi = around + Fraction(draw(st.integers(1, 5)), above)
+    assume(lo.denominator != hi.denominator)
+    return lo, hi
+
+
+narrow_widths = st.sampled_from([_REFINE_WIDTH, Fraction(7, 10**61)])
+
+
+class TestRootIsolationAgainstFractions:
+    """The integer common-denominator bisection against the Fraction
+    bisection it replaced: identical brackets, not just equal roots."""
+
+    @given(integer_polys, fractions, st.integers(0, 70))
+    def test_sign_at(self, p, x, shift):
+        value = fraction_horner(p.coeffs, x / 2**shift)
+        sign = (value > 0) - (value < 0)
+        assert _sign_at(p.coeffs, x.numerator, x.denominator, shift) == sign
+
+    @given(nonzero_polys, fractions)
+    def test_variations(self, p, x):
+        chain = sturm_chain(p)
+        assert _variations(chain, x) == fraction_variations(chain, x)
+
+    @given(squarefree_polys(), st.data(), narrow_widths)
+    def test_refine_root(self, p_root, data, width):
+        p, root = p_root
+        lo, hi = data.draw(brackets(root))
+        assert refine_root(p, lo, hi, width) == fraction_refine_root(p, lo, hi, width)
+        # a width that some bracket along the way equals exactly
+        width = (hi - lo) / 2 ** data.draw(st.integers(0, 100))
+        assert refine_root(p, lo, hi, width) == fraction_refine_root(p, lo, hi, width)
+
+    @given(brackets(), st.integers(1, 12), st.data())
+    def test_midpoint_is_a_root(self, bracket, depth, data):
+        lo, hi = bracket
+        odd = 2 * data.draw(st.integers(0, 2 ** (depth - 1) - 1)) + 1
+        root = lo + (hi - lo) * odd / 2**depth
+        p = poly(-root.numerator, root.denominator) * poly(1, 0, 1)
+        assert refine_root(p, lo, hi, _REFINE_WIDTH) == (root, root)
+        assert fraction_refine_root(p, lo, hi, _REFINE_WIDTH) == (root, root)
+
+    @pytest.mark.parametrize("end", [0, 1])
+    @given(bracket=brackets())
+    def test_endpoint_is_a_root(self, end, bracket):
+        root = bracket[end]
+        p = poly(-root.numerator, root.denominator) * poly(2, 0, 1)
+        assert refine_root(p, *bracket, _REFINE_WIDTH) == (root, root)
+        assert fraction_refine_root(p, *bracket, _REFINE_WIDTH) == (root, root)
+
+    @given(squarefree_polys())
+    def test_smallest_positive_root(self, p_root):
+        p = p_root[0]
+        assume(p.constant() != 0)
+        found = isolate_real_roots(p, (Fraction(0), _root_bound(p)), _REFINE_WIDTH)
+        assert smallest_positive_root(p) == (found[0] if found else None)
+
+
 class TestDominantForm:
     def test_growth(self, estimate):
         assert abs(estimate.growth - REFERENCE_GROWTH) <= 1e-8
@@ -261,6 +382,22 @@ class TestErrorProfile:
         errors = error_profile(machine_gf, estimate, 1)
         assert errors[0][0] == 1
         assert errors[0][1] >= 0
+
+    @given(st.integers(0, 10**1000) | st.integers(0, 3000).map(lambda k: 10**k) | st.just(0))
+    def test_decimal_digits(self, n):
+        for m in (n - 1, n, n + 1) if n else (0,):
+            assert _decimal_digits(m) == len(str(m))
+
+    def test_terms_past_the_int_digit_limit(self, machine_gf, estimate):
+        # c_2600 has 675 digits; str() of it fails under a limit of 640
+        old = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            capped = error_profile(machine_gf, estimate, 2600)
+            sys.set_int_max_str_digits(0)
+            assert capped == error_profile(machine_gf, estimate, 2600)
+        finally:
+            sys.set_int_max_str_digits(old)
 
 
 def _closed_form_poles(prec):

@@ -17,6 +17,7 @@ from gridcuts.reference import (
     RESOLVENT_LCM_FACTORS,
 )
 from gridcuts.series import (
+    InexactError,
     Polynomial,
     RationalFunction,
     certified_series,
@@ -528,6 +529,33 @@ class TestSeriesTerms:
     def test_fractional_constant_term_feeds_recurrence(self):
         # (1 + x)/(2 - 2x): c_0 = 1/2, then c_n = 1 for n >= 1
         assert series_terms(rational_function(poly(1, 1), poly(2, -2)), 5) == [1] * 5
+
+
+@st.composite
+def recurrence_gfs(draw):
+    """Unnormalized N/D with D[0] in +-1, +-2, +-3, D sparse or constant,
+    and N zero, of any degree, or a multiple of D (integer terms)."""
+    tail = draw(st.lists(st.integers(-4, 4) | st.just(0), max_size=8))
+    den = Polynomial([draw(st.sampled_from([1, -1, 2, -2, 3, -3])), *tail])
+    num = draw(
+        st.just(Polynomial.ZERO)
+        | st.lists(st.integers(-5, 5), max_size=14).map(Polynomial)
+        | st.lists(st.integers(-5, 5), max_size=6).map(lambda q: Polynomial(q) * den)
+    )
+    return RationalFunction(num, den)
+
+
+class TestSeriesTermsAgainstLongDivision:
+    @given(recurrence_gfs(), st.integers(0, 200))
+    def test_terms_or_first_non_integer(self, gf, count):
+        want = series_terms_longdiv(gf, count)
+        bad = next((n for n, c in enumerate(want, start=1) if c.denominator != 1), None)
+        if bad is None:
+            assert series_terms(gf, count) == want
+        else:
+            with pytest.raises(InexactError) as caught:
+                series_terms(gf, count)
+            assert str(caught.value) == f"coefficient {bad} is not an integer: {want[bad - 1]}"
 
 
 class TestNormalization:
