@@ -206,7 +206,6 @@ def dominant_form(
     of z), the result carries `exact_check`: both computed amplitudes agree
     with the closed forms within 1e-6.
     """
-    G = G.normalized()
     den = G.denominator
     if den.constant() == 0:
         raise UnsupportedPoleShape("pole at 0")
@@ -283,7 +282,6 @@ def error_profile(
     rounding.  Terms that are exactly zero get an infinite relative error
     unless the estimate is also zero there.
     """
-    G = G.normalized()
     exact = series_terms(G, count)
     digits = _decimal_digits(max(map(abs, exact), default=0)) + 25
     lo, hi = refine_root(G.denominator, *estimate.pole_interval, Fraction(1, 10**digits))

@@ -35,10 +35,9 @@ The closure never leaves the mask encoding.  A state is interned by the key
 (column, sorted block masks), which names it as exactly as the `State` does:
 the column fixes each block's label.  Each interned state's masks and each
 symbol's runs are computed once, a successor is glued straight from them by
-`_step`, the same helper `step_state` wraps, and the `State` object with
-its row tuples is made only the first time a key is seen.  Interning order,
-and so the STATE_CAP check, follow the same breadth-first discovery as
-stepping `State`s one at a time would.
+`_step`, and the `State` object with its row tuples is made only the first
+time a key is seen.  Interning order, and so the STATE_CAP check, follow the
+breadth-first discovery of the states from the start columns.
 
 `build_canonical` and `build_general` are cached per process, and so is
 `series.generating_function`: a machine and its gf are immutable values, so
@@ -68,8 +67,6 @@ __all__ = [
     "live_words",
     "permutation_similarity_witness",
     "revcomp",
-    "start_state",
-    "step_state",
     "to_dot",
     "transfer_matrix",
 ]
@@ -172,11 +169,6 @@ def _glue(left: list[int], right: list[int], rows: int) -> list[tuple[int, int]]
     return comps
 
 
-def start_state(m: int, col: int) -> State:
-    """State after reading `col` as the first column: blocks are its runs."""
-    return _state(m, col, _runs(m, col))
-
-
 def _step(blocks: Sequence[int], column: int, col: int, runs: list[int]) -> list[int] | None:
     """The blocks after reading `col` (whose runs are `runs`) next to
     `column`, or None if an old block loses its frontier.
@@ -188,21 +180,6 @@ def _step(blocks: Sequence[int], column: int, col: int, runs: list[int]) -> list
     if not all(block & agree for block in blocks):
         return None
     return [right for _, right in _glue(blocks, runs, agree)]
-
-
-def step_state(state: State, col: int) -> State | None:
-    """Read one more column; None means the word can never be completed.
-
-    The old blocks are glued to the new column's runs at the rows where the
-    labels agree.  An old block left untouched has lost its frontier and is
-    rejected on the spot.  Runs touched by no block simply start new
-    components.
-    """
-    m = state.m
-    if not 0 <= col < 1 << m:
-        raise ValueError(f"column {col} does not fit {m} rows")
-    blocks = _step(_masks(state), state.column, col, _runs(m, col))
-    return None if blocks is None else _state(m, col, blocks)
 
 
 def _accepts(m: int, col: int, blocks: Sequence[int]) -> tuple[bool, bool]:

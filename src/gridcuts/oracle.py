@@ -71,6 +71,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress
 from typing import NamedTuple
 
@@ -218,9 +219,6 @@ class SweepResult:
     n: int
     graham: tuple[int, ...]
     canonical: tuple[int, ...]
-
-
-_SWEEP_CACHE: dict[tuple[int, int], SweepResult] = {}
 
 
 def _outer_or(parts: list[np.ndarray]) -> np.ndarray:
@@ -433,8 +431,12 @@ def sweep(m: int, n: int, *, budget: int | None = None) -> SweepResult:
     """
     # checked before the cache so exit codes do not depend on prior calls
     check_shape(m, n, budget)
-    if (m, n) in _SWEEP_CACHE:
-        return _SWEEP_CACHE[(m, n)]
+    return _sweep(m, n)
+
+
+@cache
+def _sweep(m: int, n: int) -> SweepResult:
+    """The body of `sweep`, cached per process; `cache_info()` counts hits."""
     u = np.uint64
     not_top, not_bottom = _row_masks(m, n)
     survivors = np.concatenate([np.zeros(0, dtype=u), *_euler_blocks(m, n)])
@@ -452,9 +454,7 @@ def sweep(m: int, n: int, *, budget: int | None = None) -> SweepResult:
     # canonical shares graham's int objects, as the cache holds both
     graham = boards.tolist()
     canonical = list(compress(graham, keep.tolist()))
-    result = SweepResult(m, n, tuple(graham), tuple(canonical))
-    _SWEEP_CACHE[(m, n)] = result
-    return result
+    return SweepResult(m, n, tuple(graham), tuple(canonical))
 
 
 @dataclass(frozen=True)

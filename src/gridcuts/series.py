@@ -23,12 +23,13 @@ The same rows e_i T^k give the power traces p_k = tr(T^k), from which
 `charpoly` gets det(xI - T) through Newton's identities, so no determinant
 is ever computed by elimination.
 
-Rational functions are kept normalized: numerator and denominator are coprime
-integer polynomials with coprime contents and a positive leading denominator
-coefficient, which makes equality of generating functions a literal
-coefficient comparison.  Gcds never leave the integers: they run a primitive
-pseudo-remainder sequence (Brown & Traub 1971), dividing each remainder by
-its content.
+A `RationalFunction` puts itself in normal form when it is constructed:
+numerator and denominator are coprime integer polynomials with coprime
+contents and a positive leading denominator coefficient.  No other form can
+be built, so equality of generating functions is a literal coefficient
+comparison and no consumer normalizes again.  Gcds never leave the integers:
+they run a primitive pseudo-remainder sequence (Brown & Traub 1971), dividing
+each remainder by its content.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ __all__ = [
     "Recurrence",
     "certified_series",
     "charpoly",
-    "rational_function",
     "recurrence_of",
     "resolvent_denominator_lcm",
     "resolvent_sum",
@@ -223,13 +223,30 @@ def product(polys: Iterable[Polynomial]) -> Polynomial:
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """Normalized ratio of integer polynomials; see `rational_function`."""
+    """Ratio of integer polynomials, in the normal form the constructor
+    establishes: the common gcd is cancelled, the contents are made coprime
+    and the leading denominator coefficient is made positive; a zero
+    numerator gives 0/1 and a zero denominator raises ZeroDivisionError."""
 
     numerator: Polynomial
     denominator: Polynomial
 
-    def normalized(self) -> "RationalFunction":
-        return rational_function(self.numerator, self.denominator)
+    def __post_init__(self) -> None:
+        numerator, denominator = self.numerator, self.denominator
+        if denominator.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        if numerator.is_zero():
+            denominator = Polynomial.ONE
+        else:
+            common = numerator.gcd(denominator)
+            numerator, denominator = numerator.divexact(common), denominator.divexact(common)
+            content = int_gcd(*numerator.coeffs, *denominator.coeffs)
+            if denominator.leading() < 0:
+                content = -content
+            numerator = Polynomial([c // content for c in numerator.coeffs])
+            denominator = Polynomial([c // content for c in denominator.coeffs])
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
 
     def to_json_dict(self) -> dict:
         return {
@@ -239,24 +256,6 @@ class RationalFunction:
 
     def __str__(self) -> str:
         return f"({self.numerator}) / ({self.denominator})"
-
-
-def rational_function(numerator: Polynomial, denominator: Polynomial) -> RationalFunction:
-    """Reduce and normalize: coprime integer polys, coprime contents,
-    denominator with positive leading coefficient."""
-    if denominator.is_zero():
-        raise ZeroDivisionError("zero denominator")
-    if numerator.is_zero():
-        return RationalFunction(Polynomial.ZERO, Polynomial.ONE)
-    common = numerator.gcd(denominator)
-    numerator, denominator = numerator.divexact(common), denominator.divexact(common)
-    content = int_gcd(*numerator.coeffs, *denominator.coeffs)
-    if denominator.leading() < 0:
-        content = -content
-    return RationalFunction(
-        Polynomial([c // content for c in numerator.coeffs]),
-        Polynomial([c // content for c in denominator.coeffs]),
-    )
 
 
 def _berlekamp_massey(terms: Sequence[int]) -> tuple[list[int], int]:
@@ -367,7 +366,7 @@ def resolvent_sum(T: TransferMatrix) -> RationalFunction:
     """
     bound = 2 * T.order
     num, den = certified_series(_board_counts(T, 2 * bound + 4), bound)
-    return rational_function(num, den)
+    return RationalFunction(num, den)
 
 
 @cache
@@ -382,7 +381,7 @@ def generating_function(automaton) -> RationalFunction:
     gf = resolvent_sum(transfer_matrix(automaton))
     if automaton.divisor == 1:
         return gf
-    return rational_function(gf.numerator, gf.denominator * automaton.divisor)
+    return RationalFunction(gf.numerator, gf.denominator * automaton.divisor)
 
 
 def _basis_powers(matrix: Sequence[Sequence[int]], top: int) -> Iterator[list[list[int]]]:
@@ -507,8 +506,7 @@ def format_bfile(terms: Sequence[int]) -> str:
 
 
 def recurrence_of(G: RationalFunction) -> Recurrence:
-    """Recurrence read off the denominator of a normalized gf."""
-    G = G.normalized()
+    """Recurrence read off the denominator of a gf."""
     den = G.denominator
     if den.constant() == 0:
         raise ValueError("denominator must have a nonzero constant term")

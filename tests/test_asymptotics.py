@@ -30,8 +30,8 @@ from gridcuts.reference import (
 )
 from gridcuts.series import (
     Polynomial,
+    RationalFunction,
     generating_function,
-    rational_function,
     resolvent_sum,
     series_terms,
 )
@@ -339,7 +339,7 @@ class TestDominantForm:
         assert abs(estimate.growth**2 * ystar - 1) <= 1e-10
 
     def test_geometric_series_exact(self):
-        gf = rational_function(poly(0, 1), poly(1, -2))
+        gf = RationalFunction(poly(0, 1), poly(1, -2))
         est = dominant_form(gf)
         assert est.growth == pytest.approx(2.0, abs=1e-12)
         assert not est.has_mirror_pole
@@ -348,13 +348,13 @@ class TestDominantForm:
             assert est.predict(n) == pytest.approx(2 ** (n - 1), rel=1e-12)
 
     def test_repeated_dominant_pole_unsupported(self):
-        gf = rational_function(poly(1), poly(1, -1) * poly(1, -1))
+        gf = RationalFunction(poly(1), poly(1, -1) * poly(1, -1))
         with pytest.raises(UnsupportedPoleShape):
             dominant_form(gf)
 
     def test_complex_dominant_pair_unsupported(self):
         # poles at +-i/2 inside the real pole at 1
-        gf = rational_function(poly(1), poly(1, 0, 4) * poly(1, -1))
+        gf = RationalFunction(poly(1), poly(1, 0, 4) * poly(1, -1))
         with pytest.raises(UnsupportedPoleShape):
             dominant_form(gf)
 

@@ -84,12 +84,12 @@ class TestCount:
         assert err == "gridcuts: GRIDCUTS_BUDGET must be an integer, got 'abc'\n"
 
     @pytest.mark.parametrize("width", ["99999999999999999999", "9000", "1-99999999999", "1-40"])
-    def test_huge_width_fails_before_any_sweep(self, capsys, monkeypatch, width):
-        monkeypatch.setattr(oracle, "_SWEEP_CACHE", {})
+    def test_huge_width_fails_before_any_sweep(self, capsys, width):
+        oracle._sweep.cache_clear()
         code, out, err = run_cli(capsys, "count", "--n", width)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("gridcuts: ") and "budget" in err
-        assert oracle._SWEEP_CACHE == {}
+        assert oracle._sweep.cache_info().currsize == 0
 
 
 class TestEnumerate:
@@ -130,12 +130,12 @@ class TestEnumerate:
         code, _, err = run_cli(capsys, "enumerate", "--n", "4", "--m", "3")
         assert code == 2
 
-    def test_rejects_width_range(self, capsys, monkeypatch):
-        monkeypatch.setattr(oracle, "_SWEEP_CACHE", {})
+    def test_rejects_width_range(self, capsys):
+        oracle._sweep.cache_clear()
         code, out, err = run_cli(capsys, "enumerate", "--n", "1-3")
         assert code == 2 and out == ""
         assert err == "gridcuts: enumerate takes a single width, not a range\n"
-        assert oracle._SWEEP_CACHE == {}
+        assert oracle._sweep.cache_info().currsize == 0
 
     def test_empty_width_zero(self, capsys):
         for fmt in ("text", "ascii", "svg"):
@@ -324,12 +324,12 @@ class TestFiguresAndDelahaye:
 
 
     @pytest.mark.parametrize("half_widths", ["1-7", "0-2"])
-    def test_delahaye_range_checked_before_sweeping(self, capsys, monkeypatch, half_widths):
-        monkeypatch.setattr(oracle, "_SWEEP_CACHE", {})
+    def test_delahaye_range_checked_before_sweeping(self, capsys, half_widths):
+        oracle._sweep.cache_clear()
         code, out, err = run_cli(capsys, "delahaye", "--n", half_widths)
         assert code == 2 and out == ""
         assert err == "gridcuts: half-width n must be in 1..6\n"
-        assert oracle._SWEEP_CACHE == {}
+        assert oracle._sweep.cache_info().currsize == 0
 
 
 class TestVerifyCommand:

@@ -205,7 +205,7 @@ class TestSweepAgainstPurePython:
     @pytest.mark.parametrize("m,n", [(4, 8), (5, 6), (6, 6), (6, 7), (8, 4)])
     def test_join_tiles_are_chunked(self, m, n, monkeypatch):
         expected = oracle.sweep(m, n)
-        monkeypatch.setattr(oracle, "_SWEEP_CACHE", {})
+        oracle._sweep.cache_clear()
         monkeypatch.setattr(oracle, "_CHUNK", 64)
         scored = record_shapes(monkeypatch, "_edges_minus_squares")
         assert oracle.sweep(m, n) == expected
@@ -425,7 +425,7 @@ class TestEulerSieve:
             return real(bits, *args)
 
         monkeypatch.setattr(oracle, "_connected", counting)
-        monkeypatch.setattr(oracle, "_SWEEP_CACHE", {})
+        oracle._sweep.cache_clear()
         oracle.sweep(4, 10)
         assert len(calls) == 1
 

@@ -21,7 +21,7 @@ from gridcuts.board import (
     transform,
 )
 from gridcuts.asymptotics import _root_bound, smallest_positive_root
-from gridcuts.series import Polynomial, rational_function, series_terms
+from gridcuts.series import Polynomial, RationalFunction, series_terms
 from gridcuts.verify import _union_find_component_counts
 from test_asymptotics import isolate_real_roots
 from test_series import psub, series_terms_longdiv
@@ -314,7 +314,7 @@ class TestSeriesProperties:
     @given(small_polys, st.lists(st.integers(-9, 9), min_size=1, max_size=6))
     def test_series_recurrence_matches_long_division(self, num, den_tail):
         den = Polynomial([1] + den_tail)
-        gf = rational_function(num, den)
+        gf = RationalFunction(num, den)
         if gf.denominator.constant() == 0:
             return
         long_div = series_terms_longdiv(gf, 25)

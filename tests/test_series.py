@@ -24,7 +24,6 @@ from gridcuts.series import (
     charpoly,
     generating_function,
     product,
-    rational_function,
     recurrence_of,
     resolvent_denominator_lcm,
     resolvent_sum,
@@ -335,7 +334,7 @@ class TestResolvent:
             accept_odd_vector=(0,),
         )
         gf = resolvent_sum(T)
-        assert gf == rational_function(poly(0, 0, 1), poly(1, 0, -1))
+        assert gf == RationalFunction(poly(0, 0, 1), poly(1, 0, -1))
 
     def test_machine_gf_equals_reference(self, machine_gf):
         num = product(Polynomial(c) for c in REFERENCE_GF_NUMERATOR_FACTORS)
@@ -426,7 +425,7 @@ def _bordered_bareiss_gf(T):
         return bareiss_determinant(bordered) * -1
 
     num = padd(poly(0, 0, 1) * walk(T.accept_even_vector), poly(0, 1) * walk(T.accept_odd_vector))
-    return rational_function(num, bareiss_determinant(base))
+    return RationalFunction(num, bareiss_determinant(base))
 
 
 def _direct_counts(T, count):
@@ -475,7 +474,7 @@ class TestGuessAndCertify:
     def test_recovers_known_function(self):
         terms = [1, 1, 2, 3, 5, 8, 13]
         num, den = certified_series(terms, 2)
-        assert rational_function(num, den) == rational_function(poly(1), poly(1, -1, -1))
+        assert RationalFunction(num, den) == RationalFunction(poly(1), poly(1, -1, -1))
 
     def test_term_budget_below_bound_raises(self, machine_gf):
         S = 9  # canonical states
@@ -509,32 +508,37 @@ class TestSeriesTerms:
 
     def test_requires_nonzero_constant_denominator(self):
         with pytest.raises(ValueError):
-            series_terms(rational_function(poly(1), poly(0, 1)), 5)
+            series_terms(RationalFunction(poly(1), poly(0, 1)), 5)
 
     def test_non_integer_series_raises(self):
-        half = rational_function(poly(1), poly(2, -2))
+        half = RationalFunction(poly(1), poly(2, -2))
         with pytest.raises(ArithmeticError):
             series_terms(half, 3)
 
     def test_non_integer_message_names_first_bad_coefficient(self):
         # (3 + x)/(3 + 2x): c_0 = 1, c_1 = -1/3
-        gf = rational_function(poly(3, 1), poly(3, 2))
+        gf = RationalFunction(poly(3, 1), poly(3, 2))
         with pytest.raises(ArithmeticError, match=r"^coefficient 1 is not an integer: -1/3$"):
             series_terms(gf, 5)
 
     def test_fractional_constant_term_is_dropped(self):
         # (1 + 2x)/2: c_0 = 1/2 is not reported, c_1 = 1
-        assert series_terms(rational_function(poly(1, 2), poly(2)), 4) == [1, 0, 0, 0]
+        assert series_terms(RationalFunction(poly(1, 2), poly(2)), 4) == [1, 0, 0, 0]
 
     def test_fractional_constant_term_feeds_recurrence(self):
         # (1 + x)/(2 - 2x): c_0 = 1/2, then c_n = 1 for n >= 1
-        assert series_terms(rational_function(poly(1, 1), poly(2, -2)), 5) == [1] * 5
+        assert series_terms(RationalFunction(poly(1, 1), poly(2, -2)), 5) == [1] * 5
 
 
 @st.composite
 def recurrence_gfs(draw):
-    """Unnormalized N/D with D[0] in +-1, +-2, +-3, D sparse or constant,
-    and N zero, of any degree, or a multiple of D (integer terms)."""
+    """N/D from D with D[0] in +-1, +-2, +-3, D sparse or constant, and N
+    zero, of any degree, or a multiple of D (integer terms).
+
+    The constructor reduces each draw to normal form, so D's leading
+    coefficient ends up positive; D[0] stays negative whenever the two have
+    opposite signs, and c_0 stays fractional whenever D[0] is not +-1 after
+    the cancellation."""
     tail = draw(st.lists(st.integers(-4, 4) | st.just(0), max_size=8))
     den = Polynomial([draw(st.sampled_from([1, -1, 2, -2, 3, -3])), *tail])
     num = draw(
@@ -560,25 +564,32 @@ class TestSeriesTermsAgainstLongDivision:
 
 class TestNormalization:
     def test_idempotent(self, machine_gf):
-        assert machine_gf.normalized() == machine_gf
+        assert RationalFunction(machine_gf.numerator, machine_gf.denominator) == machine_gf
+
+    @given(integer_polys, nonzero_polys, nonzero_polys)
+    def test_constructor_reduces_to_one_form(self, num, den, common):
+        gf = RationalFunction(num, den)
+        assert RationalFunction(num * common, den * common) == gf
+        assert RationalFunction(num * -1, den * -1) == gf
 
     def test_sign_convention(self):
-        gf = rational_function(poly(0, 1), poly(1, -1))
+        gf = RationalFunction(poly(0, 1), poly(1, -1))
         assert gf.denominator.leading() > 0
-        assert gf == rational_function(poly(0, -1), poly(-1, 1))
+        assert gf == RationalFunction(poly(0, -1), poly(-1, 1))
 
     def test_common_factor_cancelled(self):
-        gf = rational_function(poly(0, 1) * poly(-1, 1), poly(1, -1) * poly(-1, 1))
-        assert gf == rational_function(poly(0, 1), poly(1, -1))
+        gf = RationalFunction(poly(0, 1) * poly(-1, 1), poly(1, -1) * poly(-1, 1))
+        assert gf == RationalFunction(poly(0, 1), poly(1, -1))
 
     def test_contents_reduced(self):
-        gf = rational_function(poly(0, 6), poly(2, -2))
-        assert gf == rational_function(poly(0, 3), poly(1, -1))
+        gf = RationalFunction(poly(0, 6), poly(2, -2))
+        assert gf == RationalFunction(poly(0, 3), poly(1, -1))
 
     def test_json_round_trip(self, machine_gf):
         data = json.loads(json.dumps(machine_gf.to_json_dict()))
         read = RationalFunction(Polynomial(data["numerator"]), Polynomial(data["denominator"]))
-        assert read == machine_gf == read.normalized()
+        assert read == machine_gf
+        assert read.to_json_dict() == data
 
 
 class TestBfile:
@@ -621,19 +632,28 @@ class TestRecurrence:
         assert run_recurrence(rec, 40) == series_terms(machine_gf, 40)
 
     def test_geometric(self):
-        rec = recurrence_of(rational_function(poly(0, 1), poly(1, -1)))
+        rec = recurrence_of(RationalFunction(poly(0, 1), poly(1, -1)))
         assert run_recurrence(rec, 5) == [1, 1, 1, 1, 1]
         assert rec.order == 1
 
     def test_nonzero_constant_term(self):
-        rec = recurrence_of(rational_function(poly(1), poly(1, -1)))
+        rec = recurrence_of(RationalFunction(poly(1), poly(1, -1)))
         assert rec.initial == (1,)
         assert run_recurrence(rec, 5) == [1, 1, 1, 1, 1]
 
     def test_two_term_recurrence_with_offset(self):
         # G = (1+x)/(1-x-x^2): c_0=1, c_1=2, then Fibonacci-style growth
-        rec = recurrence_of(rational_function(poly(1, 1), poly(1, -1, -1)))
+        rec = recurrence_of(RationalFunction(poly(1, 1), poly(1, -1, -1)))
         assert run_recurrence(rec, 6) == [2, 3, 5, 8, 13, 21]
+
+    def test_reads_a_gf_without_a_gcd(self, monkeypatch):
+        # a gf is in normal form once constructed, so nothing reduces it again
+        gf = generating_function(build_general(4))
+        calls = []
+        real = Polynomial.gcd
+        monkeypatch.setattr(Polynomial, "gcd", lambda a, b: calls.append(1) or real(a, b))
+        recurrence_of(gf)
+        assert calls == []
 
     def test_general_mode_divisor(self):
         gf = generating_function(build_general(4))
