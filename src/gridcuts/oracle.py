@@ -52,12 +52,18 @@ accepts 4314 of them.
 
 Connectivity of the survivors of the whole sweep is then checked once,
 per candidate, by a vectorized flood fill of the 1-region (the 0-region is
-its half-turn image, so it is connected exactly when the 1-region is): grow
-the lowest set bit to its 4-neighbourhood, dropping each candidate from the
-working set as soon as it fills its label mask or stops growing.  The flood
-fill is the only test that accepts a board.  This stays a per-candidate
-brute-force check; nothing here shares logic with the column automaton it
-is used to validate.
+its half-turn image, so it is connected exactly when the 1-region is).  A
+survivor has Euler number 1, so its 1-cells have one 4-component more than
+they have holes, and the half-turn maps each hole (an 8-component of
+0-cells off the border) onto an 8-component of 1-cells off the border
+(Rosenfeld's 4/8 duality, Amer. Math. Monthly 86, 1979).  So the 1-cells
+are 4-connected exactly when an 8-connected flood seeded at their border
+cells covers them.  The flood drops each candidate from the working set as
+soon as it fills its label mask or stops growing, and it needs as many
+steps as the farthest 1-cell lies from the border: 10 at 4 x 12, where a
+4-connected flood from one cell needed 23.  The flood fill is the only test
+that accepts a board.  This stays a per-candidate brute-force check;
+nothing here shares logic with the column automaton it is used to validate.
 
 Three counting conventions are reported side by side because they genuinely
 differ: `canonical` counts matrices satisfying the stipulations (the
@@ -71,7 +77,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import compress
 from typing import NamedTuple
 
@@ -124,18 +130,27 @@ def default_budget() -> int:
         raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {value!r}") from None
 
 
+# (block width, mask of the low block of every pair) for each swap step of a
+# bit reversal, smallest blocks first
+_SWAPS = tuple(
+    (np.uint64(width), np.uint64(sum(((1 << width) - 1) << i for i in range(0, 64, 2 * width))))
+    for width in (1, 2, 4, 8, 16, 32)
+)
+
+
 def _revcomp_columns(cols: np.ndarray, m: int) -> np.ndarray:
     """Element-wise: each m-bit column read bottom to top and complemented.
 
-    The 64-bit word is reversed by swapping ever larger blocks (Warren,
-    Hacker's Delight, section 7-1), then shifted down to m bits.
+    Each column must be below 2^m.  Its low 2^k bits, for the smallest
+    2^k >= m, are reversed by swapping ever larger blocks (Warren, Hacker's
+    Delight, section 7-1), then shifted down by 2^k - m to m bits.  So k
+    swap steps run, not the six of a whole 64-bit word: two at m = 4.
     """
-    u = np.uint64
+    k = (m - 1).bit_length()
     rev = cols
-    for width in (1, 2, 4, 8, 16, 32):
-        low = u(sum(((1 << width) - 1) << i for i in range(0, 64, 2 * width)))
-        rev = ((rev >> u(width)) & low) | ((rev & low) << u(width))
-    return (rev >> u(64 - m)) ^ u((1 << m) - 1)
+    for width, low in _SWAPS[:k]:
+        rev = ((rev >> width) & low) | ((rev & low) << width)
+    return (rev >> np.uint64((1 << k) - m)) ^ np.uint64((1 << m) - 1)
 
 
 def _self_revcomp_columns(m: int, top: np.ndarray) -> np.ndarray:
@@ -189,21 +204,37 @@ def _isolated(bits: np.ndarray, cells: int, m: int, not_top: int, not_bottom: in
     return lonely != 0
 
 
-def _connected(bits: np.ndarray, m: int, not_top: int, not_bottom: int) -> np.ndarray:
-    """Element-wise: bits is nonzero and forms one 4-connected region.
+def _connected(bits: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Element-wise: the 1-cells of a complement-rule board with Euler number 1
+    form one 4-connected region.
 
-    Each region grows from its lowest set bit to its 4-neighbourhood inside
-    the label mask.  A candidate leaves the working set as soon as it fills
-    its mask (connected) or stops growing short of it (not connected), so
-    later iterations only touch the slow ones.
+    Euler number 1 means c4 - h = 1, with c4 the 4-components of the
+    1-cells and h the 8-components of 0-cells that touch no border cell
+    (Gray's bit-quad count, see _edges_minus_squares).  The half-turn maps
+    the 0-cells onto the 1-cells and preserves the border and 8-adjacency
+    (the 4/8 duality of Rosenfeld, "Digital topology", Amer. Math. Monthly
+    86, 1979), so h is also the number of 8-components of 1-cells that
+    touch no border cell.  Hence c4 = 1 exactly when an 8-connected flood
+    seeded at the 1-cells on the border covers every 1-cell.
+
+    The flood grows by one 8-neighbourhood a step inside the label mask,
+    so it takes as many steps as the farthest 1-cell lies from the border,
+    not as the longest path through the region.  A candidate leaves the
+    working set as soon as it fills its mask (connected) or stops growing
+    short of it (not connected).
     """
     u = np.uint64
+    not_top, not_bottom = _row_masks(m, n)
+    assert (_edges_minus_squares(bits, m, not_bottom) == m * n // 2 - 1).all()
+    # the top and bottom rows, and the first and last columns (none at n = 0)
+    border = ((1 << (m * n)) - 1) & ~(not_top & not_bottom) | (_columns_mask(m, (0, n - 1)) if n else 0)
     ok = np.zeros(bits.size, dtype=bool)
-    idx = np.flatnonzero(bits)
-    mask = bits[idx]
-    cur = mask & (~mask + u(1))
+    idx = np.arange(bits.size)
+    mask = bits
+    cur = bits & u(border)
     while idx.size:
-        grown = (cur | _neighbours(cur, m, not_top, not_bottom)) & mask
+        column = cur | ((cur & u(not_top)) >> u(1)) | ((cur & u(not_bottom)) << u(1))
+        grown = (column | (column >> u(m)) | (column << u(m))) & mask
         full = grown == mask
         ok[idx[full]] = True
         growing = (grown != cur) & ~full
@@ -211,14 +242,38 @@ def _connected(bits: np.ndarray, m: int, not_top: int, not_bottom: int) -> np.nd
     return ok
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    """All complement-rule boards of one shape, as sorted bitboard integers."""
+    """All complement-rule boards of one shape, and the number of cuts up to
+    horizontal reflection.
+
+    The boards are held as a sorted, read-only uint64 array with a mask of
+    the canonical ones.  `graham` and `canonical` give them as sorted
+    tuples of bitboard integers, built on first use, so a count makes no
+    Python int per board.
+    """
 
     m: int
     n: int
-    graham: tuple[int, ...]
-    canonical: tuple[int, ...]
+    boards: np.ndarray
+    is_canonical: np.ndarray
+    orbits: int
+
+    @cached_property
+    def graham(self) -> tuple[int, ...]:
+        return tuple(self.boards.tolist())
+
+    @cached_property
+    def canonical(self) -> tuple[int, ...]:
+        # shares graham's int objects, as the cache holds both
+        return tuple(compress(self.graham, self.is_canonical.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SweepResult):
+            return NotImplemented
+        return ((self.m, self.n, self.orbits) == (other.m, other.n, other.orbits)
+                and np.array_equal(self.boards, other.boards)
+                and np.array_equal(self.is_canonical, other.is_canonical))
 
 
 def _outer_or(parts: list[np.ndarray]) -> np.ndarray:
@@ -438,23 +493,34 @@ def sweep(m: int, n: int, *, budget: int | None = None) -> SweepResult:
 def _sweep(m: int, n: int) -> SweepResult:
     """The body of `sweep`, cached per process; `cache_info()` counts hits."""
     u = np.uint64
-    not_top, not_bottom = _row_masks(m, n)
     survivors = np.concatenate([np.zeros(0, dtype=u), *_euler_blocks(m, n)])
     # the 0-region is the half-turn image of the 1-region, so it is connected
-    # exactly when the 1-region is; only the 1s need a flood fill
-    half = survivors[_connected(survivors, m, not_top, not_bottom)]
-    boards = np.sort(np.concatenate([half, half ^ u((1 << (m * n)) - 1)]))
+    # exactly when the 1-region is; and every survivor has Euler number 1, so
+    # the 1s are connected exactly when a flood from their border cells
+    # covers them (see _connected)
+    half = survivors[_connected(survivors, m, n)]
+    comp = u((1 << (m * n)) - 1)
+    boards = np.sort(np.concatenate([half, half ^ comp]))
 
     if m * n % 2 == 1:
         assert not boards.size
 
+    # each cut is one board of half; horizontal reflection reverses the order
+    # of the m-bit columns, and an orbit's key is the least of the four boards
+    # a cut and its reflection make up
+    flipped = np.zeros_like(half)
+    for j in range(n):
+        flipped |= ((half >> u(j * m)) & u((1 << m) - 1)) << u((n - 1 - j) * m)
+    # distinct values by sort: np.unique imports numpy.ma on first use (11 ms)
+    keys = np.sort(np.minimum(np.minimum(half, half ^ comp), np.minimum(flipped, flipped ^ comp)))
+    orbits = int(np.count_nonzero(keys[1:] != keys[:-1])) + 1 if keys.size else 0
+
     # the stipulations of board.is_canonical, on the whole array
     bottom_left = sum(1 << (j * m + m - 1) for j in range((n + 1) // 2))
     keep = ((boards & u(bottom_left)) == 0) & (2 * np.bitwise_count(boards & u((1 << m) - 1)) <= m)
-    # canonical shares graham's int objects, as the cache holds both
-    graham = boards.tolist()
-    canonical = list(compress(graham, keep.tolist()))
-    return SweepResult(m, n, tuple(graham), tuple(canonical))
+    # the cache hands these arrays to every caller
+    boards.flags.writeable = keep.flags.writeable = False
+    return SweepResult(m, n, boards, keep, orbits)
 
 
 @dataclass(frozen=True)
@@ -485,33 +551,25 @@ class CountReport:
 
 
 def count_report(m: int, n: int, *, budget: int | None = None) -> CountReport:
-    """Count canonical matrices, cuts and reflection orbits by full sweep."""
+    """Count canonical matrices, cuts and reflection orbits by full sweep.
+
+    All three are read from the cached SweepResult: cuts and canonical
+    matrices from its arrays, and orbits as the sweep counted them on its
+    uint64 boards, so no array is rebuilt from a tuple.
+    """
     if not 1 <= m <= 6:
         raise ValueError(f"row count {m} outside the validated sweep range 1..6")
     started = time.perf_counter()
     result = sweep(m, n, budget=budget)
-    cuts = len(result.graham) // 2
-
-    # a cut is represented by whichever of its two boards is the smaller integer
-    u = np.uint64
-    comp = u((1 << (m * n)) - 1)
-    boards = np.array(result.graham, dtype=np.uint64)
-    reps = boards[boards < boards ^ comp]
-    # horizontal reflection reverses the order of the m-bit columns
-    flipped = np.zeros_like(reps)
-    for j in range(n):
-        flipped |= ((reps >> u(j * m)) & u((1 << m) - 1)) << u((n - 1 - j) * m)
-    # distinct values by sort: np.unique imports numpy.ma on first use (11 ms)
-    keys = np.sort(np.minimum(reps, np.minimum(flipped, flipped ^ comp)))
-    orbits = int(np.count_nonzero(keys[1:] != keys[:-1])) + 1 if keys.size else 0
-    assert orbits <= cuts <= 2 * orbits or cuts == 0
+    cuts = result.boards.size // 2
+    assert result.orbits <= cuts <= 2 * result.orbits or cuts == 0
 
     return CountReport(
         m=m,
         n=n,
-        canonical=len(result.canonical),
+        canonical=int(np.count_nonzero(result.is_canonical)),
         cuts=cuts,
-        orbits=orbits,
+        orbits=result.orbits,
         elapsed_ms=(time.perf_counter() - started) * 1000.0,
         canonical_validated=(m == 4),
     )

@@ -430,6 +430,76 @@ class TestEulerSieve:
         assert len(calls) == 1
 
 
+def euler_survivors(m, n):
+    return np.concatenate([np.zeros(0, dtype=np.uint64), *oracle._euler_blocks(m, n)])
+
+
+class TestConnected:
+    def test_border_flood_matches_component_count(self):
+        # every shape with m*ceil(n/2) <= 16 and m*n <= 64 (100 shapes)
+        verdicts = set()
+        for m in range(1, 17):
+            for n in range(1, 65):
+                if m * ((n + 1) // 2) <= 16 and m * n <= 64:
+                    survivors = euler_survivors(m, n)
+                    connected = oracle._connected(survivors, m, n)
+                    expected = count_components(survivors, m, n, eight=False) == 1
+                    assert np.array_equal(connected, expected), (m, n)
+                    verdicts.update(connected.tolist())
+        assert verdicts == {False, True}
+
+    def test_4x12_survivors(self):
+        survivors = euler_survivors(4, 12)
+        connected = oracle._connected(survivors, 4, 12)
+        assert (survivors.size, int(np.count_nonzero(~connected))) == (6279, 1965)
+
+    def test_precondition_is_asserted(self):
+        # two 1-cells in opposite corners of a 2 x 2 board: Euler number 2
+        with pytest.raises(AssertionError):
+            oracle._connected(np.array([0b1001], dtype=np.uint64), 2, 2)
+
+
+class TestRevcompColumns:
+    @pytest.mark.parametrize("m", range(1, 65))
+    def test_matches_string_reversal(self, m):
+        full = (1 << m) - 1
+        rng = np.random.default_rng(m)
+        alternating = [0x5555555555555555, 0xAAAAAAAAAAAAAAAA, 1, 1 << (m - 1)]
+        random = rng.integers(0, 1 << 64, size=40, dtype=np.uint64).tolist()
+        values = [0, full] + [v & full for v in alternating + random]
+        got = oracle._revcomp_columns(np.array(values, dtype=np.uint64), m).tolist()
+        assert got == [int(format(c, f"0{m}b")[::-1], 2) ^ full for c in values]
+
+
+class TestSweepResult:
+    def test_tuples_come_from_the_arrays(self):
+        result = oracle.sweep(4, 6)
+        assert result.graham == tuple(result.boards.tolist())
+        assert result.canonical == tuple(itertools.compress(result.graham, result.is_canonical))
+        # canonical shares graham's int objects
+        graham_ids = {id(board) for board in result.graham}
+        assert all(id(board) in graham_ids for board in result.canonical)
+
+    def test_cached_arrays_are_read_only(self):
+        result = oracle.sweep(4, 6)
+        with pytest.raises(ValueError):
+            result.boards[0] = 0
+        with pytest.raises(ValueError):
+            result.is_canonical[0] = True
+
+    def test_count_builds_no_tuples(self):
+        oracle._sweep.cache_clear()
+        oracle.count_report(4, 8)
+        assert not {"graham", "canonical"} & vars(oracle.sweep(4, 8)).keys()
+
+    def test_equality_compares_the_boards(self):
+        result = oracle.sweep(4, 6)
+        same = oracle.SweepResult(4, 6, result.boards.copy(), result.is_canonical.copy(), result.orbits)
+        assert same == result
+        assert oracle.SweepResult(4, 6, result.boards[1:], result.is_canonical[1:], result.orbits) != result
+        assert oracle.SweepResult(4, 6, result.boards, ~result.is_canonical, result.orbits) != result
+
+
 class TestDelahaye:
     def test_formula_values(self):
         assert [oracle.delahaye_formula(n) for n in range(1, 7)] == [2, 5, 12, 27, 58, 121]
