@@ -37,7 +37,6 @@ from .series import (
     Recurrence,
     generating_function,
     recurrence_of,
-    resolvent_sum,
     series_terms,
 )
 from .asymptotics import AsymptoticEstimate, dominant_form, error_profile
@@ -69,7 +68,6 @@ __all__ = [
     "is_graham",
     "recurrence_of",
     "regenerate_figures",
-    "resolvent_sum",
     "revcomp",
     "series_terms",
     "transfer_matrix",

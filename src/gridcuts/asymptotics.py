@@ -2,15 +2,17 @@
 
 The coefficient growth of a rational generating function is controlled by
 the smallest-modulus zeros of its denominator.  The smallest positive pole
-z is found by one descent: Sturm sign-variation counts on the squarefree
-part of the denominator halve (0, Cauchy bound] toward the leftmost positive
-root until it is alone, and bisection refines that one root.  The chain is
-built in integers from pseudo-remainders, and bisection keeps both ends
-over one common denominator.  The reported interval is certified: the
-polynomial changes sign across it and it contains exactly one root.  That
-one Sturm chain is the only one built: whether z is a multiple pole, and
-whether -z is a pole too, are each a gcd with the squarefree part and a
-sign test across the certified interval.
+z is found by one descent: sign-variation counts of the Sturm chain of the
+denominator D halve (0, Cauchy bound] toward the leftmost positive root
+until it is alone, and bisection refines that one root.  The chain is built
+in integers, and bisection keeps both ends over one common denominator.
+At points that are not roots the chain counts distinct roots even when D is
+not squarefree, and it ends in a multiple of gcd(D, D'), which gives the
+squarefree part that is bisected.  The reported interval is certified: that
+part changes sign across it and it contains exactly one root.  The chain is
+the only remainder sequence run over D: whether z is a multiple pole, and
+whether -z is a pole too, are each a gcd with the squarefree part and a sign
+test across the certified interval.
 
 Supported pole shapes: a single simple positive dominant pole z, or a simple
 real pair +-z.  The amplitude at a simple pole r of N/D is -N(r)/(r D'(r)),
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import gcd as int_gcd, lcm
+from math import lcm
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,17 +57,10 @@ class UnsupportedPoleShape(GridcutsError, ValueError):
 
 
 def sturm_chain(p: Polynomial) -> list[Polynomial]:
-    """Sturm sequence of p in integers: each element is the negated
-    pseudo-remainder of the two before it over its positive content, a
-    positive multiple of the rational chain's element, so sign variations
+    """Sturm sequence of p in integers, `p.remainders(p')`: a positive
+    multiple of the rational chain element by element, so sign variations
     are the same.  (`primitive` would flip signs with the leading term.)"""
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero():
-        rem = chain[-2].pseudo_remainder(chain[-1])
-        content = int_gcd(*rem.coeffs) or 1
-        chain.append(Polynomial([-c // content for c in rem.coeffs]))
-    chain.pop()
-    return chain
+    return list(p.remainders(p.derivative()))
 
 
 def _sign_at(coeffs: Sequence[int], a: int, q: int, shift: int) -> int:
@@ -118,15 +113,22 @@ def refine_root(p: Polynomial, lo: Fraction, hi: Fraction, width: Fraction) -> t
     return Fraction(a, q << k), Fraction(b, q << k)
 
 
-def smallest_positive_root(sqf: Polynomial) -> tuple[Fraction, Fraction] | None:
-    """Certified bracket of the smallest positive root of a squarefree sqf
-    with sqf(0) != 0, narrower than 10^-30; None when there is no such root.
+def smallest_positive_root(p: Polynomial) -> tuple[Fraction, Fraction] | None:
+    """Certified bracket of the smallest positive root of p with p(0) != 0,
+    narrower than 10^-30; None when there is no such root.  p need not be
+    squarefree: its Sturm chain ends in a multiple of gcd(p, p'), and
+    p / gcd(p, p') is bisected."""
+    chain = sturm_chain(p)
+    return _leftmost_root(chain, p.divexact(chain[-1].primitive()))
 
-    One Sturm chain drives a descent from (0, Cauchy bound]: halve toward
-    the leftmost root until it is alone, then bisect it once.  Neither end
-    of the start interval is a root, so the counts need no nudging there.
+
+def _leftmost_root(chain: Sequence[Polynomial], sqf: Polynomial) -> tuple[Fraction, Fraction] | None:
+    """`smallest_positive_root` from the Sturm chain and squarefree part.
+
+    The chain drives a descent from (0, Cauchy bound]: halve toward the
+    leftmost root until it is alone, then bisect it once in sqf.  Neither
+    end of the start interval is a root, so the counts need no nudging there.
     """
-    chain = sturm_chain(sqf)
     lo, hi = Fraction(0), _root_bound(sqf)
     v_lo, v_hi = _variations(chain, lo), _variations(chain, hi)
     while v_lo - v_hi > 1:
@@ -210,9 +212,10 @@ def dominant_form(
     if den.constant() == 0:
         raise UnsupportedPoleShape("pole at 0")
 
-    multiple = den.gcd(den.derivative())
+    chain = sturm_chain(den)
+    multiple = chain[-1].primitive()  # gcd(D, D') up to the sign and content primitive() removes
     sqf = den.divexact(multiple)
-    bracket = smallest_positive_root(sqf)
+    bracket = _leftmost_root(chain, sqf)
     if bracket is None:
         raise UnsupportedPoleShape("no positive real pole")
     lo, hi = bracket

@@ -268,13 +268,6 @@ class SweepResult:
         # shares graham's int objects, as the cache holds both
         return tuple(compress(self.graham, self.is_canonical.tolist()))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SweepResult):
-            return NotImplemented
-        return ((self.m, self.n, self.orbits) == (other.m, other.n, other.orbits)
-                and np.array_equal(self.boards, other.boards)
-                and np.array_equal(self.is_canonical, other.is_canonical))
-
 
 def _outer_or(parts: list[np.ndarray]) -> np.ndarray:
     """Every OR of one entry from each array, as one flat array."""

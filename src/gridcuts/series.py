@@ -27,9 +27,9 @@ A `RationalFunction` puts itself in normal form when it is constructed:
 numerator and denominator are coprime integer polynomials with coprime
 contents and a positive leading denominator coefficient.  No other form can
 be built, so equality of generating functions is a literal coefficient
-comparison and no consumer normalizes again.  Gcds never leave the integers:
-they run a primitive pseudo-remainder sequence (Brown & Traub 1971), dividing
-each remainder by its content.
+comparison and no consumer normalizes again.  Gcds and Sturm chains never
+leave the integers: both run `Polynomial.remainders`, one primitive
+pseudo-remainder sequence (Brown & Traub 1971).
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ __all__ = [
     "charpoly",
     "recurrence_of",
     "resolvent_denominator_lcm",
-    "resolvent_sum",
     "series_terms",
 ]
 
@@ -75,7 +74,6 @@ class Polynomial:
             items.pop()
         object.__setattr__(self, "coeffs", tuple(items))
 
-    ZERO: "Polynomial"
     ONE: "Polynomial"
 
     @property
@@ -173,18 +171,26 @@ class Polynomial:
             content = -content
         return Polynomial([c // content for c in self.coeffs])
 
+    def remainders(self, other: "Polynomial") -> Iterator["Polynomial"]:
+        """self, other, then each negated pseudo-remainder of the two before
+        over its positive content, up to the last nonzero one: a positive
+        multiple of the rational remainder sequence, element by element, so
+        from p and p' it is p's Sturm chain, and it ends in a gcd multiple."""
+        a, b = self, other
+        yield a
+        while not b.is_zero():
+            yield b
+            rem = a.pseudo_remainder(b)
+            content = int_gcd(*rem.coeffs) or 1
+            a, b = b, Polynomial([-c // content for c in rem.coeffs])
+
     def gcd(self, other: "Polynomial") -> "Polynomial":
         """Greatest common divisor over the rationals, as a primitive integer
-        polynomial with positive leading coefficient (zero for two zeros).
-
-        Primitive pseudo-remainder sequence: each remainder is reduced to
-        its primitive part, which keeps the coefficients small without ever
-        leaving the integers.
-        """
-        a, b = self.primitive(), other.primitive()
-        while not b.is_zero():
-            a, b = b, a.pseudo_remainder(b).primitive()
-        return a
+        polynomial with positive leading coefficient (zero for two zeros)."""
+        # keep only the last remainder: a whole sequence can be hundreds of MB
+        for last in self.primitive().remainders(other.primitive()):
+            pass
+        return last.primitive()
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -210,7 +216,6 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
 
-Polynomial.ZERO = Polynomial()
 Polynomial.ONE = Polynomial([1])
 
 
@@ -356,8 +361,8 @@ def _board_counts(T: TransferMatrix, count: int) -> list[int]:
     return out[:count]
 
 
-def resolvent_sum(T: TransferMatrix) -> RationalFunction:
-    """Generating function of the machine from its transfer matrix.
+def _certified_gf(T: TransferMatrix) -> tuple[Polynomial, Polynomial]:
+    """Generating function (N, D) of a transfer matrix, before normal form.
 
     A word of k symbols encodes a board of width 2k (counted by the even
     accept vector, weight x^2 per symbol) or width 2k-1 (odd accept vector,
@@ -365,23 +370,18 @@ def resolvent_sum(T: TransferMatrix) -> RationalFunction:
     counts and certified by the degree bound 2S; see the module docstring.
     """
     bound = 2 * T.order
-    num, den = certified_series(_board_counts(T, 2 * bound + 4), bound)
-    return RationalFunction(num, den)
+    return certified_series(_board_counts(T, 2 * bound + 4), bound)
 
 
 @cache
 def generating_function(automaton) -> RationalFunction:
-    """Machine gf over its divisor (general machines read each cut twice).
-
-    Cached per process: a machine and its gf are immutable values, so equal
-    machines share one certified gf.
-    """
+    """Machine gf over its divisor (general machines read each cut twice),
+    put in normal form once.  Cached per process: a machine and its gf are
+    immutable values, so equal machines share one certified gf."""
     from .automaton import transfer_matrix
 
-    gf = resolvent_sum(transfer_matrix(automaton))
-    if automaton.divisor == 1:
-        return gf
-    return RationalFunction(gf.numerator, gf.denominator * automaton.divisor)
+    num, den = _certified_gf(transfer_matrix(automaton))
+    return RationalFunction(num, den * automaton.divisor)
 
 
 def _basis_powers(matrix: Sequence[Sequence[int]], top: int) -> Iterator[list[list[int]]]:

@@ -32,10 +32,16 @@ from gridcuts.series import (
     Polynomial,
     RationalFunction,
     generating_function,
-    resolvent_sum,
     series_terms,
 )
-from test_series import fraction_horner, fractions, integer_polys, nonzero_polys, rational_divmod
+from test_series import (
+    fraction_horner,
+    fractions,
+    integer_polys,
+    nonzero_polys,
+    rational_divmod,
+    resolvent_sum,
+)
 
 
 def poly(*coeffs):
@@ -298,6 +304,13 @@ class TestRootIsolationAgainstFractions:
         assert refine_root(p, *bracket, _REFINE_WIDTH) == (root, root)
         assert fraction_refine_root(p, *bracket, _REFINE_WIDTH) == (root, root)
 
+    @given(squarefree_polys(), nonzero_polys)
+    def test_repeated_factors_give_the_squarefree_bracket(self, q_root, r):
+        p = q_root[0] * q_root[0] * r
+        assume(p.constant() != 0)
+        sqf = p.divexact(p.gcd(p.derivative()))
+        assert smallest_positive_root(p) == smallest_positive_root(sqf)
+
     @given(squarefree_polys())
     def test_smallest_positive_root(self, p_root):
         p = p_root[0]
@@ -309,6 +322,14 @@ class TestRootIsolationAgainstFractions:
 class TestDominantForm:
     def test_growth(self, estimate):
         assert abs(estimate.growth - REFERENCE_GROWTH) <= 1e-8
+
+    def test_one_chain_gives_gcd_of_d_and_its_derivative(self, machine_gf, monkeypatch):
+        # two gcds test the multiple and the mirror pole; gcd(D, D') ends the Sturm chain
+        calls = []
+        real = Polynomial.gcd
+        monkeypatch.setattr(Polynomial, "gcd", lambda a, b: calls.append(1) or real(a, b))
+        dominant_form(machine_gf)
+        assert calls == [1, 1]
 
     def test_amplitudes(self, estimate):
         assert abs(estimate.amplitude - REFERENCE_A) <= 1e-4

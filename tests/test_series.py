@@ -20,13 +20,13 @@ from gridcuts.series import (
     InexactError,
     Polynomial,
     RationalFunction,
+    _certified_gf,
     certified_series,
     charpoly,
     generating_function,
     product,
     recurrence_of,
     resolvent_denominator_lcm,
-    resolvent_sum,
     series_terms,
 )
 
@@ -52,7 +52,7 @@ def bareiss_determinant(matrix):
         return Polynomial.ONE
     rows = [list(row) for row in matrix]
     if isinstance(rows[0][0], Polynomial):
-        zero, prev, divexact = Polynomial.ZERO, Polynomial.ONE, Polynomial.divexact
+        zero, prev, divexact = Polynomial(), Polynomial.ONE, Polynomial.divexact
     else:
         zero, prev, divexact = 0, 1, floordiv
     sign = 1
@@ -85,6 +85,11 @@ def series_terms_longdiv(G, count):
             if n + k < len(remainder):
                 remainder[n + k] -= c * d
     return out[1:]
+
+
+def resolvent_sum(T):
+    """The gf of a transfer matrix, divisor 1, in normal form."""
+    return RationalFunction(*_certified_gf(T))
 
 
 @pytest.fixture(scope="module")
@@ -421,7 +426,7 @@ def _bordered_bareiss_gf(T):
 
     def walk(accept):
         bordered = [row + [Polynomial([accept[i]])] for i, row in enumerate(base)]
-        bordered.append([Polynomial([v]) for v in T.start_vector] + [Polynomial.ZERO])
+        bordered.append([Polynomial([v]) for v in T.start_vector] + [Polynomial()])
         return bareiss_determinant(bordered) * -1
 
     num = padd(poly(0, 0, 1) * walk(T.accept_even_vector), poly(0, 1) * walk(T.accept_odd_vector))
@@ -468,7 +473,7 @@ class TestGuessAndCertify:
     def test_empty_machine(self):
         T = TransferMatrix(entries=(), start_vector=(), accept_even_vector=(), accept_odd_vector=())
         gf = resolvent_sum(T)
-        assert gf.numerator == Polynomial.ZERO and gf.denominator == Polynomial.ONE
+        assert gf.numerator == Polynomial() and gf.denominator == Polynomial.ONE
         assert resolvent_denominator_lcm(T) == Polynomial.ONE
 
     def test_recovers_known_function(self):
@@ -542,7 +547,7 @@ def recurrence_gfs(draw):
     tail = draw(st.lists(st.integers(-4, 4) | st.just(0), max_size=8))
     den = Polynomial([draw(st.sampled_from([1, -1, 2, -2, 3, -3])), *tail])
     num = draw(
-        st.just(Polynomial.ZERO)
+        st.just(Polynomial())
         | st.lists(st.integers(-5, 5), max_size=14).map(Polynomial)
         | st.lists(st.integers(-5, 5), max_size=6).map(lambda q: Polynomial(q) * den)
     )
@@ -654,6 +659,16 @@ class TestRecurrence:
         monkeypatch.setattr(Polynomial, "gcd", lambda a, b: calls.append(1) or real(a, b))
         recurrence_of(gf)
         assert calls == []
+
+    def test_general_gf_is_constructed_once(self, monkeypatch):
+        # the divisor joins the certified denominator before the one reduction
+        generating_function.cache_clear()
+        machine = build_general(4)
+        calls = []
+        real = RationalFunction.__post_init__
+        monkeypatch.setattr(RationalFunction, "__post_init__", lambda gf: calls.append(1) or real(gf))
+        generating_function(machine)
+        assert calls == [1]
 
     def test_general_mode_divisor(self):
         gf = generating_function(build_general(4))
