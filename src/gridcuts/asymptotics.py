@@ -44,7 +44,6 @@ __all__ = [
     "dominant_form",
     "error_profile",
     "refine_root",
-    "smallest_positive_root",
     "sturm_chain",
 ]
 
@@ -113,17 +112,10 @@ def refine_root(p: Polynomial, lo: Fraction, hi: Fraction, width: Fraction) -> t
     return Fraction(a, q << k), Fraction(b, q << k)
 
 
-def smallest_positive_root(p: Polynomial) -> tuple[Fraction, Fraction] | None:
-    """Certified bracket of the smallest positive root of p with p(0) != 0,
-    narrower than 10^-30; None when there is no such root.  p need not be
-    squarefree: its Sturm chain ends in a multiple of gcd(p, p'), and
-    p / gcd(p, p') is bisected."""
-    chain = sturm_chain(p)
-    return _leftmost_root(chain, p.divexact(chain[-1].primitive()))
-
-
 def _leftmost_root(chain: Sequence[Polynomial], sqf: Polynomial) -> tuple[Fraction, Fraction] | None:
-    """`smallest_positive_root` from the Sturm chain and squarefree part.
+    """Certified bracket of the smallest positive root of p, narrower than
+    10^-30, or None when p has none; `chain` is p's Sturm chain, `sqf` its
+    squarefree part, and p(0) != 0.
 
     The chain drives a descent from (0, Cauchy bound]: halve toward the
     leftmost root until it is alone, then bisect it once in sqf.  Neither

@@ -31,13 +31,15 @@ reachable are trimmed; this never removes a state that lies on some
 accepting path.  `live_words` is the one walk over a built machine: it
 yields every word not yet rejected, with its state, shortest first.
 
-The closure never leaves the mask encoding.  A state is interned by the key
-(column, sorted block masks), which names it as exactly as the `State` does:
-the column fixes each block's label.  Each interned state's masks and each
-symbol's runs are computed once, a successor is glued straight from them by
-`_step`, and the `State` object with its row tuples is made only the first
-time a key is seen.  Interning order, and so the STATE_CAP check, follow the
-breadth-first discovery of the states from the start columns.
+A `State` is stored in the mask encoding only: the column and its sorted
+block masks, a tuple that is also the key the closure interns it by.  The
+column fixes each block's label, so the masks need no label split; the
+row-index views `zero_blocks` and `one_blocks` are derived for the writers.
+Each symbol's runs are computed once, and a successor is glued straight from
+the interned masks by `_step`.  Interning order, and so the STATE_CAP check,
+follow the breadth-first discovery of the states from the start columns; the
+kept states are numbered in row-tuple order, (column, zero_blocks,
+one_blocks), which mask order does not follow from m = 4 up.
 
 `build_canonical` and `build_general` are cached per process, and so is
 `series.generating_function`: a machine and its gf are immutable values, so
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import GridcutsError
 
@@ -101,41 +103,35 @@ def revcomp(m: int, col: int) -> int:
     return _reverse(m, col) ^ ((1 << m) - 1)
 
 
-Blocks = tuple[tuple[int, ...], ...]
+def _rows(mask: int) -> tuple[int, ...]:
+    """The row indices of a row mask, top row first."""
+    return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
-@dataclass(frozen=True, order=True)
-class State:
+class State(NamedTuple):
     """The column just read, as an m-bit int, and the partition of its cells
-    into live components of the board prefix, per label.
+    into live components of the board prefix, as sorted row masks.
 
-    Blocks hold row indices; every cell of the column sits in exactly one
-    block of its label's partition, so the blocks together cover rows
-    0..m-1.
+    The blocks are pairwise disjoint, each holds cells of one label, and
+    together they cover rows 0..m-1: they OR to 2^m - 1.
     """
 
     column: int
-    zero_blocks: Blocks
-    one_blocks: Blocks
+    blocks: tuple[int, ...]
 
     @property
     def m(self) -> int:
-        return sum(map(len, self.zero_blocks)) + sum(map(len, self.one_blocks))
+        return sum(self.blocks).bit_length()  # disjoint masks: the sum is their OR
 
+    @property
+    def zero_blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks of label 0 as sorted row-index tuples."""
+        return tuple(sorted(_rows(b) for b in self.blocks if not b & self.column))
 
-def _masks(state: State) -> list[int]:
-    """Every block of the state as a row mask, row i in bit i."""
-    return [sum(1 << i for i in rows) for rows in state.zero_blocks + state.one_blocks]
-
-
-def _state(m: int, col: int, blocks: list[int]) -> State:
-    """The state for `col` whose blocks are the given row masks."""
-    rows = [(bool(b & col), tuple(i for i in range(m) if (b >> i) & 1)) for b in blocks]
-    return State(
-        col,
-        tuple(sorted(r for label, r in rows if not label)),
-        tuple(sorted(r for label, r in rows if label)),
-    )
+    @property
+    def one_blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks of label 1 as sorted row-index tuples."""
+        return tuple(sorted(_rows(b) for b in self.blocks if b & self.column))
 
 
 def _runs(m: int, col: int) -> list[int]:
@@ -182,14 +178,6 @@ def _step(blocks: Sequence[int], column: int, col: int, runs: list[int]) -> list
     return [right for _, right in _glue(blocks, runs, agree)]
 
 
-def _accepts(m: int, col: int, blocks: Sequence[int]) -> tuple[bool, bool]:
-    """`acceptance` of the state for `col` with the given block masks."""
-    rc = revcomp(m, col)
-    comps = _glue(blocks, [_reverse(m, b) for b in blocks], ~(col ^ rc))
-    even = len(comps) == 2
-    return even, even and col == rc
-
-
 def acceptance(state: State) -> tuple[bool, bool]:
     """(even, odd) acceptance, computed from the state alone.
 
@@ -203,7 +191,12 @@ def acceptance(state: State) -> tuple[bool, bool]:
     must be its own reversed complement; then the two columns agree at every
     row and the glue is the even one.
     """
-    return _accepts(state.m, state.column, _masks(state))
+    col, blocks = state
+    m = state.m
+    rc = revcomp(m, col)
+    comps = _glue(blocks, [_reverse(m, b) for b in blocks], ~(col ^ rc))
+    even = len(comps) == 2
+    return even, even and col == rc
 
 
 @dataclass(frozen=True)
@@ -233,38 +226,35 @@ class Automaton:
 
 def _build(m: int, mode: str, alphabet: tuple[int, ...],
            start_cols: tuple[int, ...], divisor: int) -> Automaton:
-    # a state is interned by (column, sorted block masks); see the module docstring
-    index: dict[tuple[int, tuple[int, ...]], int] = {}
-    keys: list[tuple[int, tuple[int, ...]]] = []
+    index: dict[State, int] = {}
     order: list[State] = []
     edges: dict[tuple[int, int], int] = {}
     runs = {col: _runs(m, col) for col in alphabet}
 
     def intern(col: int, blocks: list[int]) -> int:
-        key = (col, tuple(sorted(blocks)))
-        idx = index.get(key)
+        state = State(col, tuple(sorted(blocks)))
+        idx = index.get(state)
         if idx is None:
             if len(order) >= STATE_CAP:
                 raise StateExplosionError(
                     f"more than {STATE_CAP} states for m={m} mode={mode}"
                 )
             idx = len(order)
-            index[key] = idx
-            keys.append(key)
-            order.append(_state(m, col, blocks))
+            index[state] = idx
+            order.append(state)
         return idx
 
     start_set = {intern(col, _runs(m, col)) for col in start_cols}
     src = 0
     while src < len(order):  # every interned state is stepped once, in order
-        column, blocks = keys[src]
+        column, blocks = order[src]
         for col in alphabet:
             stepped = _step(blocks, column, col, runs[col])
             if stepped is not None:
                 edges[(src, col)] = intern(col, stepped)
         src += 1
 
-    accepts = [_accepts(m, col, blocks) for col, blocks in keys]
+    accepts = [acceptance(state) for state in order]
 
     # trim states that cannot reach any accepting state
     reverse: dict[int, set[int]] = {i: set() for i in range(len(order))}
@@ -279,7 +269,8 @@ def _build(m: int, mode: str, alphabet: tuple[int, ...],
                 useful.add(prev)
                 stack.append(prev)
 
-    kept = sorted(useful, key=lambda i: order[i])
+    # numbered in row-tuple order, not mask order; see the module docstring
+    kept = sorted(useful, key=lambda i: (order[i].column, order[i].zero_blocks, order[i].one_blocks))
     remap = {old: new for new, old in enumerate(kept)}
     final_states = tuple(order[i] for i in kept)
     transitions = tuple(

@@ -40,7 +40,7 @@ from functools import cache
 from math import gcd as int_gcd
 from typing import Iterable, Iterator, Sequence
 
-from .automaton import TransferMatrix
+from .automaton import TransferMatrix, transfer_matrix
 from .errors import GridcutsError
 
 __all__ = [
@@ -378,8 +378,6 @@ def generating_function(automaton) -> RationalFunction:
     """Machine gf over its divisor (general machines read each cut twice),
     put in normal form once.  Cached per process: a machine and its gf are
     immutable values, so equal machines share one certified gf."""
-    from .automaton import transfer_matrix
-
     num, den = _certified_gf(transfer_matrix(automaton))
     return RationalFunction(num, den * automaton.divisor)
 

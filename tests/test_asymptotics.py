@@ -12,13 +12,13 @@ from gridcuts.asymptotics import (
     UnsupportedPoleShape,
     _REFINE_WIDTH,
     _decimal_digits,
+    _leftmost_root,
     _root_bound,
     _sign_at,
     _variations,
     dominant_form,
     error_profile,
     refine_root,
-    smallest_positive_root,
     sturm_chain,
 )
 from gridcuts.automaton import build_canonical, build_general, transfer_matrix
@@ -46,6 +46,15 @@ from test_series import (
 
 def poly(*coeffs):
     return Polynomial(coeffs)
+
+
+def smallest_positive_root(p):
+    """Certified bracket of the smallest positive root of p with p(0) != 0,
+    narrower than 10^-30; None when there is no such root.  p need not be
+    squarefree: its Sturm chain ends in a multiple of gcd(p, p'), and
+    p / gcd(p, p') is bisected, as `dominant_form` does for a denominator."""
+    chain = sturm_chain(p)
+    return _leftmost_root(chain, p.divexact(chain[-1].primitive()))
 
 
 def fraction_variations(chain, x):

@@ -1,6 +1,8 @@
 import hashlib
 import json
-from itertools import product
+from functools import reduce
+from itertools import combinations, product
+from operator import or_
 
 import pytest
 
@@ -34,14 +36,14 @@ def col(*bits):
 
 def start_state(m, column):
     """The state after reading `column` first: its blocks are its runs."""
-    return automaton._state(m, column, automaton._runs(m, column))
+    return State(column, tuple(automaton._runs(m, column)))
 
 
 def step_state(state, column):
     """`state` after reading `column`, or None when the word is rejected."""
     runs = automaton._runs(state.m, column)
-    blocks = automaton._step(automaton._masks(state), state.column, column, runs)
-    return None if blocks is None else automaton._state(state.m, column, blocks)
+    blocks = automaton._step(state.blocks, state.column, column, runs)
+    return None if blocks is None else State(column, tuple(sorted(blocks)))
 
 
 def count_boards(machine, n):
@@ -73,8 +75,8 @@ def automaton_from_json_dict(data):
         states=tuple(
             State(
                 col(*s["column"]),
-                tuple(tuple(b) for b in s["profile"]["zero"]),
-                tuple(tuple(b) for b in s["profile"]["one"]),
+                tuple(sorted(sum(1 << i for i in rows)
+                             for rows in s["profile"]["zero"] + s["profile"]["one"])),
             )
             for s in data["states"]
         ),
@@ -327,7 +329,8 @@ def closure_machine(mode, m):
 
 
 class TestClosureMatchesStepState:
-    """The closure steps interned masks; `step_state` steps `State`s."""
+    """The closure's edges and start states against `start_state` and
+    `step_state`, one state and one `_step` at a time."""
 
     @pytest.mark.parametrize("mode,m", CLOSURE_MACHINES)
     def test_edges_are_single_steps(self, mode, m):
@@ -351,6 +354,48 @@ class TestClosureMatchesStepState:
 
     def test_canonical_closure_is_the_built_machine(self):
         assert closure_machine("canonical", 4) == build_canonical(4)
+
+
+def label_swap(m, state):
+    """σ: every label flipped; each block keeps its rows."""
+    return State(state.column ^ ((1 << m) - 1), state.blocks)
+
+
+def row_flip(m, state):
+    """ρ: the rows of the column and of every block turned upside down."""
+    return State(automaton._reverse(m, state.column),
+                 tuple(sorted(automaton._reverse(m, b) for b in state.blocks)))
+
+
+def symmetry_orbits(machine):
+    """The number of orbits of the kept states under σ and ρ, once both are
+    checked to map kept states, edges, and the start and accept sets onto
+    themselves."""
+    # an edge's symbol is the column of the state it enters, so it moves with it
+    assert all(machine.states[dst].column == sym for _, sym, dst in machine.transitions)
+    number = {state: i for i, state in enumerate(machine.states)}
+    images = []
+    for image in (label_swap, row_flip):
+        perm = [number.get(image(machine.m, state)) for state in machine.states]
+        assert None not in perm, f"{image.__name__} leaves the kept states"
+        moved = {(perm[src], machine.states[perm[dst]].column, perm[dst])
+                 for src, _, dst in machine.transitions}
+        assert moved == set(machine.transitions), f"{image.__name__} moves an edge off the machine"
+        for name in ("start", "accept_even", "accept_odd"):
+            indices = getattr(machine, name)
+            assert {perm[i] for i in indices} == set(indices), f"{image.__name__} moves {name}"
+        images.append(perm)
+    swap, flip = images
+    return len({frozenset((i, swap[i], flip[i], swap[flip[i]])) for i in range(len(swap))})
+
+
+class TestSymmetries:
+    """Label swap σ and row flip ρ fix the general machine: the precondition
+    for lumping its states by orbit."""
+
+    @pytest.mark.parametrize("m,orbits", [(1, 1), (2, 2), (3, 3), (4, 6), (5, 13), (6, 29)])
+    def test_general_machine_is_closed_under_label_swap_and_row_flip(self, m, orbits):
+        assert symmetry_orbits(closure_machine("general", m)) == orbits
 
 
 class TestPerProcessCaches:
@@ -432,6 +477,17 @@ class TestInvariants:
             assert sorted(r for block in state.zero_blocks for r in block) == zeros
             assert sorted(r for block in state.one_blocks for r in block) == ones
 
+    @pytest.mark.parametrize("mode,m", CLOSURE_MACHINES)
+    def test_blocks_are_a_sorted_one_label_partition(self, mode, m):
+        # what `State.m` and the row views read off the masks
+        for state in closure_machine(mode, m).states:
+            blocks = state.blocks
+            assert list(blocks) == sorted(blocks), state
+            assert all(a & b == 0 for a, b in combinations(blocks, 2)), state
+            assert reduce(or_, blocks) == (1 << m) - 1, state
+            assert all(b & state.column in (0, b) for b in blocks), state
+            assert state.m == m
+
     def test_odd_accepting_states_have_self_revcomp_columns(self, canonical):
         for idx in canonical.accept_odd:
             column = canonical.states[idx].column
@@ -464,8 +520,8 @@ class TestTransferMatrixInvariant:
         divisor=1,
         alphabet=(col(0), col(1)),
         states=(
-            State(col(0), ((0,),), ()),
-            State(col(1), (), ((0,),)),
+            State(col(0), (0b1,)),
+            State(col(1), (0b1,)),
         ),
         start=(0,),
         transitions=((0, 0, 1), (0, 1, 1)),

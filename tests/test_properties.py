@@ -20,10 +20,10 @@ from gridcuts.board import (
     satisfies_complement_rule,
     transform,
 )
-from gridcuts.asymptotics import _root_bound, smallest_positive_root
+from gridcuts.asymptotics import _root_bound
 from gridcuts.series import Polynomial, RationalFunction, series_terms
 from gridcuts.verify import _union_find_component_counts
-from test_asymptotics import isolate_real_roots
+from test_asymptotics import isolate_real_roots, smallest_positive_root
 from test_series import psub, series_terms_longdiv
 
 
