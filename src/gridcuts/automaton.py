@@ -21,15 +21,15 @@ board's components; the word is accepted iff exactly one of each label
 remains.  For odd widths the final column is the shared middle column, which
 must equal its own reversed complement.
 
-Two modes share this machinery.  The canonical machine (m = 4) restricts the
-alphabet to the eight columns with a 0 bottom cell and starts from the three
-columns a stipulation-canonical board can begin with; every accepted word is
-one canonical board.  The general machine uses all 2^m columns and every
-column as a start, so each cut is accepted twice, once per labelling
-(divisor 2).  After construction, states from which no accepting state is
-reachable are trimmed; this never removes a state that lies on some
-accepting path.  `live_words` is the one walk over a built machine: it
-yields every word not yet rejected, with its state, shortest first.
+Two modes share this machinery.  The canonical machine takes the two
+stipulations of `board.is_canonical` as its alphabet (the 2^(m-1) columns
+with a 0 bottom cell) and start set (those with no more ones than zeros), so
+every accepted word is one canonical board.  The general machine uses all
+2^m columns and every column as a start, so each cut is accepted twice, once
+per labelling (divisor 2).  After construction, states that cannot reach
+an accepting state are trimmed, which keeps every state on an accepting
+path.  `live_words` is the one walk over a built machine: it yields every
+word not yet rejected, with its state, shortest first.
 
 A `State` is stored in the mask encoding only: the column and its sorted
 block masks, a tuple that is also the key the closure interns it by.  The
@@ -73,10 +73,8 @@ __all__ = [
     "transfer_matrix",
 ]
 
-# 0000, 1000 and 1100 read top to bottom
-CANONICAL_START_BITS = (0b0000, 0b0001, 0b0011)
-
 STATE_CAP = 20_000
+MAX_ROWS = 5  # of both builders; `_build` itself takes any m
 
 
 class StateExplosionError(GridcutsError, RuntimeError):
@@ -295,25 +293,28 @@ def _build(m: int, mode: str, alphabet: tuple[int, ...],
 
 @cache
 def build_canonical(m: int = 4) -> Automaton:
-    """The canonical-convention machine; derived and validated for m = 4.
+    """The canonical-convention machine for m-row boards.
 
-    Alphabet: the 2^(m-1) columns with bottom cell 0 (stipulation 1).  Start
-    columns: all-zero, single 1 on top, two 1s on top - the only first
-    columns a canonical board can have (any other splits one label's cells
-    so that reconnecting them would force the two 4-connected pieces to
-    cross).
+    The alphabet is stipulation 1, the columns with bottom cell 0; the start
+    columns are stipulation 2, those with 2*popcount <= m.  A word is
+    accepted iff it is the left half of a Graham board, which fixes the
+    board, so the machine accepts exactly the boards `board.is_canonical`
+    accepts, each once.  A start state that cannot reach acceptance is
+    trimmed with every state it reaches, as none of those can reach
+    acceptance either: no state that only a dropped start reaches survives.
     """
-    if m != 4:
-        raise ValueError("the canonical machine is defined for m=4")
-    alphabet = tuple(v for v in range(1 << m) if not (v >> (m - 1)) & 1)
-    return _build(m, "canonical", alphabet, CANONICAL_START_BITS, 1)
+    if not 1 <= m <= MAX_ROWS:
+        raise ValueError(f"canonical machines are supported for m in 1..{MAX_ROWS}")
+    alphabet = tuple(range(1 << (m - 1)))  # bit m-1, the bottom cell, is 0
+    start = tuple(v for v in alphabet if 2 * v.bit_count() <= m)
+    return _build(m, "canonical", alphabet, start, 1)
 
 
 @cache
 def build_general(m: int) -> Automaton:
     """The unrestricted machine for m-row boards; every cut is read twice."""
-    if not 1 <= m <= 5:
-        raise ValueError("general machines are supported for m in 1..5")
+    if not 1 <= m <= MAX_ROWS:
+        raise ValueError(f"general machines are supported for m in 1..{MAX_ROWS}")
     alphabet = tuple(range(1 << m))
     return _build(m, "general", alphabet, alphabet, 2)
 

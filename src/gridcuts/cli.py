@@ -170,10 +170,6 @@ def _validate(args: argparse.Namespace) -> None:
             f"--limit must be at most {ASYMPTOTICS_MAX_LIMIT}: the exact error profile "
             f"slows with the digits of c_n, and its errors underflow to 0 from about n = 4500"
         )
-    if args.mode == "canonical" and args.m != 4 and args.command in (
-        "gf", "terms", "recurrence", "automaton",
-    ):
-        raise ValueError("the canonical machine is defined for --m 4; use --mode general")
     if args.only == ():
         raise ValueError("--only names no criterion")
     if args.only is not None:

@@ -120,11 +120,13 @@ def criterion_generating_function(check: _Check) -> None:
 
 
 def criterion_oracle_agreement(check: _Check) -> None:
-    """Sweep counts equal series terms for n = 1..12."""
-    terms = series_terms(_machine_gf(), 12)
-    counts = [oracle.count_report(4, n).canonical for n in range(1, 13)]
-    check.equal(counts, terms, "oracle canonical counts vs series terms")
-    check.details["counts"] = counts
+    """Sweep counts equal canonical series terms: m = 4 for n = 1..12, and
+    m = 1, 2, 3 and 5 for n = 1..10."""
+    for m, widths in ((4, 12), (1, 10), (2, 10), (3, 10), (5, 10)):
+        terms = series_terms(generating_function(build_canonical(m)), widths)
+        counts = [oracle.count_report(m, n).canonical for n in range(1, widths + 1)]
+        check.equal(counts, terms, f"oracle canonical counts vs series terms at m={m}")
+        check.details["counts" if m == 4 else f"counts_m{m}"] = counts
 
 
 def criterion_machine_structure(check: _Check) -> None:

@@ -199,6 +199,11 @@ class TestCanonicalStructure:
         starts = {column_bits(4, canonical.states[i].column) for i in canonical.start}
         assert starts == {(0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0)}
 
+    @pytest.mark.parametrize("m,states", [(1, 1), (2, 2), (3, 4), (4, 9), (5, 21), (6, 51)])
+    def test_states_for_every_m(self, m, states):
+        # oracle agreement: verify's oracle-agreement for m = 1..5, CI for m = 6
+        assert len(closure_machine("canonical", m).states) == states
+
     def test_alphabet_is_bottom_zero_columns(self, canonical):
         assert len(canonical.alphabet) == 8
         assert all(column_bits(4, c)[3] == 0 for c in canonical.alphabet)
@@ -306,8 +311,10 @@ class TestGeneralMachines:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_row_count_range(self):
-        with pytest.raises(ValueError):
-            build_general(6)
+        for build in (build_general, build_canonical):
+            for m in (0, 6):
+                with pytest.raises(ValueError, match="supported for m in 1..5"):
+                    build(m)
 
     def test_state_cap(self, monkeypatch):
         build_general.cache_clear()  # a cached machine would never meet the cap
@@ -316,14 +323,22 @@ class TestGeneralMachines:
             build_general(4)
 
 
-CLOSURE_MACHINES = [("canonical", 4)] + [("general", m) for m in range(1, 7)]
+CLOSURE_MACHINES = [("canonical", m) for m in range(1, 7)] + [("general", m) for m in range(1, 7)]
+
+
+def first_columns(mode, m):
+    """The start columns before trimming: for canonical, the bottom-zero
+    columns (stipulation 1) with at least as many zeros as ones
+    (stipulation 2); for general, every column."""
+    if mode == "canonical":
+        return tuple(c for c in range(1 << (m - 1)) if 2 * c.bit_count() <= m)
+    return tuple(range(1 << m))
 
 
 def closure_machine(mode, m):
-    """A freshly closed machine; general m = 6 is past build_general's cap."""
+    """A freshly closed machine; m = 6 is past the builders' cap."""
     if mode == "canonical":
-        return automaton._build(m, mode, tuple(range(1 << (m - 1))),
-                                automaton.CANONICAL_START_BITS, 1)
+        return automaton._build(m, mode, tuple(range(1 << (m - 1))), first_columns(mode, m), 1)
     alphabet = tuple(range(1 << m))
     return automaton._build(m, mode, alphabet, alphabet, 2)
 
@@ -348,12 +363,12 @@ class TestClosureMatchesStepState:
     @pytest.mark.parametrize("mode,m", CLOSURE_MACHINES)
     def test_start_states_are_kept_first_columns(self, mode, m):
         machine = closure_machine(mode, m)
-        firsts = {start_state(m, c) for c in
-                  (automaton.CANONICAL_START_BITS if mode == "canonical" else machine.alphabet)}
+        firsts = {start_state(m, c) for c in first_columns(mode, m)}
         assert {machine.states[i] for i in machine.start} == firsts & set(machine.states)
 
     def test_canonical_closure_is_the_built_machine(self):
-        assert closure_machine("canonical", 4) == build_canonical(4)
+        for m in range(1, 6):
+            assert closure_machine("canonical", m) == build_canonical(m)
 
 
 def label_swap(m, state):

@@ -202,10 +202,16 @@ class TestSeriesCommands:
         assert len(str(terms[-1])) > 640
         assert out == (json.dumps(terms, indent=2) + "\n" if fmt == "json" else format_bfile(terms))
 
-    def test_canonical_mode_requires_m4(self, capsys):
-        code, _, err = run_cli(capsys, "gf", "--m", "3")
-        assert code == 2
-        assert "general" in err
+    def test_canonical_mode_takes_m3(self, capsys):
+        code, out, err = run_cli(capsys, "gf", "--m", "3")
+        assert (code, err) == (0, "")
+        assert out == "numerator:   -2*x^6 + 3*x^4 - 2*x^2\ndenominator: 2*x^6 - 5*x^4 + 4*x^2 - 1\n"
+
+    @pytest.mark.parametrize("m", ["6", "0", "-1"])
+    def test_canonical_mode_refuses_m_outside_1_to_5(self, capsys, m):
+        code, out, err = run_cli(capsys, "gf", "--mode", "canonical", "--m", m)
+        assert (code, out) == (2, "")
+        assert err == "gridcuts: canonical machines are supported for m in 1..5\n"
 
     def test_failed_certificate_is_one_line(self, capsys, monkeypatch):
         from gridcuts import series
