@@ -97,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to this path")
         return p
 
-    p = add("count", "count boards of the given width(s) by exhaustive sweep")
+    p = add("count", "count boards of the given width(s) by exhaustive sweep; text output is the canonical "
+            "column, unvalidated for m != 4 (--format json carries canonical_validated: false)")
     p.add_argument("--m", type=int)
     p.add_argument("--n", required=True, help="width, or inclusive range like 1-12")
     p.add_argument("--budget", type=int)

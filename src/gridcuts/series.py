@@ -19,9 +19,8 @@ functions that agree on 4S+1 coefficients are equal: P1 Q2 - P2 Q1 has degree
 at most 4S and vanishes mod x^(4S+1).  So once the guess is checked to obey
 the degree bound and to reproduce every computed count, it is G.  The
 resolvent-denominator LCM is certified the same way from the entries of T^k.
-The same rows e_i T^k give the power traces p_k = tr(T^k), from which
-`charpoly` gets det(xI - T) through Newton's identities, so no determinant
-is ever computed by elimination.
+These Berlekamp-Massey certificates are the one exact-algebra mechanism: no
+determinant is ever computed, by elimination or otherwise.
 
 A `RationalFunction` puts itself in normal form when it is constructed:
 numerator and denominator are coprime integer polynomials with coprime
@@ -49,7 +48,6 @@ __all__ = [
     "RationalFunction",
     "Recurrence",
     "certified_series",
-    "charpoly",
     "recurrence_of",
     "resolvent_denominator_lcm",
     "series_terms",
@@ -382,19 +380,6 @@ def generating_function(automaton) -> RationalFunction:
     return RationalFunction(num, den * automaton.divisor)
 
 
-def _basis_powers(matrix: Sequence[Sequence[int]], top: int) -> Iterator[list[list[int]]]:
-    """For each basis row e_i, the rows e_i M^k for k = 0..top."""
-    size = len(matrix)
-    rows = _sparse_rows(matrix)
-    for i in range(size):
-        vec = [int(j == i) for j in range(size)]
-        powers = [vec]
-        for _ in range(top):
-            vec = _step(vec, rows)
-            powers.append(vec)
-        yield powers
-
-
 def resolvent_denominator_lcm(T: TransferMatrix) -> Polynomial:
     """LCM of the reduced entry denominators of (I - xT)^(-1).
 
@@ -404,39 +389,21 @@ def resolvent_denominator_lcm(T: TransferMatrix) -> Polynomial:
     integer polynomial.
     """
     size = T.order
+    rows = _sparse_rows(T.entries)
     sequences: set[tuple[int, ...]] = set()
-    for powers in _basis_powers(T.entries, 2 * size):
+    for i in range(size):
+        # the rows e_i T^k for k = 0..2S; column j is the entry sequence (T^k)_ij
+        vec = [int(j == i) for j in range(size)]
+        powers = [vec]
+        for _ in range(2 * size):
+            vec = _step(vec, rows)
+            powers.append(vec)
         sequences.update(zip(*powers))
     lcm = Polynomial.ONE
     for seq in sequences:
         den = certified_series(seq, size)[1]
         lcm = (lcm * den.divexact(lcm.gcd(den))).primitive()
     return lcm
-
-
-def charpoly(matrix: Sequence[Sequence[int]]) -> Polynomial:
-    """det(xI - M) for a square integer matrix, from the power traces.
-
-    With p_k = tr(M^k), Newton's identities k e_k = sum_{i=1..k} (-1)^(i-1)
-    e_{k-i} p_i give the elementary symmetric functions e_k of the
-    eigenvalues, and det(xI - M) = sum_k (-1)^k e_k x^(S-k).  The e_k are
-    integers, so each division by k is exact.
-    """
-    size = len(matrix)
-    traces = [0] * (size + 1)
-    for i, powers in enumerate(_basis_powers(matrix, size)):
-        for k, row in enumerate(powers):
-            traces[k] += row[i]
-    elementary = [1]
-    for k in range(1, size + 1):
-        acc = sum(
-            (-1) ** (i - 1) * elementary[k - i] * traces[i] for i in range(1, k + 1)
-        )
-        e_k, rem = divmod(acc, k)
-        if rem:
-            raise InexactError(f"Newton identity {k} does not divide: {acc}/{k}")
-        elementary.append(e_k)
-    return Polynomial([(-1) ** k * elementary[k] for k in range(size, -1, -1)])
 
 
 def series_terms(G: RationalFunction, count: int) -> list[int]:

@@ -14,3 +14,12 @@ def test_criterion(name):
     result = run_criterion(name)
     print(f"{'PASS' if result.ok else 'FAIL'}  {name}  ({result.elapsed_s:.2f}s)")
     assert result.ok, "\n".join(result.failures)
+
+
+def test_machine_structure_rejects_a_witness_that_is_not_a_permutation(monkeypatch):
+    from gridcuts import verify
+
+    monkeypatch.setattr(verify, "permutation_similarity_witness", lambda ours, ref: [0] * len(ours))
+    result = run_criterion("machine-structure")
+    assert not result.ok
+    assert "similarity witness is not a permutation" in result.failures

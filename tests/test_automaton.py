@@ -213,15 +213,10 @@ class TestCanonicalStructure:
         witness = permutation_similarity_witness(T.entries, REFERENCE_TRANSFER_MATRIX)
         assert witness is not None
         size = len(witness)
+        assert sorted(witness) == list(range(size))
         for i in range(size):
             for j in range(size):
                 assert REFERENCE_TRANSFER_MATRIX[witness[i]][witness[j]] == T.entries[i][j]
-
-    def test_charpolys_agree(self, canonical):
-        from gridcuts.series import charpoly
-
-        ours = charpoly(transfer_matrix(canonical).entries)
-        assert ours == charpoly(REFERENCE_TRANSFER_MATRIX)
 
     def test_counts_match_reference_terms(self, canonical):
         from gridcuts.reference import REFERENCE_TERMS

@@ -2,7 +2,6 @@ import json
 from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
-from operator import floordiv
 
 import pytest
 from hypothesis import given
@@ -22,7 +21,6 @@ from gridcuts.series import (
     RationalFunction,
     _certified_gf,
     certified_series,
-    charpoly,
     generating_function,
     product,
     recurrence_of,
@@ -32,29 +30,23 @@ from gridcuts.series import (
 
 
 def padd(a, b):
-    """a + b for two ints or two Polynomials."""
-    if isinstance(a, int):
-        return a + b
+    """a + b for two Polynomials."""
     return Polynomial([x + y for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0)])
 
 
 def psub(a, b):
-    """a - b for two ints or two Polynomials."""
+    """a - b for two Polynomials."""
     return padd(a, b * -1)
 
 
 def bareiss_determinant(matrix):
-    """Fraction-free determinant of a matrix of ints or of Polynomials; every
-    division is exact by construction.  The independent reference for the
-    gf and for `charpoly`."""
+    """Fraction-free determinant of a matrix of Polynomials; every division
+    is exact by construction.  The independent reference for the gf."""
     size = len(matrix)
     if size == 0:
         return Polynomial.ONE
     rows = [list(row) for row in matrix]
-    if isinstance(rows[0][0], Polynomial):
-        zero, prev, divexact = Polynomial(), Polynomial.ONE, Polynomial.divexact
-    else:
-        zero, prev, divexact = 0, 1, floordiv
+    zero, prev = Polynomial(), Polynomial.ONE
     sign = 1
     for k in range(size - 1):
         if rows[k][k] == zero:
@@ -66,7 +58,7 @@ def bareiss_determinant(matrix):
         for i in range(k + 1, size):
             for j in range(k + 1, size):
                 num = psub(rows[i][j] * rows[k][k], rows[i][k] * rows[k][j])
-                rows[i][j] = divexact(num, prev)
+                rows[i][j] = num.divexact(prev)
             rows[i][k] = zero
         prev = rows[k][k]
     det = rows[size - 1][size - 1]
@@ -269,66 +261,6 @@ class TestBareiss:
         rows = [[poly(1), poly(2)], [poly(2), poly(4)]]
         assert bareiss_determinant(rows).is_zero()
 
-    def test_charpoly_of_reference_matrix_is_integer(self):
-        from gridcuts.reference import REFERENCE_TRANSFER_MATRIX
-
-        cp = charpoly(REFERENCE_TRANSFER_MATRIX)
-        assert cp.coeffs == (-1, -1, 9, -7, -18, 48, -53, 31, -9, 1)
-        assert all(isinstance(c, int) for c in cp.coeffs)
-
-
-def _bareiss_charpoly(matrix):
-    """det(xI - M) as a Polynomial, by Bareiss over polynomial entries."""
-    size = len(matrix)
-    return bareiss_determinant([
-        [Polynomial([-matrix[i][j], int(i == j)]) for j in range(size)] for i in range(size)
-    ])
-
-
-def _square(size, entries=st.integers(-3, 3)):
-    return st.lists(st.lists(entries, min_size=size, max_size=size), min_size=size, max_size=size)
-
-
-def _jordan_block(size, eigenvalue):
-    return [[eigenvalue * (i == j) + (j == i + 1) for j in range(size)] for i in range(size)]
-
-
-class TestCharpoly:
-    @given(st.integers(0, 8).flatmap(_square))
-    def test_matches_bareiss(self, matrix):
-        assert charpoly(matrix) == _bareiss_charpoly(matrix)
-
-    @given(st.integers(1, 7).flatmap(_square))
-    def test_singular_matches_bareiss(self, matrix):
-        # append the sum of the first and last rows, then a copy of column 0
-        matrix = matrix + [[a + b for a, b in zip(matrix[0], matrix[-1])]]
-        matrix = [row + [row[0]] for row in matrix]
-        cp = charpoly(matrix)
-        assert cp == _bareiss_charpoly(matrix)
-        assert cp.constant() == 0
-
-    @pytest.mark.parametrize("size", range(9))
-    def test_repeated_eigenvalues(self, size):
-        identity = [[int(i == j) for j in range(size)] for i in range(size)]
-        assert charpoly(identity) == _bareiss_charpoly(identity) == product([poly(-1, 1)] * size)
-        nilpotent = _jordan_block(size, 0)
-        assert charpoly(nilpotent) == _bareiss_charpoly(nilpotent) == Polynomial([0] * size + [1])
-        twos = _jordan_block(size, 2)
-        assert charpoly(twos) == _bareiss_charpoly(twos) == product([poly(-2, 1)] * size)
-
-    @pytest.mark.parametrize("name", ["canonical4", "general1", "general2", "general3",
-                                      "general4", "general5"])
-    def test_transfer_matrices_match_bareiss(self, name):
-        # det(xI - M) has degree S, so S + 1 values determine it; integer
-        # Bareiss at each point keeps the 42-state general5 machine fast.
-        M = transfer_matrix(_machine(name)).entries
-        size = len(M)
-        cp = charpoly(M)
-        assert cp.degree == size and cp.leading() == 1
-        for x in range(size + 1):
-            shifted = [[x * (i == j) - M[i][j] for j in range(size)] for i in range(size)]
-            assert cp(x) == bareiss_determinant(shifted)
-
 
 class TestResolvent:
     def test_single_loop_state(self):
@@ -367,6 +299,39 @@ class TestResolvent:
         T = transfer_matrix(build_canonical(4))
         expected = product(Polynomial(c) for c in RESOLVENT_LCM_FACTORS).primitive()
         assert resolvent_denominator_lcm(T) == expected
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    @pytest.mark.parametrize("build", [build_canonical, build_general])
+    def test_lcm_annihilates_every_entry_sequence(self, build, m):
+        # Every (T^k)_ij obeys the recurrence of det(xI - T), of order S, and
+        # so does coefficient n of L(x) * sum_k (T^k)_ij x^k.  S + 1
+        # consecutive zeros of it from n = deg L + S on make every later one zero.
+        T = transfer_matrix(build(m))
+        lcm = resolvent_denominator_lcm(T)
+        size, deg = T.order, lcm.degree
+        powers = _matrix_powers(T.entries, deg + 2 * size)
+        for n in range(deg + size, deg + 2 * size + 1):
+            for i in range(size):
+                for j in range(size):
+                    assert sum(c * powers[n - t][i][j] for t, c in enumerate(lcm.coeffs)) == 0
+
+
+def _matrix_powers(entries, top):
+    """T^0 .. T^top as dense lists, each the last times T over T's nonzero entries."""
+    size = len(entries)
+    nonzero = [[(j, w) for j, w in enumerate(row) if w] for row in entries]
+    power = [[int(i == j) for j in range(size)] for i in range(size)]
+    powers = [power]
+    for _ in range(top):
+        nxt = [[0] * size for _ in range(size)]
+        for i, row in enumerate(power):
+            for k, v in enumerate(row):
+                if v:
+                    for j, w in nonzero[k]:
+                        nxt[i][j] += v * w
+        power = nxt
+        powers.append(power)
+    return powers
 
 
 # Answers of the retired Bareiss path (bordered-matrix determinants for the gf,
