@@ -198,7 +198,9 @@ def dominant_form(
 
     When `amplitude_reference` is given (closed-form amplitudes as a function
     of z), the result carries `exact_check`: both computed amplitudes agree
-    with the closed forms within 1e-6.
+    with the closed forms within 1e-6.  Precondition: numerator and
+    denominator are coprime, as every `generating_function` result is, so
+    each zero of the denominator is a pole.
     """
     den = G.denominator
     if den.constant() == 0:

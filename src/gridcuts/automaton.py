@@ -352,7 +352,7 @@ def accepted_words(a: Automaton, length: int, parity: str) -> list[tuple[int, ..
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """0/1 adjacency of the machine plus start and accept indicator vectors."""
+    """Transition counts of the machine plus start and accept indicator vectors."""
 
     entries: tuple[tuple[int, ...], ...]
     start_vector: tuple[int, ...]
@@ -365,23 +365,15 @@ class TransferMatrix:
 
 
 def transfer_matrix(a: Automaton) -> TransferMatrix:
-    """0/1 adjacency of the machine.
-
-    It counts words exactly as a walk over the transitions does only if at
-    most one transition joins each ordered pair of states.  A built machine
-    satisfies this (a state records the column just read, so the destination
-    fixes the symbol); a machine assembled by hand might not, and is
-    rejected.
+    """Entry (i, j) counts the transitions from state i to state j, so walk
+    counts equal word counts for any machine.  A built machine has at most
+    one per ordered pair (a state records the column just read, so the
+    destination fixes the symbol); a machine assembled by hand may have more.
     """
     size = len(a.states)
     rows = [[0] * size for _ in range(size)]
     for src, _, dst in a.transitions:
-        if rows[src][dst]:
-            raise ValueError(
-                f"more than one transition joins state {src} to state {dst}; "
-                "a 0/1 transfer matrix would undercount"
-            )
-        rows[src][dst] = 1
+        rows[src][dst] += 1
     def indicator(idxs: Sequence[int]) -> tuple[int, ...]:
         vec = [0] * size
         for i in idxs:

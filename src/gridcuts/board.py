@@ -124,31 +124,10 @@ class Board:
     def to_ascii(self) -> str:
         return "\n".join("".join("#" if c else "." for c in row) for row in self.cells)
 
-    def to_svg(self) -> str:
-        return (
-            f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {self.n} {self.m}" '
-            f'width="{self.n * SVG_SCALE}" height="{self.m * SVG_SCALE}">\n'
-            + svg_board_group(self)
-            + "\n</svg>\n"
-        )
-
-
-def svg_board_group(board: Board, *, dy: int = 0) -> str:
-    """A <g class="board"> of unit rects; shared by single- and multi-board SVG."""
-    parts = [f'<g class="board" transform="translate(0,{dy})">']
-    for i, row in enumerate(board.cells):
-        for j, c in enumerate(row):
-            fill = SVG_FILL_ONE if c else SVG_FILL_ZERO
-            parts.append(
-                f'<rect x="{j}" y="{i}" width="1" height="1" fill="{fill}" '
-                f'stroke="#555" stroke-width="0.02"/>'
-            )
-    parts.append("</g>")
-    return "\n".join(parts)
-
 
 def boards_to_svg(boards: Sequence[Board]) -> str:
-    """One SVG document with the boards stacked vertically, one unit apart."""
+    """One SVG document with the boards stacked vertically, one unit apart,
+    each a <g class="board"> of unit rects."""
     if not boards:
         raise ValueError("no boards to render")
     width = max(b.n for b in boards)
@@ -159,7 +138,15 @@ def boards_to_svg(boards: Sequence[Board]) -> str:
     ]
     dy = 0
     for board in boards:
-        parts.append(svg_board_group(board, dy=dy))
+        parts.append(f'<g class="board" transform="translate(0,{dy})">')
+        for i, row in enumerate(board.cells):
+            for j, c in enumerate(row):
+                fill = SVG_FILL_ONE if c else SVG_FILL_ZERO
+                parts.append(
+                    f'<rect x="{j}" y="{i}" width="1" height="1" fill="{fill}" '
+                    f'stroke="#555" stroke-width="0.02"/>'
+                )
+        parts.append("</g>")
         dy += board.m + 1
     parts.append("</svg>\n")
     return "\n".join(parts)

@@ -82,16 +82,22 @@ def _parse_n_values(value: str) -> range:
     raise ValueError(f"bad width {value!r}; use a number or a range like 1-12")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # main prints it as one line with exit code 2, not a usage block
+        raise ValueError(message)
+
+
 @functools.cache  # built on first use, once per process; parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gridcuts",
         description="Count and enumerate cuts of an m x n grid into two congruent connected pieces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(**_DEFAULTS)  # also the default of each option added below
         p.add_argument("--format", dest="fmt", choices=sorted(_FORMATS[name]))
         p.add_argument("--out", help="write output to this path")
@@ -238,7 +244,7 @@ def _emit_boards(args: argparse.Namespace, boards: list[Board]) -> None:
         directory.mkdir(parents=True, exist_ok=True)
         width = len(str(len(boards) - 1))
         for idx, board in enumerate(boards):
-            (directory / f"board_{idx:0{width}d}.svg").write_text(board.to_svg())
+            (directory / f"board_{idx:0{width}d}.svg").write_text(boards_to_svg([board]))
     elif args.fmt == "svg":
         _emit(args, boards_to_svg(boards))
     else:

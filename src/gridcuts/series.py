@@ -22,13 +22,13 @@ resolvent-denominator LCM is certified the same way from the entries of T^k.
 These Berlekamp-Massey certificates are the one exact-algebra mechanism: no
 determinant is ever computed, by elimination or otherwise.
 
-A `RationalFunction` puts itself in normal form when it is constructed:
-numerator and denominator are coprime integer polynomials with coprime
-contents and a positive leading denominator coefficient.  No other form can
-be built, so equality of generating functions is a literal coefficient
-comparison and no consumer normalizes again.  Gcds and Sturm chains never
-leave the integers: both run `Polynomial.remainders`, one primitive
-pseudo-remainder sequence (Brown & Traub 1971).
+A certified gf is in lowest terms by Berlekamp-Massey minimality (proof in
+`certified_series`), so no gcd reduces it.  A `RationalFunction` puts itself
+in normal form when it is constructed: coprime contents and a positive
+leading denominator coefficient.  Equality of generating functions is then
+a literal coefficient comparison and no consumer normalizes again.  Gcds
+and Sturm chains never leave the integers: both run `Polynomial.remainders`,
+one primitive pseudo-remainder sequence (Brown & Traub 1971).
 """
 
 from __future__ import annotations
@@ -227,9 +227,13 @@ def product(polys: Iterable[Polynomial]) -> Polynomial:
 @dataclass(frozen=True)
 class RationalFunction:
     """Ratio of integer polynomials, in the normal form the constructor
-    establishes: the common gcd is cancelled, the contents are made coprime
-    and the leading denominator coefficient is made positive; a zero
-    numerator gives 0/1 and a zero denominator raises ZeroDivisionError."""
+    establishes: the joint content is divided out and the leading
+    denominator coefficient is made positive; a zero numerator gives 0/1 and
+    a zero denominator raises ZeroDivisionError.
+
+    Precondition: the arguments are coprime, as every `generating_function`
+    result is (see `certified_series`).  The constructor cancels no common
+    factor, so only for coprime arguments is the form unique."""
 
     numerator: Polynomial
     denominator: Polynomial
@@ -241,8 +245,6 @@ class RationalFunction:
         if numerator.is_zero():
             denominator = Polynomial.ONE
         else:
-            common = numerator.gcd(denominator)
-            numerator, denominator = numerator.divexact(common), denominator.divexact(common)
             content = int_gcd(*numerator.coeffs, *denominator.coeffs)
             if denominator.leading() < 0:
                 content = -content
@@ -304,8 +306,16 @@ def certified_series(terms: Sequence[int], degree_bound: int) -> tuple[Polynomia
     coincide.  Raises ValueError when fewer terms are given, and
     InexactError when the shortest fit exceeds the bound; given at least
     2*degree_bound + 2 terms, that means no function within the bound fits.
-    P/Q is in lowest terms up to a rational factor (a shorter recurrence
-    would exist otherwise) but is not normalized.
+
+    P and Q are coprime.  Berlekamp-Massey returns Q with Q(0) != 0 and
+    deg Q <= L, L the length of the shortest recurrence of the K given
+    terms T; P = Q T mod x^L has deg P < L, and Q T == P mod x^K is checked.
+    Were g = gcd(P, Q) of degree >= 1, then g(0) != 0 makes g a unit of the
+    power series, so Q/g and P/g would fit the same K terms with a
+    recurrence of length <= L - deg g < L, against the minimality of L.
+    Scaling Q by an integer (a machine's divisor) and dividing out the joint
+    content keeps them coprime, so every `generating_function` result is in
+    lowest terms without a gcd being computed.
     """
     if degree_bound < 0 or len(terms) < 2 * degree_bound + 1:
         raise ValueError(
@@ -374,8 +384,9 @@ def _certified_gf(T: TransferMatrix) -> tuple[Polynomial, Polynomial]:
 @cache
 def generating_function(automaton) -> RationalFunction:
     """Machine gf over its divisor (general machines read each cut twice),
-    put in normal form once.  Cached per process: a machine and its gf are
-    immutable values, so equal machines share one certified gf."""
+    coprime by `certified_series` and put in normal form once.  Cached per
+    process: a machine and its gf are immutable values, so equal machines
+    share one certified gf."""
     num, den = _certified_gf(transfer_matrix(automaton))
     return RationalFunction(num, den * automaton.divisor)
 
@@ -471,7 +482,9 @@ def format_bfile(terms: Sequence[int]) -> str:
 
 
 def recurrence_of(G: RationalFunction) -> Recurrence:
-    """Recurrence read off the denominator of a gf."""
+    """Recurrence read off the denominator of a gf.  Precondition: numerator
+    and denominator are coprime, as every `generating_function` result is;
+    otherwise the recurrence holds but is not the shortest."""
     den = G.denominator
     if den.constant() == 0:
         raise ValueError("denominator must have a nonzero constant term")

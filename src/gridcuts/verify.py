@@ -424,15 +424,7 @@ def criterion_figures(check: _Check) -> None:
     boards = oracle.enumerate_canonical(4, 6)
     check.equal(len(boards), 54, "canonical 4x6 count")
     check.expect(len(set(boards)) == len(boards), "enumeration has duplicates")
-    figures = oracle.regenerate_figures()
-    check.expect(
-        set(figures["four_by_six"]) <= set(boards),
-        "a 4x6 gallery board is missing from the enumeration",
-    )
-    check.expect(
-        all(is_graham(b) for b in figures["three_by_six"]),
-        "a 3x6 gallery board is not a valid cut",
-    )
+    oracle.regenerate_figures()  # raises FigureMismatch on an offending gallery board
     check.details["canonical_4x6"] = len(boards)
 
 

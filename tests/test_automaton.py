@@ -539,10 +539,12 @@ class TestTransferMatrixInvariant:
         accept_odd=(),
     )
 
-    def test_parallel_edges_rejected(self):
-        assert count_boards(self.PARALLEL_EDGES, 4) == 2  # the 0/1 matrix would say 1
-        with pytest.raises(ValueError, match="more than one transition joins state 0 to state 1"):
-            transfer_matrix(self.PARALLEL_EDGES)
+    def test_parallel_edges_counted(self):
+        from gridcuts.series import generating_function, series_terms
+
+        assert transfer_matrix(self.PARALLEL_EDGES).entries == ((0, 2), (0, 0))
+        terms = series_terms(generating_function(self.PARALLEL_EDGES), 6)
+        assert terms == [count_boards(self.PARALLEL_EDGES, n) for n in range(1, 7)] == [0, 0, 0, 2, 0, 0]
 
     @pytest.mark.parametrize("m", [None, 1, 2, 3, 4], ids=lambda m: f"general{m}" if m else "canonical4")
     def test_count_boards_equals_gf_terms(self, m):

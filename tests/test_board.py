@@ -214,7 +214,7 @@ class TestSerialization:
 
     def test_svg_round_trip(self):
         board = GALLERY_3X6[2]
-        assert svg_boards(board.to_svg()) == [board]
+        assert svg_boards(boards_to_svg([board])) == [board]
 
     def test_multi_board_svg_round_trip(self):
         boards = list(GALLERY_4X6[:3])

@@ -458,6 +458,30 @@ class TestParser:
 
         assert build_parser() is build_parser()
 
+    @pytest.mark.parametrize("argv", [
+        ("gf", "--mode", "foo"),
+        ("count",),
+        ("bogus",),
+        (),
+        ("count", "--n", "3", "--m", "x"),
+        ("verify", "--only"),
+        ("terms", "--limit", "5", "--extra"),
+    ], ids=lambda argv: " ".join(argv) or "no-args")
+    def test_usage_error_is_one_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("gridcuts: ") and err.count("\n") == 1
+
+    def test_invalid_choice_message(self, capsys):
+        _, _, err = run_cli(capsys, "gf", "--mode", "foo")
+        assert err.startswith("gridcuts: argument --mode: invalid choice: 'foo'")
+
+    def test_command_help_shows_its_text(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["count", "--help"])
+        assert exited.value.code == 0
+        assert "unvalidated for m != 4" in " ".join(capsys.readouterr().out.split())
+
 
 class TestBadOutputPath:
     COUNT = ("count", "--n", "3")
