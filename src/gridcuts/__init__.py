@@ -12,6 +12,7 @@ from .board import (
     component_counts,
     is_canonical,
     is_graham,
+    revcomp,
     transform,
 )
 from .automaton import (
@@ -19,7 +20,6 @@ from .automaton import (
     acceptance,
     build_canonical,
     build_general,
-    revcomp,
     transfer_matrix,
 )
 from .errors import GridcutsError

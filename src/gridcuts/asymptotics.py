@@ -260,14 +260,6 @@ def _amplitude(G: RationalFunction, x: Fraction) -> Fraction:
     return -G.numerator(x) / (x * G.denominator.derivative()(x))
 
 
-def _decimal_digits(n: int) -> int:
-    """len(str(n)) for n >= 0, without str() and its 4300-digit limit."""
-    # log10(2) < 0.301029995664, so n has floor(0.301029995664 * bit_length)
-    # + 1 digits or one fewer, exactly so while bit_length < 10^13
-    digits = n.bit_length() * 301029995664 // 10**12 + 1
-    return digits - (0 < n < 10 ** (digits - 1))
-
-
 def error_profile(
     G: RationalFunction, estimate: AsymptoticEstimate, count: int
 ) -> list[tuple[int, float]]:
@@ -280,7 +272,9 @@ def error_profile(
     unless the estimate is also zero there.
     """
     exact = series_terms(G, count)
-    digits = _decimal_digits(max(map(abs, exact), default=0)) + 25
+    # the digit count of the largest |c_n|; Decimal(int) is exact and does not
+    # go through str() and its 4300-digit limit
+    digits = Decimal(max(map(abs, exact), default=0)).adjusted() + 1 + 25
     lo, hi = refine_root(G.denominator, *estimate.pole_interval, Fraction(1, 10**digits))
     mid = (lo + hi) / 2
     amp_plus = _amplitude(G, mid)

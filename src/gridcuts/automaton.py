@@ -53,6 +53,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterator, NamedTuple, Sequence
 
+from .board import _reverse, revcomp
 from .errors import GridcutsError
 
 __all__ = [
@@ -68,7 +69,6 @@ __all__ = [
     "column_bits",
     "live_words",
     "permutation_similarity_witness",
-    "revcomp",
     "to_dot",
     "transfer_matrix",
 ]
@@ -84,21 +84,6 @@ class StateExplosionError(GridcutsError, RuntimeError):
 def column_bits(m: int, col: int) -> tuple[int, ...]:
     """The labels of an m-bit column, top row first; for the writers."""
     return tuple((col >> i) & 1 for i in range(m))
-
-
-def _reverse(m: int, mask: int) -> int:
-    """An m-bit row mask turned upside down: row i goes to row m-1-i."""
-    return int(f"{mask:0{m}b}"[::-1], 2)
-
-
-def revcomp(m: int, col: int) -> int:
-    """Reverse an m-bit column top-to-bottom and flip every label.
-
-    This is the central-complement rule restricted to one column: column j of
-    a valid board determines column n-1-j as its reversed complement.  It is
-    an involution.
-    """
-    return _reverse(m, col) ^ ((1 << m) - 1)
 
 
 def _rows(mask: int) -> tuple[int, ...]:
@@ -192,7 +177,7 @@ def acceptance(state: State) -> tuple[bool, bool]:
     col, blocks = state
     m = state.m
     rc = revcomp(m, col)
-    comps = _glue(blocks, [_reverse(m, b) for b in blocks], ~(col ^ rc))
+    comps = _glue(blocks, [_reverse(b, m) for b in blocks], ~(col ^ rc))
     even = len(comps) == 2
     return even, even and col == rc
 
@@ -420,8 +405,6 @@ def permutation_similarity_witness(
                 reference[perm[k]][j] != ours[k][i] or reference[j][perm[k]] != ours[i][k]
                 for k in range(i)
             ):
-                continue
-            if reference[j][j] != ours[i][i]:
                 continue
             used[j] = True
             perm.append(j)

@@ -45,6 +45,7 @@ __all__ = [
     "component_counts",
     "is_canonical",
     "is_graham",
+    "revcomp",
     "satisfies_complement_rule",
     "transform",
 ]
@@ -64,6 +65,16 @@ def _reverse(bits: int, width: int) -> int:
     """The low `width` bits of `bits` in reverse order."""
     # a sentinel bit keeps leading zeros; [:2:-1] drops "0b1" and reverses
     return int(bin(bits | (1 << width))[:2:-1], 2)
+
+
+def revcomp(m: int, col: int) -> int:
+    """Reverse an m-bit column top-to-bottom and flip every label.
+
+    This is the central-complement rule restricted to one column: column j of
+    a valid board determines column n-1-j as its reversed complement.  It is
+    an involution.
+    """
+    return _reverse(col, m) ^ ((1 << m) - 1)
 
 
 @dataclass(frozen=True)
@@ -167,7 +178,7 @@ def complete_board(m: int, n: int, left: Sequence[int]) -> Board:
     half = 0
     for col in reversed(left):
         half = (half << m) | col
-    if n % 2 == 1 and _reverse(left[-1], m) ^ ((1 << m) - 1) != left[-1]:
+    if n % 2 == 1 and revcomp(m, left[-1]) != left[-1]:
         raise ValueError(f"middle column {left[-1]} is not its own reversed complement")
     full = (1 << (m * n)) - 1
     return Board(m, n, half | ((_reverse(half, m * n) ^ full) >> (k * m) << (k * m)))

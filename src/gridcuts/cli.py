@@ -4,8 +4,7 @@ Subcommands: count, enumerate, gf, terms, recurrence, automaton,
 asymptotics, figures, delahaye, verify.  All outputs are deterministic;
 timing fields are only added with --timings so identical invocations give
 byte-identical output.  Exit codes: 0 success, 1 verification failure,
-2 resource/usage errors (the sweep budget can also be set through the
-GRIDCUTS_BUDGET environment variable).
+2 resource/usage errors.
 """
 
 from __future__ import annotations
@@ -51,9 +50,10 @@ ASYMPTOTICS_MAX_LIMIT = 1187
 # every subcommand's namespace carries every field, so commands read args.X freely
 _DEFAULTS = {
     "m": 4, "n": None, "limit": 30, "mode": "canonical", "fmt": "text",
-    "budget": None, "out": None, "timings": False, "only": None,
+    "budget": oracle.DEFAULT_BUDGET, "out": None, "timings": False, "only": None,
 }
 
+_BUDGET_HELP = "sweep candidate cap (default %(default)s)"
 
 _FORMATS = {
     "count": {"text", "json"},
@@ -107,13 +107,13 @@ def build_parser() -> argparse.ArgumentParser:
             "column, unvalidated for m != 4 (--format json carries canonical_validated: false)")
     p.add_argument("--m", type=int)
     p.add_argument("--n", required=True, help="width, or inclusive range like 1-12")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, help=_BUDGET_HELP)
     p.add_argument("--timings", action="store_true")
 
     p = add("enumerate", "list every canonical board of one width")
     p.add_argument("--m", type=int)
     p.add_argument("--n", required=True)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, help=_BUDGET_HELP)
 
     p = add("gf", "print the generating function of the chosen machine")
     p.add_argument("--m", type=int)
@@ -139,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("delahaye", "closed-form 3 x 2n count next to oracle counts")
     p.add_argument("--n", required=True, help="half-width, 1..6")
-    p.add_argument("--budget", type=int)
 
     p = add("verify", "run the acceptance suite")
     p.add_argument("--only", help="comma-separated criterion names (default: all)")
@@ -382,7 +381,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 
 def cmd_delahaye(args: argparse.Namespace) -> int:
-    reports = [oracle.delahaye_report(n, budget=args.budget) for n in args.n]
+    reports = [oracle.delahaye_report(n) for n in args.n]
     if args.fmt == "json":
         _emit_json(args, reports[0] if len(reports) == 1 else reports)
     else:

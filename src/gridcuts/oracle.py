@@ -74,7 +74,6 @@ and `orbits` counts cuts up to horizontal reflection.  At width 2 they are
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -103,7 +102,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 1 << 28
-BUDGET_ENV_VAR = "GRIDCUTS_BUDGET"
 
 # lo entries per first-column slice, and queries per join tile.  Their uint64
 # arrays are 64 KB, under glibc's 128 KB mmap threshold, so the temporaries
@@ -118,16 +116,6 @@ class BudgetError(GridcutsError, RuntimeError):
 
 class FigureMismatch(GridcutsError, RuntimeError):
     """A reference gallery board failed verification."""
-
-
-def default_budget() -> int:
-    value = os.environ.get(BUDGET_ENV_VAR)
-    if not value:
-        return DEFAULT_BUDGET
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {value!r}") from None
 
 
 # (block width, mask of the low block of every pair) for each swap step of a
@@ -448,7 +436,7 @@ def _edges_minus_squares(bits: np.ndarray, m: int, not_bottom: int) -> np.ndarra
     return np.bitwise_count(vert) + np.bitwise_count(horiz) - np.bitwise_count(square)
 
 
-def check_shape(m: int, n: int, budget: int | None = None) -> None:
+def check_shape(m: int, n: int, budget: int = DEFAULT_BUDGET) -> None:
     """Raise what sweep(m, n, budget=budget) would raise before sweeping.
 
     BudgetError if the 2^(m*ceil(n/2)) candidates exceed the budget (the
@@ -457,19 +445,18 @@ def check_shape(m: int, n: int, budget: int | None = None) -> None:
     """
     if m < 1 or n < 0:
         raise ValueError(f"bad shape {m}x{n}")
-    budget = default_budget() if budget is None else budget
     bits = m * ((n + 1) // 2)
     # 2^bits > budget exactly when bits >= budget.bit_length(), for budget >= 0
     if n > 0 and bits >= max(budget, 0).bit_length():
         raise BudgetError(
             f"shape {m}x{n} needs 2^{bits} candidates, budget is {budget}; "
-            f"raise --budget or {BUDGET_ENV_VAR} to run it"
+            "raise --budget to run it"
         )
     if m * n > 64:
         raise ValueError(f"shape {m}x{n} has {m * n} cells; a bitboard holds at most 64")
 
 
-def sweep(m: int, n: int, *, budget: int | None = None) -> SweepResult:
+def sweep(m: int, n: int, *, budget: int = DEFAULT_BUDGET) -> SweepResult:
     """Enumerate every complement-rule two-component board of the given shape.
 
     Raises BudgetError (never truncates) or ValueError as check_shape does.
@@ -543,7 +530,7 @@ class CountReport:
         return data
 
 
-def count_report(m: int, n: int, *, budget: int | None = None) -> CountReport:
+def count_report(m: int, n: int, *, budget: int = DEFAULT_BUDGET) -> CountReport:
     """Count canonical matrices, cuts and reflection orbits by full sweep.
 
     All three are read from the cached SweepResult: cuts and canonical
@@ -568,7 +555,7 @@ def count_report(m: int, n: int, *, budget: int | None = None) -> CountReport:
     )
 
 
-def enumerate_canonical(m: int, n: int, *, budget: int | None = None) -> list[Board]:
+def enumerate_canonical(m: int, n: int, *, budget: int = DEFAULT_BUDGET) -> list[Board]:
     """All canonical boards of shape m x n, sorted by their cell arrays.
 
     The stipulations are validated for m = 4 only, so other row counts are
@@ -593,16 +580,18 @@ def check_half_width(n: int) -> None:
         raise ValueError("half-width n must be in 1..6")
 
 
-def delahaye_report(n: int, *, budget: int | None = None) -> dict:
+def delahaye_report(n: int) -> dict:
     """Put the 3 x 2n closed form next to the oracle's own counts.
 
     No equality is asserted; the report records which conventions the
     closed form happens to match.  Empirically (n <= 6) it matches the
     reflection-orbit and stipulation counts, not the raw cut count: at
     n = 3 the formula gives 12 while the sweep finds 23 cuts in 12 orbits.
+    Half-widths 1..6 sweep at most 2^18 candidates, so the default budget
+    always admits them.
     """
     check_half_width(n)
-    report = count_report(3, 2 * n, budget=budget)
+    report = count_report(3, 2 * n)
     formula = delahaye_formula(n)
     return {
         "n": n,

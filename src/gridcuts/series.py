@@ -285,9 +285,7 @@ def _berlekamp_massey(terms: Sequence[int]) -> tuple[list[int], int]:
         new += [0] * (len(prev) + shift - len(new))
         for i, b in enumerate(prev):
             new[i + shift] -= disc * b
-        content = 0
-        for c in new:
-            content = int_gcd(content, c)
+        content = int_gcd(*new)  # >= 1: new[0] = prev_disc * conn[0] != 0
         new = [c // content for c in new]
         if 2 * length <= n:
             prev, prev_disc, length, shift = conn, disc, n + 1 - length, 1

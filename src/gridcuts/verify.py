@@ -30,7 +30,6 @@ from .automaton import (
     column_bits,
     live_words,
     permutation_similarity_witness,
-    revcomp,
     transfer_matrix,
 )
 from .asymptotics import dominant_form, error_profile
@@ -40,6 +39,7 @@ from .board import (
     component_counts,
     is_canonical,
     is_graham,
+    revcomp,
     satisfies_complement_rule,
     transform,
 )

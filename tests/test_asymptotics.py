@@ -11,7 +11,6 @@ from gridcuts import automaton, oracle
 from gridcuts.asymptotics import (
     UnsupportedPoleShape,
     _REFINE_WIDTH,
-    _decimal_digits,
     _leftmost_root,
     _root_bound,
     _sign_at,
@@ -412,11 +411,6 @@ class TestErrorProfile:
         errors = error_profile(machine_gf, estimate, 1)
         assert errors[0][0] == 1
         assert errors[0][1] >= 0
-
-    @given(st.integers(0, 10**1000) | st.integers(0, 3000).map(lambda k: 10**k) | st.just(0))
-    def test_decimal_digits(self, n):
-        for m in (n - 1, n, n + 1) if n else (0,):
-            assert _decimal_digits(m) == len(str(m))
 
     def test_terms_past_the_int_digit_limit(self, machine_gf, estimate):
         # c_2600 has 675 digits; str() of it fails under a limit of 640

@@ -18,13 +18,12 @@ from gridcuts.automaton import (
     column_bits,
     live_words,
     permutation_similarity_witness,
-    revcomp,
     to_dot,
     to_json_dict,
     transfer_matrix,
     StateExplosionError,
 )
-from gridcuts.board import complete_board, is_canonical, is_graham
+from gridcuts.board import _reverse, complete_board, is_canonical, is_graham, revcomp
 from gridcuts.reference import REFERENCE_TRANSFER_MATRIX
 from gridcuts.series import generating_function
 
@@ -373,8 +372,7 @@ def label_swap(m, state):
 
 def row_flip(m, state):
     """ρ: the rows of the column and of every block turned upside down."""
-    return State(automaton._reverse(m, state.column),
-                 tuple(sorted(automaton._reverse(m, b) for b in state.blocks)))
+    return State(_reverse(state.column, m), tuple(sorted(_reverse(b, m) for b in state.blocks)))
 
 
 def symmetry_orbits(machine):

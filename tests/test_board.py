@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from gridcuts.automaton import column_bits, revcomp
+from gridcuts.automaton import column_bits
 from gridcuts.board import (
     SVG_FILL_ONE,
     Board,
@@ -13,6 +13,7 @@ from gridcuts.board import (
     component_counts,
     is_canonical,
     is_graham,
+    revcomp,
     satisfies_complement_rule,
     transform,
 )

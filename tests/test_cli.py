@@ -13,6 +13,7 @@ from gridcuts import oracle
 from gridcuts.board import SVG_FILL_ONE, Board
 from gridcuts.cli import main
 from gridcuts.reference import GALLERY_4X6, REFERENCE_TERMS
+from gridcuts.verify import run_criterion
 
 
 _SVG_RECT = re.compile(r'<rect x="(\d+)" y="(\d+)" width="1" height="1" fill="([^"]+)"')
@@ -70,18 +71,13 @@ class TestCount:
         assert out == ""
         assert err.count("\n") == 1 and "64" in err
 
-    def test_budget_env_var(self, capsys, monkeypatch):
+    def test_budget_is_not_read_from_the_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("GRIDCUTS_BUDGET", "16")
-        code, _, err = run_cli(capsys, "count", "--n", "4")
-        assert code == 2 and "budget" in err
-        code, out, _ = run_cli(capsys, "count", "--n", "4", "--budget", str(1 << 20))
+        code, out, _ = run_cli(capsys, "count", "--n", "4")
         assert code == 0 and out == "14\n"
-
-    def test_budget_env_var_not_an_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("GRIDCUTS_BUDGET", "abc")
-        code, out, err = run_cli(capsys, "count", "--n", "3")
-        assert code == 2 and out == ""
-        assert err == "gridcuts: GRIDCUTS_BUDGET must be an integer, got 'abc'\n"
+        for name in ("oracle-agreement", "figures"):
+            result = run_criterion(name)
+            assert result.ok, "\n".join(result.failures)
 
     @pytest.mark.parametrize("width", ["99999999999999999999", "9000", "1-99999999999", "1-40"])
     def test_huge_width_fails_before_any_sweep(self, capsys, width):
@@ -466,6 +462,7 @@ class TestParser:
         ("count", "--n", "3", "--m", "x"),
         ("verify", "--only"),
         ("terms", "--limit", "5", "--extra"),
+        ("delahaye", "--n", "1", "--budget", "1073741824"),
     ], ids=lambda argv: " ".join(argv) or "no-args")
     def test_usage_error_is_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

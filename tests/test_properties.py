@@ -10,13 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridcuts import oracle
-from gridcuts.automaton import column_bits, revcomp
+from gridcuts.automaton import column_bits
 from gridcuts.board import (
     BOARD_TRANSFORMS,
     Board,
     complete_board,
     component_counts,
     is_graham,
+    revcomp,
     satisfies_complement_rule,
     transform,
 )
