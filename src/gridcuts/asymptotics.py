@@ -285,8 +285,10 @@ def error_profile(
         growth, plus, minus = (
             Decimal(f.numerator) / f.denominator for f in (1 / mid, amp_plus, amp_minus)
         )
+        power = Decimal(1)
         for n, c in enumerate(exact, start=1):
-            approx = (plus + minus * (-1) ** n) * growth**n
+            power *= growth  # growth**n; its n roundings stay within the 25 guard digits
+            approx = (plus + minus * (-1) ** n) * power
             if c == 0:
                 err = 0.0 if approx == 0 else float("inf")
             else:

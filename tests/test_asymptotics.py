@@ -395,6 +395,33 @@ class TestDominantForm:
             assert estimate.predict(n) == pytest.approx(explicit, rel=1e-12)
 
 
+def powered_error_profile(G, estimate, count):
+    """error_profile with growth**n computed afresh for every n, as a reference
+    for its running product: same digits, pole, amplitudes and formula."""
+    exact = series_terms(G, count)
+    digits = Decimal(max(map(abs, exact))).adjusted() + 1 + 25
+    lo, hi = refine_root(G.denominator, *estimate.pole_interval, Fraction(1, 10**digits))
+    mid = (lo + hi) / 2
+
+    def amplitude(x):
+        return -G.numerator(x) / (x * G.denominator.derivative()(x))
+
+    amp_minus = amplitude(-mid) if estimate.has_mirror_pole else Fraction(0)
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = digits
+        growth, plus, minus = (
+            Decimal(f.numerator) / f.denominator for f in (1 / mid, amplitude(mid), amp_minus)
+        )
+        for n, c in enumerate(exact, start=1):
+            approx = (plus + minus * (-1) ** n) * growth**n
+            if c == 0:
+                out.append((n, 0.0 if approx == 0 else float("inf")))
+            else:
+                out.append((n, float(abs(c - approx) / abs(c))))
+    return out
+
+
 class TestErrorProfile:
     def test_final_error_small(self, machine_gf, estimate):
         errors = error_profile(machine_gf, estimate, 30)
@@ -422,6 +449,12 @@ class TestErrorProfile:
             assert capped == error_profile(machine_gf, estimate, 2600)
         finally:
             sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("m", [1, 3, 4, 5])
+    def test_running_power_matches_fresh_powers(self, m):
+        gf = generating_function(build_general(m))
+        estimate = dominant_form(gf)
+        assert error_profile(gf, estimate, 300) == powered_error_profile(gf, estimate, 300)
 
 
 def _closed_form_poles(prec):
