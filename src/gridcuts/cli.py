@@ -14,6 +14,7 @@ import contextlib
 import functools
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -52,27 +53,33 @@ _DEFAULTS = {
     "budget": oracle.DEFAULT_BUDGET, "out": None, "timings": False, "only": None,
 }
 
-# the options besides --format and --out, declared once; each _COMMANDS row names its own
-_OPTIONS = {
-    "--m": {"type": int},
-    "--n": {"required": True},
-    "--mode": {"choices": ("canonical", "general")},
-    "--limit": {"type": int},
-    "--budget": {"type": int, "help": "sweep candidate cap (default %(default)s)"},
-    "--timings": {"action": "store_true"},
-    "--only": {"help": "comma-separated criterion names (default: all)"},
+_BUDGET_HELP = "sweep candidate cap (default %(default)s)"
+
+_FORMATS = {
+    "count": {"text", "json"},
+    "enumerate": {"text", "json", "ascii", "svg"},
+    "gf": {"text", "json"},
+    "terms": {"text", "json", "bfile"},
+    "recurrence": {"text", "json"},
+    "automaton": {"text", "json", "dot"},
+    "asymptotics": {"text", "json"},
+    "figures": {"text", "json", "ascii", "svg"},
+    "delahaye": {"text", "json"},
+    "verify": {"text", "json"},
 }
 
 
 def _parse_n_values(value: str) -> range:
-    lo, dash, hi = value.strip().partition("-")
-    hi = hi if dash else lo
-    # isdecimal is Unicode category Nd, as int() and the \d of a str regex read it
-    if not (lo.isdecimal() and hi.isdecimal()):
-        raise ValueError(f"bad width {value!r}; use a number or a range like 1-12")
-    if int(hi) < int(lo):
-        raise ValueError(f"empty width range {value!r}")
-    return range(int(lo), int(hi) + 1)
+    text = value.strip()
+    matched = re.fullmatch(r"(\d+)-(\d+)", text)
+    if matched:
+        lo, hi = int(matched.group(1)), int(matched.group(2))
+        if hi < lo:
+            raise ValueError(f"empty width range {value!r}")
+        return range(lo, hi + 1)
+    if re.fullmatch(r"\d+", text):
+        return range(int(text), int(text) + 1)
+    raise ValueError(f"bad width {value!r}; use a number or a range like 1-12")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,55 +88,66 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _main_parser() -> tuple[_Parser, argparse._SubParsersAction]:
+@functools.cache  # built on first use, once per process; parsing does not change it
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gridcuts",
         description="Count and enumerate cuts of an m x n grid into two congruent connected pieces.",
     )
-    return parser, parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)
 
+    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text, description=help_text)
+        p.set_defaults(**_DEFAULTS)  # also the default of each option added below
+        p.add_argument("--format", dest="fmt", choices=sorted(_FORMATS[name]))
+        p.add_argument("--out", help="write output to this path")
+        return p
 
-def _add_command(sub: argparse._SubParsersAction, name: str) -> None:
-    _, help_text, formats, options = _COMMANDS[name]
-    p = sub.add_parser(name, help=help_text, description=help_text)
-    p.set_defaults(**_DEFAULTS)  # also the default of each option added below
-    p.add_argument("--format", dest="fmt", choices=formats)
-    p.add_argument("--out", help="write output to this path")
-    for option in options:
-        flag, own_help = (option, None) if isinstance(option, str) else option
-        kwargs = _OPTIONS[flag] if own_help is None else {**_OPTIONS[flag], "help": own_help}
-        p.add_argument(flag, **kwargs)
+    p = add("count", "count boards of the given width(s) by exhaustive sweep; text output is the canonical "
+            "column, unvalidated for m != 4 (--format json carries canonical_validated: false)")
+    p.add_argument("--m", type=int)
+    p.add_argument("--n", required=True, help="width, or inclusive range like 1-12")
+    p.add_argument("--budget", type=int, help=_BUDGET_HELP)
+    p.add_argument("--timings", action="store_true")
 
+    p = add("enumerate", "list every canonical board of one width")
+    p.add_argument("--m", type=int)
+    p.add_argument("--n", required=True)
+    p.add_argument("--budget", type=int, help=_BUDGET_HELP)
 
-@functools.cache  # built on first use, once per process; parsing does not change it
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of all ten subcommands, whose help and errors list them all."""
-    parser, sub = _main_parser()
-    for name in _COMMANDS:
-        _add_command(sub, name)
-    return parser
+    p = add("gf", "print the generating function of the chosen machine")
+    p.add_argument("--m", type=int)
+    p.add_argument("--mode", choices=("canonical", "general"))
 
+    p = add("terms", "series terms of the canonical generating function")
+    p.add_argument("--m", type=int)
+    p.add_argument("--mode", choices=("canonical", "general"))
+    p.add_argument("--limit", type=int)
 
-_shared_main_parser = functools.cache(_main_parser)  # grown by _command_parser
+    p = add("recurrence", "linear recurrence satisfied by the terms")
+    p.add_argument("--m", type=int)
+    p.add_argument("--mode", choices=("canonical", "general"))
 
+    p = add("automaton", "build the column machine and report its structure")
+    p.add_argument("--m", type=int)
+    p.add_argument("--mode", choices=("canonical", "general"))
 
-@functools.cache  # each subparser is added once per process
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """One main parser per process, holding the subparsers of the commands parsed so far."""
-    parser, sub = _shared_main_parser()
-    _add_command(sub, name)
+    p = add("asymptotics", "dominant-pole growth and amplitudes")
+    p.add_argument("--limit", type=int, help="error profile length")
+
+    add("figures", "verify and emit the two reference galleries")
+
+    p = add("delahaye", "closed-form 3 x 2n count next to oracle counts")
+    p.add_argument("--n", required=True, help="half-width, 1..6")
+
+    p = add("verify", "run the acceptance suite")
+    p.add_argument("--only", help="comma-separated criterion names (default: all)")
     return parser
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """The parsed invocation; validated before any computation starts.
-
-    A query builds only the subparser its command names.  A top-level
-    --help, a missing command and an unknown one go to the full parser, so
-    that help and the invalid-choice error list every subcommand.
-    """
-    parser = _command_parser(argv[0]) if argv and argv[0] in _COMMANDS else build_parser()
-    args = parser.parse_args(argv)
+    """The parsed invocation; validated before any computation starts."""
+    args = build_parser().parse_args(argv)
     if args.n is not None:
         args.n = _parse_n_values(args.n)
     if args.only is not None:
@@ -162,7 +180,6 @@ def _validate(args: argparse.Namespace) -> None:
         raise ValueError("--only names no criterion")
     if args.only is not None:
         from . import verify  # the acceptance suite loads only for `verify`
-
         known = [name for name, _, _ in verify.CRITERIA]
         for name in args.only:
             if name not in known:
@@ -380,7 +397,6 @@ def cmd_delahaye(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import verify
-
     results = verify.run(args.only)
     ok = all(r.ok for r in results)
     if args.fmt == "json":
@@ -399,37 +415,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-# name: (command, help text, --format choices, options); an option given as
-# (flag, help) has its own help text in that subcommand
 _COMMANDS = {
-    "count": (cmd_count, "count boards of the given width(s) by exhaustive sweep; text output is the "
-              "canonical column, unvalidated for m != 4 (--format json carries canonical_validated: "
-              "false)", ("json", "text"),
-              ("--m", ("--n", "width, or inclusive range like 1-12"), "--budget", "--timings")),
-    "enumerate": (cmd_enumerate, "list every canonical board of one width",
-                  ("ascii", "json", "svg", "text"), ("--m", "--n", "--budget")),
-    "gf": (cmd_gf, "print the generating function of the chosen machine",
-           ("json", "text"), ("--m", "--mode")),
-    "terms": (cmd_terms, "series terms of the canonical generating function",
-              ("bfile", "json", "text"), ("--m", "--mode", "--limit")),
-    "recurrence": (cmd_recurrence, "linear recurrence satisfied by the terms",
-                   ("json", "text"), ("--m", "--mode")),
-    "automaton": (cmd_automaton, "build the column machine and report its structure",
-                  ("dot", "json", "text"), ("--m", "--mode")),
-    "asymptotics": (cmd_asymptotics, "dominant-pole growth and amplitudes",
-                    ("json", "text"), (("--limit", "error profile length"),)),
-    "figures": (cmd_figures, "verify and emit the two reference galleries",
-                ("ascii", "json", "svg", "text"), ()),
-    "delahaye": (cmd_delahaye, "closed-form 3 x 2n count next to oracle counts",
-                 ("json", "text"), (("--n", "half-width, 1..6"),)),
-    "verify": (cmd_verify, "run the acceptance suite", ("json", "text"), ("--only",)),
+    "count": cmd_count,
+    "enumerate": cmd_enumerate,
+    "gf": cmd_gf,
+    "terms": cmd_terms,
+    "recurrence": cmd_recurrence,
+    "automaton": cmd_automaton,
+    "asymptotics": cmd_asymptotics,
+    "figures": cmd_figures,
+    "delahaye": cmd_delahaye,
+    "verify": cmd_verify,
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else list(argv))
-        return _COMMANDS[args.command][0](args)
+        return _COMMANDS[args.command](args)
     except BrokenPipeError:
         # downstream (e.g. `| head`) closed stdout; leave quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

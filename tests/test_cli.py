@@ -38,11 +38,10 @@ def run_cli(capsys, *argv):
 def fresh_python(code, *argv):
     """Run code in a fresh interpreter that imports this tree's gridcuts.
 
-    This interpreter has imported whatever the other tests needed, and its
-    parsers are already built.  COLUMNS fixes the width argparse wraps to.
+    This interpreter has imported whatever the other tests needed.
     """
     src = str(Path(gridcuts.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+    env = {**os.environ, "PYTHONPATH": src}
     return subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
 
@@ -472,75 +471,11 @@ class TestErrorBase:
             Polynomial([1, 0, 1]).divexact(Polynomial([2, 1]))
 
 
-# what a fresh process prints for `NAME --help` and `NAME --format nope`, parsed
-# first by parse_args and then by the full parser, and whether parse_args built it
-FIRST_PARSE = """
-import contextlib, io, json, sys
-from gridcuts import cli
-
-def outcome(parse, argv):
-    out = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out):
-            parse(argv)
-    except (SystemExit, ValueError) as exc:
-        return out.getvalue() + repr(exc)
-
-cases = [[sys.argv[1], "--help"], [sys.argv[1], "--format", "nope"]]
-first = [outcome(cli.parse_args, argv) for argv in cases]
-built = cli.build_parser.cache_info().currsize
-print(json.dumps([first, built, [outcome(cli.build_parser().parse_args, argv) for argv in cases]]))
-"""
-
-COMMANDS = ["count", "enumerate", "gf", "terms", "recurrence", "automaton", "asymptotics",
-            "figures", "delahaye", "verify"]
-
-
 class TestParser:
     def test_built_once_per_process(self):
-        from gridcuts.cli import _command_parser, build_parser
+        from gridcuts.cli import build_parser
 
         assert build_parser() is build_parser()
-        # one main parser serves every subcommand, each subparser added once
-        assert _command_parser("count") is _command_parser("count") is _command_parser("gf")
-        assert _command_parser("count") is not build_parser()
-
-    @pytest.mark.parametrize("name", COMMANDS)
-    def test_first_parse_matches_the_full_parser(self, name):
-        result = fresh_python(FIRST_PARSE, name)
-        assert result.returncode == 0, result.stderr
-        first, built, full = json.loads(result.stdout)
-        assert first == full and built == 0
-        assert first[0].startswith(f"usage: gridcuts {name} [-h]") and first[0].endswith("SystemExit(0)")
-        assert "argument --format: invalid choice: 'nope'" in first[1]
-
-    def test_unknown_command_lists_every_subcommand(self):
-        # the shared main parser holds `gf` alone when `bogus` arrives
-        probe = "from gridcuts import cli; cli.parse_args(['gf']); cli.main(['bogus'])"
-        choices = ", ".join(map(repr, COMMANDS))
-        assert fresh_python(probe).stderr == (
-            f"gridcuts: argument command: invalid choice: 'bogus' (choose from {choices})\n")
-
-    @pytest.mark.parametrize("value,expected", [
-        ("7", range(7, 8)),
-        (" 1-12 ", range(1, 13)),
-        ("00-3", range(0, 4)),
-        ("\u0663", range(3, 4)),  # ARABIC-INDIC DIGIT THREE, Unicode category Nd
-        ("12-1", "empty width range '12-1'"),
-        ("1-2-3", "bad width '1-2-3'; use a number or a range like 1-12"),
-        ("-3", "bad width '-3'; use a number or a range like 1-12"),
-        ("3-", "bad width '3-'; use a number or a range like 1-12"),
-        ("", "bad width ''; use a number or a range like 1-12"),
-    ])
-    def test_width_values(self, value, expected):
-        from gridcuts.cli import parse_args
-
-        if isinstance(expected, range):
-            assert parse_args(["count", "--n", value]).n == expected
-        else:
-            with pytest.raises(ValueError) as raised:
-                parse_args(["count", "--n", value])
-            assert str(raised.value) == expected
 
     @pytest.mark.parametrize("argv", [
         ("gf", "--mode", "foo"),
