@@ -21,8 +21,27 @@ so the two-term estimate is
     c_n ~ amp_plus * z^(-n) + amp_minus * (-z)^(-n)
         = A (1 + B (-1)^n) z^(-n),        A = amp_plus, B = amp_minus/A.
 
-Anything else (a repeated dominant pole, or a complex pair strictly inside
-the dominant radius) raises UnsupportedPoleShape.
+A repeated dominant pole raises UnsupportedPoleShape.  No other pole can
+share the circle |x| = z, and none lies inside it, when G is a machine gf,
+G = x^2 s (I - x^2 T)^(-1) a_even + x s (I - x^2 T)^(-1) a_odd (see
+`series`).  Two classical theorems make the estimate exact end to end
+(Flajolet & Sedgewick, Analytic Combinatorics, chs. IV and V; Seneta,
+Non-negative Matrices, ch. 1):
+
+- No pole inside the circle.  A power series with nonnegative coefficients
+  has its radius of convergence R as a singularity (Pringsheim), so the
+  rational G has R as a pole and no pole with |x| < R.  The smallest
+  positive pole that the Sturm descent certifies is R.
+- No complex pole on the circle.  Every pole x has x^2 = 1/lambda for an
+  eigenvalue lambda of T.  Every state of a built machine is reachable from
+  a start and can reach acceptance, so R = rho(T)^(-1/2).  Every state has
+  a self-loop (asserted where machines are built), so every cyclic
+  component is aperiodic, and by Perron-Frobenius the only eigenvalue of
+  modulus rho(T) is rho(T) itself.  The only poles on |x| = R are then +-R,
+  and whether -R is one is decided exactly.
+
+The nonnegativity premise is checked exactly: a negative coefficient among
+c_0..c_(deg N + deg D), which determine G, raises UnsupportedPoleShape.
 """
 
 from __future__ import annotations
@@ -32,8 +51,6 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .errors import GridcutsError
 from .series import Polynomial, RationalFunction, series_terms
@@ -52,7 +69,8 @@ _REFERENCE_TOLERANCE = 1e-6
 
 
 class UnsupportedPoleShape(GridcutsError, ValueError):
-    """The dominant singularities are not a simple real z or pair +-z."""
+    """The dominant poles are not a simple real z or pair +-z, or G has a
+    negative coefficient and so is no counting series."""
 
 
 def sturm_chain(p: Polynomial) -> list[Polynomial]:
@@ -181,14 +199,6 @@ class AsymptoticEstimate:
         return data
 
 
-def _complex_pole_guard(den: Polynomial, z: float) -> None:
-    # float check only: certified isolation covers the real axis, this rules
-    # out a stray complex pair sneaking inside the dominant radius
-    roots = np.roots([float(c) for c in reversed(den.coeffs)])
-    if np.min(np.abs(roots)) < z * (1 - 1e-9):
-        raise UnsupportedPoleShape("a complex pole lies inside the dominant radius")
-
-
 def dominant_form(
     G: RationalFunction,
     *,
@@ -198,13 +208,20 @@ def dominant_form(
 
     When `amplitude_reference` is given (closed-form amplitudes as a function
     of z), the result carries `exact_check`: both computed amplitudes agree
-    with the closed forms within 1e-6.  Precondition: numerator and
-    denominator are coprime, as every `generating_function` result is, so
-    each zero of the denominator is a pole.
+    with the closed forms within 1e-6.  Precondition: G is a machine gf, as
+    every `generating_function` result is.  Its numerator and denominator
+    are coprime, so each zero of the denominator is a pole, and the module
+    docstring proves that z, and -z when it is a pole, are then the only
+    poles on or inside |x| = z.  So the estimate is exact apart from the
+    final rounding to floats.  A negative coefficient among the first
+    deg N + deg D + 1, which determine G, is refused.
     """
     den = G.denominator
     if den.constant() == 0:
         raise UnsupportedPoleShape("pole at 0")
+    head = series_terms(G, G.numerator.degree + den.degree)
+    if G.numerator.constant() * den.constant() < 0 or min(head, default=0) < 0:
+        raise UnsupportedPoleShape("a coefficient is negative: not a counting series")
 
     chain = sturm_chain(den)
     multiple = chain[-1].primitive()  # gcd(D, D') up to the sign and content primitive() removes
@@ -223,9 +240,6 @@ def dominant_form(
     amp_plus_exact = _amplitude(G, mid)
     amp_minus_exact = _amplitude(G, -mid) if has_mirror else Fraction(0)
 
-    z = float(mid)
-    _complex_pole_guard(den, z)
-
     exact_check: bool | None = None
     if amplitude_reference is not None:
         ref_plus, ref_minus = amplitude_reference(mid)
@@ -236,7 +250,7 @@ def dominant_form(
 
     return AsymptoticEstimate(
         pole_interval=(lo, hi),
-        z=z,
+        z=float(mid),
         growth=float(1 / mid),
         amp_plus=float(amp_plus_exact),
         amp_minus=float(amp_minus_exact),

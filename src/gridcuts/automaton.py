@@ -235,6 +235,8 @@ def _build(m: int, mode: str, alphabet: tuple[int, ...],
             stepped = _step(blocks, column, col, runs[col])
             if stepped is not None:
                 edges[(src, col)] = intern(col, stepped)
+        # a column's runs sit inside its blocks, so reading it again is a self-loop
+        assert edges.get((src, column)) == src, order[src]
         src += 1
 
     accepts = [acceptance(state) for state in order]

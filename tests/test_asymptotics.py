@@ -387,6 +387,26 @@ class TestDominantForm:
         with pytest.raises(UnsupportedPoleShape):
             dominant_form(gf)
 
+    def test_simple_pole_inside_a_high_power(self):
+        # 1/((1 - 3x)(1 - 2x)^11): the pole 1/3 is simple and dominant; next to
+        # the 11-fold pole at 1/2, float root finding misplaces it by about 1e-8
+        den = poly(1, -3)
+        for _ in range(11):
+            den = den * poly(1, -2)
+        est = dominant_form(RationalFunction(poly(1), den))
+        assert est.growth == 3.0
+        assert est.amp_plus == 3**11
+        lo, hi = est.pole_interval
+        assert lo <= Fraction(1, 3) <= hi
+        assert not est.has_mirror_pole and est.amp_minus == 0.0
+
+    def test_negative_coefficient_refused(self):
+        # 1/((1 + 4x^2)(1 - x)) has c_2 = -3, so it is no counting series
+        gf = RationalFunction(poly(1), poly(1, 0, 4) * poly(1, -1))
+        assert series_terms(gf, 2) == [1, -3]
+        with pytest.raises(UnsupportedPoleShape, match="negative"):
+            dominant_form(gf)
+
     def test_predicted_terms_match_two_pole_expansion(self, estimate):
         for n in (5, 10, 15):
             explicit = estimate.amp_plus * estimate.growth**n + estimate.amp_minus * (
@@ -508,6 +528,30 @@ GENERAL_ESTIMATES = {
         (Fraction(8662150869896372149288721279835, 20282409603651670423947251286016),
          Fraction(4331075434948186074644360639925, 10141204801825835211973625643008))),
 }
+
+
+# the same for the canonical machines other than m = 4 (the `estimate`
+# fixture), recorded while a float root finder still guarded complex poles;
+# at m = 3 and 5 the canonical and general gfs share their dominant pole
+CANONICAL_ESTIMATES = {
+    1: ((1.0, 0.5, 0.5, True), (Fraction(1), Fraction(1))),
+    3: ((1.4142135623730951, 1.0, 1.0, True), GENERAL_ESTIMATES[3][1]),
+    5: ((2.3414980768967273, 0.8826754919989873, 0.8826754919989873, True),
+        GENERAL_ESTIMATES[5][1]),
+}
+
+
+class TestCanonicalMachines:
+    @pytest.mark.parametrize("m", sorted(CANONICAL_ESTIMATES))
+    def test_estimate_pinned(self, m):
+        est = dominant_form(generating_function(build_canonical(m)))
+        values, interval = CANONICAL_ESTIMATES[m]
+        assert (est.growth, est.amp_plus, est.amp_minus, est.has_mirror_pole) == values
+        assert est.pole_interval == interval
+
+    def test_m2_double_pole_refused(self):
+        with pytest.raises(UnsupportedPoleShape, match="^dominant pole is not simple$"):
+            dominant_form(generating_function(build_canonical(2)))
 
 
 class TestGeneralMachines:

@@ -496,6 +496,13 @@ class TestInvariants:
             assert all(b & state.column in (0, b) for b in blocks), state
             assert state.m == m
 
+    @pytest.mark.parametrize("mode,m", CLOSURE_MACHINES)
+    def test_every_state_has_a_self_loop(self, mode, m):
+        # the aperiodicity that `asymptotics` takes from Perron-Frobenius
+        machine = closure_machine(mode, m)
+        transitions = set(machine.transitions)
+        assert all((i, state.column, i) in transitions for i, state in enumerate(machine.states))
+
     def test_odd_accepting_states_have_self_revcomp_columns(self, canonical):
         for idx in canonical.accept_odd:
             column = canonical.states[idx].column
