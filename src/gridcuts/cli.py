@@ -10,13 +10,13 @@ byte-identical output.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import os
 import re
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import oracle, reference
 from .asymptotics import dominant_form, error_profile
@@ -33,7 +33,7 @@ from .automaton import (
 )
 from .board import Board, boards_to_svg
 from .errors import GridcutsError
-from .series import format_bfile, generating_function, recurrence_of, series_terms
+from .series import _exact_digits, format_bfile, generating_function, recurrence_of, series_terms
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -53,19 +53,75 @@ _DEFAULTS = {
     "budget": oracle.DEFAULT_BUDGET, "out": None, "timings": False, "only": None,
 }
 
-_BUDGET_HELP = "sweep candidate cap (default %(default)s)"
 
-_FORMATS = {
-    "count": {"text", "json"},
-    "enumerate": {"text", "json", "ascii", "svg"},
-    "gf": {"text", "json"},
-    "terms": {"text", "json", "bfile"},
-    "recurrence": {"text", "json"},
-    "automaton": {"text", "json", "dot"},
-    "asymptotics": {"text", "json"},
-    "figures": {"text", "json", "ascii", "svg"},
-    "delahaye": {"text", "json"},
-    "verify": {"text", "json"},
+class _Option(NamedTuple):
+    """One `--name` option of a subcommand; its default is `_DEFAULTS[dest]`."""
+
+    name: str
+    dest: str
+    type: Callable[[str], object] | None = None  # None keeps the raw string
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+    flag: bool = False  # takes no value; given, it sets True
+    help: str | None = None
+
+
+def _formats(*choices: str) -> _Option:
+    return _Option("--format", "fmt", choices=choices)
+
+
+_OUT = _Option("--out", "out", help="write output to this path")
+_M = _Option("--m", "m", int)
+_MODE = _Option("--mode", "mode", choices=("canonical", "general"))
+_BUDGET = _Option("--budget", "budget", int, help="sweep candidate cap (default %(default)s)")
+
+# subcommand -> (its help and description, its options in help order); the
+# one declaration both the strict parser and build_parser read
+_SUBCOMMANDS: dict[str, tuple[str, tuple[_Option, ...]]] = {
+    "count": (
+        "count boards of the given width(s) by exhaustive sweep; text output is the canonical "
+        "column, unvalidated for m != 4 (--format json carries canonical_validated: false)",
+        (_formats("json", "text"), _OUT, _M,
+         _Option("--n", "n", required=True, help="width, or inclusive range like 1-12"),
+         _BUDGET, _Option("--timings", "timings", flag=True)),
+    ),
+    "enumerate": (
+        "list every canonical board of one width",
+        (_formats("ascii", "json", "svg", "text"), _OUT, _M, _Option("--n", "n", required=True), _BUDGET),
+    ),
+    "gf": (
+        "print the generating function of the chosen machine",
+        (_formats("json", "text"), _OUT, _M, _MODE),
+    ),
+    "terms": (
+        "series terms of the canonical generating function",
+        (_formats("bfile", "json", "text"), _OUT, _M, _MODE, _Option("--limit", "limit", int)),
+    ),
+    "recurrence": (
+        "linear recurrence satisfied by the terms",
+        (_formats("json", "text"), _OUT, _M, _MODE),
+    ),
+    "automaton": (
+        "build the column machine and report its structure",
+        (_formats("dot", "json", "text"), _OUT, _M, _MODE),
+    ),
+    "asymptotics": (
+        "dominant-pole growth and amplitudes",
+        (_formats("json", "text"), _OUT, _Option("--limit", "limit", int, help="error profile length")),
+    ),
+    "figures": (
+        "verify and emit the two reference galleries",
+        (_formats("ascii", "json", "svg", "text"), _OUT),
+    ),
+    "delahaye": (
+        "closed-form 3 x 2n count next to oracle counts",
+        (_formats("json", "text"), _OUT, _Option("--n", "n", required=True, help="half-width, 1..6")),
+    ),
+    "verify": (
+        "run the acceptance suite",
+        (_formats("json", "text"), _OUT,
+         _Option("--only", "only", help="comma-separated criterion names (default: all)")),
+    ),
 }
 
 
@@ -88,66 +144,75 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-@functools.cache  # built on first use, once per process; parsing does not change it
+def _parse_strict(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives a well-formed argv, or None for any other argv.
+
+    Well-formed: a subcommand, then `--name value` and `--flag` tokens, each
+    name spelled in full and each value valid and not starting with "-",
+    with every required option given.  A repeated option keeps its last
+    value, as in argparse.  Help, usage errors and the other spellings
+    argparse accepts (abbreviations, `--name=value`, negative numbers) are
+    left to build_parser.
+    """
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    _, options = _SUBCOMMANDS[argv[0]]
+    by_name = {opt.name: opt for opt in options}
+    missing = {opt.name for opt in options if opt.required}
+    values = dict(_DEFAULTS)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        opt = by_name.get(token)
+        if opt is None:
+            return None
+        if opt.flag:
+            values[opt.dest] = True
+            continue
+        raw = next(tokens, "-")  # a missing value is declined like a dash
+        if raw.startswith("-"):
+            return None
+        try:
+            value = raw if opt.type is None else opt.type(raw)
+        except ValueError:
+            return None
+        # choices are checked after conversion, as argparse checks them
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        values[opt.dest] = value
+        missing.discard(token)
+    if missing:
+        return None
+    return argparse.Namespace(command=argv[0], **values)
+
+
+@functools.cache  # built on the first argv _parse_strict declines; parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gridcuts",
         description="Count and enumerate cuts of an m x n grid into two congruent connected pieces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    for name, (help_text, options) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(**_DEFAULTS)  # also the default of each option added below
-        p.add_argument("--format", dest="fmt", choices=sorted(_FORMATS[name]))
-        p.add_argument("--out", help="write output to this path")
-        return p
-
-    p = add("count", "count boards of the given width(s) by exhaustive sweep; text output is the canonical "
-            "column, unvalidated for m != 4 (--format json carries canonical_validated: false)")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", required=True, help="width, or inclusive range like 1-12")
-    p.add_argument("--budget", type=int, help=_BUDGET_HELP)
-    p.add_argument("--timings", action="store_true")
-
-    p = add("enumerate", "list every canonical board of one width")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", required=True)
-    p.add_argument("--budget", type=int, help=_BUDGET_HELP)
-
-    p = add("gf", "print the generating function of the chosen machine")
-    p.add_argument("--m", type=int)
-    p.add_argument("--mode", choices=("canonical", "general"))
-
-    p = add("terms", "series terms of the canonical generating function")
-    p.add_argument("--m", type=int)
-    p.add_argument("--mode", choices=("canonical", "general"))
-    p.add_argument("--limit", type=int)
-
-    p = add("recurrence", "linear recurrence satisfied by the terms")
-    p.add_argument("--m", type=int)
-    p.add_argument("--mode", choices=("canonical", "general"))
-
-    p = add("automaton", "build the column machine and report its structure")
-    p.add_argument("--m", type=int)
-    p.add_argument("--mode", choices=("canonical", "general"))
-
-    p = add("asymptotics", "dominant-pole growth and amplitudes")
-    p.add_argument("--limit", type=int, help="error profile length")
-
-    add("figures", "verify and emit the two reference galleries")
-
-    p = add("delahaye", "closed-form 3 x 2n count next to oracle counts")
-    p.add_argument("--n", required=True, help="half-width, 1..6")
-
-    p = add("verify", "run the acceptance suite")
-    p.add_argument("--only", help="comma-separated criterion names (default: all)")
+        for opt in options:
+            if opt.flag:
+                p.add_argument(opt.name, dest=opt.dest, action="store_true", help=opt.help)
+            else:
+                p.add_argument(opt.name, dest=opt.dest, type=opt.type, choices=opt.choices,
+                               required=opt.required, help=opt.help)
     return parser
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """The parsed invocation; validated before any computation starts."""
-    args = build_parser().parse_args(argv)
+    """The parsed invocation; validated before any computation starts.
+
+    argparse is built only for an argv the strict parser declines, so help
+    and every usage message come from argparse alone.
+    """
+    args = _parse_strict(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     if args.n is not None:
         args.n = _parse_n_values(args.n)
     if args.only is not None:
@@ -261,32 +326,14 @@ def cmd_gf(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@contextlib.contextmanager
-def _exact_digits():
-    """Lift Python's int-to-str digit limit while the CLI formats its output.
-
-    The limit guards parsing untrusted text; the terms printed here are
-    exact and computed, and far enough out they run past 4300 digits.
-    """
-    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
-        yield
-        return
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
-
-
 def cmd_terms(args: argparse.Namespace) -> int:
     terms = series_terms(generating_function(_machine(args)), args.limit)
-    with _exact_digits():
-        if args.fmt == "json":
+    if args.fmt == "json":
+        with _exact_digits():
             _emit_json(args, terms)
-        else:
-            # text and b-file agree: "n value" lines, n from 1, newline-terminated
-            _emit(args, format_bfile(terms))
+    else:
+        # text and b-file agree: "n value" lines, n from 1, newline-terminated
+        _emit(args, format_bfile(terms))
     return EXIT_OK
 
 

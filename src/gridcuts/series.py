@@ -33,6 +33,8 @@ one primitive pseudo-remainder sequence (Brown & Traub 1971).
 
 from __future__ import annotations
 
+import contextlib
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -474,9 +476,28 @@ class Recurrence:
         }
 
 
+@contextlib.contextmanager
+def _exact_digits():
+    """Lift Python's int-to-str digit limit while exact terms are formatted.
+
+    The limit guards parsing untrusted text; the terms printed here are
+    exact and computed, and far enough out they run past 4300 digits.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def format_bfile(terms: Sequence[int]) -> str:
     """OEIS b-file lines: "n value" from n = 1, consecutive, newline-terminated."""
-    return "".join(f"{n} {value}\n" for n, value in enumerate(terms, start=1))
+    with _exact_digits():
+        return "".join(f"{n} {value}\n" for n, value in enumerate(terms, start=1))
 
 
 def recurrence_of(G: RationalFunction) -> Recurrence:

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -7,11 +9,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridcuts
 from gridcuts import oracle
 from gridcuts.board import SVG_FILL_ONE, Board
-from gridcuts.cli import main
+from gridcuts.cli import _SUBCOMMANDS, _parse_strict, build_parser, main
 from gridcuts.reference import GALLERY_4X6, REFERENCE_TERMS
 from gridcuts.verify import run_criterion
 
@@ -471,11 +475,81 @@ class TestErrorBase:
             Polynomial([1, 0, 1]).divexact(Polynomial([2, 1]))
 
 
+_ALL_OPTIONS = list(dict.fromkeys(opt for _, options in _SUBCOMMANDS.values() for opt in options))
+_VALUES = ["4", "-1", "+3", "\u0663", "x", "", " 5", "1-3", "terms-30", "json", "general", "txt"]
+
+
+@st.composite
+def _argvs(draw):
+    """A command, then its options: in half the argvs all spelled exactly,
+    in the rest also in the other ways argparse accepts or refuses:
+    abbreviated, --name=value, a name another command owns, a missing value,
+    help or the end-of-options marker."""
+    command = draw(st.sampled_from([*_SUBCOMMANDS, "bogus"]))
+    options = _SUBCOMMANDS[command][1] if command in _SUBCOMMANDS else _ALL_OPTIONS
+    spellings = ["exact"]
+    if draw(st.booleans()):
+        spellings += ["abbreviated", "equals", "other", "bare", "special"]
+    argv = [command]
+    for _ in range(draw(st.integers(0, 5))):
+        opt = draw(st.sampled_from(options))
+        value = draw(st.sampled_from(opt.choices or _VALUES) | st.sampled_from(_VALUES))
+        spelling = draw(st.sampled_from(spellings))
+        if spelling == "exact":
+            argv += [opt.name] if opt.flag else [opt.name, value]
+        elif spelling == "abbreviated":
+            argv += [opt.name[:draw(st.integers(3, max(3, len(opt.name) - 1)))], value]
+        elif spelling == "equals":
+            argv.append(f"{opt.name}={value}")
+        elif spelling == "other":
+            argv += [draw(st.sampled_from(_ALL_OPTIONS)).name, value]
+        elif spelling == "bare":
+            argv.append(opt.name)
+        else:
+            argv.append(draw(st.sampled_from(["-h", "--help", "--", value])))
+    return argv
+
+
 class TestParser:
     def test_built_once_per_process(self):
-        from gridcuts.cli import build_parser
-
         assert build_parser() is build_parser()
+
+    @settings(max_examples=400, deadline=None)
+    @given(_argvs())
+    def test_strict_parser_agrees_with_argparse(self, argv):
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):  # help exits after printing
+                expected = vars(build_parser().parse_args(argv))
+        except (ValueError, SystemExit):
+            expected = None
+        strict = _parse_strict(argv)
+        assert strict is None or vars(strict) == expected
+
+    def test_well_formed_queries_build_no_parser(self):
+        # every query of both benchmark workloads, in a process that has built nothing yet
+        probe = ("import contextlib, io, sys; sys.path.insert(0, sys.argv[1]); import run; "
+                 "from gridcuts.cli import build_parser, main\n"
+                 "argvs = [argv for workload in run.WORKLOADS for argv in run.queries(workload, 0)]\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    codes = {main(argv) for argv in argvs}\n"
+                 "print(codes, build_parser.cache_info().misses)")
+        bench = Path(__file__).resolve().parent.parent / "bench"
+        ran = fresh_python(probe, str(bench))
+        assert ran.stdout == "{0} 0\n", ran.stderr
+
+    @pytest.mark.parametrize("argv", [("--help",), ("gf", "--mode", "foo"), ("terms", "--lim", "5")])
+    def test_declined_argv_builds_the_parser(self, capsys, argv):
+        def calls():
+            info = build_parser.cache_info()
+            return info.hits + info.misses
+
+        before = calls()
+        with contextlib.suppress(SystemExit):
+            main(list(argv))
+        assert calls() == before + 1
+
+    def test_abbreviation_prints_the_same_bytes(self, capsys):
+        assert run_cli(capsys, "terms", "--lim", "5") == run_cli(capsys, "terms", "--limit", "5")
 
     @pytest.mark.parametrize("argv", [
         ("gf", "--mode", "foo"),
@@ -486,6 +560,10 @@ class TestParser:
         ("verify", "--only"),
         ("terms", "--limit", "5", "--extra"),
         ("delahaye", "--n", "1", "--budget", "1073741824"),
+        # declined by the strict parser, refused by argparse or _validate
+        ("gf", "--m"),
+        ("count", "--n", "3", "--timings", "x"),
+        ("terms", "--limit", "-1"),  # argparse reads -1 as a value; _validate refuses it
     ], ids=lambda argv: " ".join(argv) or "no-args")
     def test_usage_error_is_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
@@ -572,6 +573,18 @@ class TestBfile:
         pairs = [line.split(" ") for line in text.splitlines()]
         assert [int(n) for n, _ in pairs] == list(range(1, 31))
         assert [int(value) for _, value in pairs] == terms
+
+    def test_past_the_int_digit_limit(self):
+        from gridcuts.series import format_bfile
+
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            text = format_bfile([10**5000])
+            assert sys.get_int_max_str_digits() == 4300  # restored after formatting
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert text == "1 1" + "0" * 5000 + "\n"
 
 
 def run_recurrence(rec, count):
