@@ -18,17 +18,20 @@ most 2S, and its denominator det(I - x^2 T) has constant term 1.  Two such
 functions that agree on 4S+1 coefficients are equal: P1 Q2 - P2 Q1 has degree
 at most 4S and vanishes mod x^(4S+1).  So once the guess is checked to obey
 the degree bound and to reproduce every computed count, it is G.  The
-resolvent-denominator LCM is certified the same way from the entries of T^k.
+resolvent-denominator LCM is grown the same way, one certified fit at a
+time, until it annihilates T (proof in `resolvent_denominator_lcm`).
 These Berlekamp-Massey certificates are the one exact-algebra mechanism: no
 determinant is ever computed, by elimination or otherwise.
 
-A certified gf is in lowest terms by Berlekamp-Massey minimality (proof in
-`certified_series`), so no gcd reduces it.  A `RationalFunction` puts itself
-in normal form when it is constructed: coprime contents and a positive
-leading denominator coefficient.  Equality of generating functions is then
-a literal coefficient comparison and no consumer normalizes again.  Gcds
-and Sturm chains never leave the integers: both run `Polynomial.remainders`,
-one primitive pseudo-remainder sequence (Brown & Traub 1971).
+A certified fit is in lowest terms by Berlekamp-Massey minimality (proof in
+`certified_series`), so neither the gf nor the LCM computes a gcd.  A
+`RationalFunction` puts itself in normal form when it is constructed:
+coprime contents and a positive leading denominator coefficient.  Equality
+of generating functions is then a literal coefficient comparison and no
+consumer normalizes again.  Polynomial gcds are left to `asymptotics`, and
+they and its Sturm chains never leave the integers: both run
+`Polynomial.remainders`, one primitive pseudo-remainder sequence (Brown &
+Traub 1971).
 """
 
 from __future__ import annotations
@@ -392,29 +395,45 @@ def generating_function(automaton) -> RationalFunction:
 
 
 def resolvent_denominator_lcm(T: TransferMatrix) -> Polynomial:
-    """LCM of the reduced entry denominators of (I - xT)^(-1).
+    """LCM of the reduced entry denominators of (I - xT)^(-1), as a primitive
+    positive-lead integer polynomial, from Berlekamp-Massey fits alone.
 
-    Entry (i, j) is sum_k (T^k)_ij x^k, a rational function whose numerator
-    has degree <= S-1 and denominator degree <= S; its reduced denominator
-    is certified from k = 0..2S.  Returned as a primitive positive-lead
-    integer polynomial.
+    Entry (i, j) is F_ij = sum_k (T^k)_ij x^k = P_ij / Q_ij in lowest terms.
+    For L of degree d and its reversal L*(t) = t^d L(1/t), coefficient d + k
+    of L F_ij is u_k = (e_i L*(T) T^k)_j, whose series is a rational function
+    of numerator degree < S and denominator degree <= S (Cramer), so
+    `certified_series` fits it from u_0..u_2S.  That series is L F_ij less a
+    polynomial, over x^d.  L F_ij = (L/g) P_ij / R with g = gcd(L, Q_ij) and
+    R = Q_ij / g coprime to L/g and to P_ij, so R (R(0) != 0) is its reduced
+    denominator.  A fit is coprime by minimality (see `certified_series`), so
+    its denominator is a multiple of R, and L R = lcm(L, Q_ij): no gcd is
+    computed.
+
+    L thus divides the LCM, of degree <= S.  If u_S != 0 the series is no
+    polynomial of degree < S, so R is not constant and the fit raises deg L:
+    there are at most S fits.  Once e_i L*(T) T^S = 0 for every row i, every
+    L F_ij is a polynomial, so every Q_ij divides L, and L is the LCM.
     """
     size = T.order
     rows = _sparse_rows(T.entries)
-    sequences: set[tuple[int, ...]] = set()
-    for i in range(size):
-        # the rows e_i T^k for k = 0..2S; column j is the entry sequence (T^k)_ij
-        vec = [int(j == i) for j in range(size)]
-        powers = [vec]
-        for _ in range(2 * size):
-            vec = _step(vec, rows)
-            powers.append(vec)
-        sequences.update(zip(*powers))
     lcm = Polynomial.ONE
-    for seq in sequences:
-        den = certified_series(seq, size)[1]
-        lcm = (lcm * den.divexact(lcm.gcd(den))).primitive()
-    return lcm
+    for i in range(size):
+        while True:
+            # e_i L*(T) by Horner, then its orbit under T up to the check at k = S
+            vec = [0] * size
+            for c in lcm.coeffs:
+                vec = _step(vec, rows)
+                vec[i] += c
+            orbit = [vec]
+            for _ in range(size):
+                orbit.append(_step(orbit[-1], rows))
+            j = next((j for j, u in enumerate(orbit[-1]) if u), None)
+            if j is None:
+                break
+            for _ in range(size):
+                orbit.append(_step(orbit[-1], rows))
+            lcm = lcm * certified_series([v[j] for v in orbit], size)[1]
+    return lcm.primitive()
 
 
 def series_terms(G: RationalFunction, count: int) -> list[int]:

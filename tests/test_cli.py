@@ -171,6 +171,17 @@ class TestSeriesCommands:
         code, out, _ = run_cli(capsys, "terms", "--limit", "1")
         assert out == "1 1\n"
 
+    def test_terms_limit_is_capped(self):
+        # parsed only: 50,000 general m = 5 terms take about 50 s
+        from gridcuts.cli import parse_args
+
+        assert parse_args(["terms", "--limit", "50000"]).limit == 50_000
+        with pytest.raises(ValueError) as refused:
+            parse_args(["terms", "--mode", "general", "--m", "5", "--limit", "50001"])
+        assert str(refused.value) == (
+            "--limit must be at most 50000: time and memory grow with the digits of c_n"
+        )
+
     def test_bfile_format_strict(self, capsys):
         code, out, _ = run_cli(capsys, "terms", "--limit", "5", "--format", "bfile")
         assert out == "1 1\n2 3\n3 5\n4 14\n5 22\n"

@@ -5,7 +5,7 @@ from itertools import zip_longest
 from math import lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gridcuts import automaton, oracle
@@ -361,11 +361,22 @@ BAREISS_LCM = {
     "general3": [-1, 4, -5, 2],
     "general4": [1, -8, 23, -30, 18, 0, -7, 2, 1],
 }
+# LCMs of the gcd fold that `resolvent_denominator_lcm` replaced, recorded
+# before it was removed: minimal, where the annihilation test shows only that
+# the LCM is a common denominator.
+FOLD_LCM = {
+    "canonical5": [1, -21, 188, -952, 3023, -6137, 7292, -2578, -6097, 9759, -4027,
+                   -3483, 4534, -920, -1361, 749, 192, -152, -23, 11, 2],
+    "general1": [-1, 1],
+    "general2": [1, -2, 1],
+    "general5": [1, -21, 188, -952, 3023, -6137, 7292, -2578, -6097, 9759, -4027,
+                 -3483, 4534, -920, -1361, 749, 192, -152, -23, 11, 2],
+}
 
 
 def _machine(name):
-    if name == "canonical4":
-        return build_canonical(4)
+    if name.startswith("canonical"):
+        return build_canonical(int(name.removeprefix("canonical")))
     return build_general(int(name.removeprefix("general")))
 
 
@@ -379,6 +390,51 @@ class TestRetiredPathAnswers:
     def test_lcm(self, name):
         lcm = resolvent_denominator_lcm(transfer_matrix(_machine(name)))
         assert list(lcm.coeffs) == BAREISS_LCM[name]
+
+
+def gcd_fold_lcm(T):
+    """The LCM as the library computed it before: one certified fit for every
+    distinct entry sequence (T^k)_ij, k = 0..2S, joined by gcd and divexact."""
+    size = T.order
+    powers = _matrix_powers(T.entries, 2 * size)
+    sequences = {tuple(p[i][j] for p in powers) for i in range(size) for j in range(size)}
+    lcm = Polynomial.ONE
+    for seq in sequences:
+        den = certified_series(seq, size)[1]
+        lcm = (lcm * den.divexact(lcm.gcd(den))).primitive()
+    return lcm
+
+
+def _lcm_input(entries):
+    size = len(entries)
+    return TransferMatrix(
+        entries=tuple(tuple(row) for row in entries),
+        start_vector=(0,) * size,
+        accept_even_vector=(0,) * size,
+        accept_odd_vector=(0,) * size,
+    )
+
+
+small_matrices = st.integers(0, 7).flatmap(
+    lambda size: st.lists(
+        st.lists(st.integers(0, 2), min_size=size, max_size=size), min_size=size, max_size=size
+    )
+)
+
+
+class TestMinimalLcm:
+    @pytest.mark.parametrize("name", sorted(FOLD_LCM))
+    def test_pinned(self, name):
+        lcm = resolvent_denominator_lcm(transfer_matrix(_machine(name)))
+        assert list(lcm.coeffs) == FOLD_LCM[name]
+
+    @given(small_matrices)
+    @example([[0, 1, 2], [0, 0, 1], [0, 0, 0]])  # nilpotent: every entry a polynomial
+    @example([[0, 1, 0], [0, 0, 1], [1, 0, 0]])  # periodic: 1 - x^3
+    @example([[2, 1], [0, 0]])  # a zero row
+    def test_equals_gcd_fold(self, entries):
+        T = _lcm_input(entries)
+        assert resolvent_denominator_lcm(T) == gcd_fold_lcm(T)
 
 
 def _bordered_bareiss_gf(T):
