@@ -58,18 +58,28 @@ they have holes, and the half-turn maps each hole (an 8-component of
 0-cells off the border) onto an 8-component of 1-cells off the border
 (Rosenfeld's 4/8 duality, Amer. Math. Monthly 86, 1979).  So the 1-cells
 are 4-connected exactly when an 8-connected flood seeded at their border
-cells covers them.  The flood drops each candidate from the working set as
-soon as it fills its label mask or stops growing, and it needs as many
-steps as the farthest 1-cell lies from the border: 10 at 4 x 12, where a
-4-connected flood from one cell needed 23.  The flood fill is the only test
-that accepts a board.  This stays a per-candidate brute-force check;
-nothing here shares logic with the column automaton it is used to validate.
+cells covers them.  The flood grows every candidate, with no compaction of
+the working set, until none grows any more.  That takes as many steps as
+the farthest 1-cell lies from the border, and one more to see that nothing
+grew: 11 at 4 x 12, where a 4-connected flood from one cell needed 23.  The
+flood fill is the only test that accepts a board.  This stays a
+per-candidate brute-force check; nothing here shares logic with the column
+automaton it is used to validate.
 
 Three counting conventions are reported side by side because they genuinely
 differ: `canonical` counts matrices satisfying the stipulations (the
 sequence's convention), `cuts` counts unordered bipartitions (= matrices/2),
 and `orbits` counts cuts up to horizontal reflection.  At width 2 they are
-3, 4 and 3.
+3, 4 and 3.  All three are read from the flood's survivors, one board per
+cut (the one with cell (0, 0) = 0): cuts is their number, and canonical
+applies the stipulations to them and to their complements.  The orbits
+follow from Burnside's lemma (Harary & Palmer, Graphical Enumeration, 1973,
+ch. 2) as (cuts + cuts the reflection fixes) / 2, with no sort.  By the
+complement rule a board's horizontal reflection is its row flip
+complemented, so a cut is fixed exactly when the row flip of its
+representative is that board or its complement.  The sorted array of all
+boards, and the tuples built from it, are made only when a caller of
+`sweep` asks for them, as `enumerate_canonical` does.
 """
 
 from __future__ import annotations
@@ -207,45 +217,63 @@ def _connected(bits: np.ndarray, m: int, n: int) -> np.ndarray:
 
     The flood grows by one 8-neighbourhood a step inside the label mask,
     so it takes as many steps as the farthest 1-cell lies from the border,
-    not as the longest path through the region.  A candidate leaves the
-    working set as soon as it fills its mask (connected) or stops growing
-    short of it (not connected).
+    not as the longest path through the region.  Every candidate grows in
+    every step until no candidate grows any more; one that has stopped
+    stays as it is, so nothing is compacted, and a candidate is connected
+    exactly when its flood then covers its mask.
     """
     u = np.uint64
     not_top, not_bottom = _row_masks(m, n)
     assert (_edges_minus_squares(bits, m, not_bottom) == m * n // 2 - 1).all()
     # the top and bottom rows, and the first and last columns (none at n = 0)
     border = ((1 << (m * n)) - 1) & ~(not_top & not_bottom) | (_columns_mask(m, (0, n - 1)) if n else 0)
-    ok = np.zeros(bits.size, dtype=bool)
-    idx = np.arange(bits.size)
-    mask = bits
     cur = bits & u(border)
-    while idx.size:
+    while True:
         column = cur | ((cur & u(not_top)) >> u(1)) | ((cur & u(not_bottom)) << u(1))
-        grown = (column | (column >> u(m)) | (column << u(m))) & mask
-        full = grown == mask
-        ok[idx[full]] = True
-        growing = (grown != cur) & ~full
-        idx, mask, cur = idx[growing], mask[growing], grown[growing]
-    return ok
+        grown = (column | (column >> u(m)) | (column << u(m))) & bits
+        if np.array_equal(grown, cur):
+            return cur == bits
+        cur = grown
+
+
+def _canonical_mask(boards: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Element-wise: the board meets the stipulations of board.is_canonical."""
+    u = np.uint64
+    bottom_left = sum(1 << (j * m + m - 1) for j in range((n + 1) // 2))
+    return ((boards & u(bottom_left)) == 0) & (np.bitwise_count(boards & u((1 << m) - 1)) <= m // 2)
 
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """All complement-rule boards of one shape, and the number of cuts up to
+    """All complement-rule cuts of one shape, and their number up to
     horizontal reflection.
 
-    The boards are held as a sorted, read-only uint64 array with a mask of
-    the canonical ones.  `graham` and `canonical` give them as sorted
-    tuples of bitboard integers, built on first use, so a count makes no
-    Python int per board.
+    representatives holds one board per cut, the one whose cell (0, 0) is
+    0, as a read-only uint64 array in the flood fill's order; the other
+    board of each cut is its complement.  A count reads only that array.
+    `boards` (every board, sorted), `is_canonical` (its mask of canonical
+    boards), and the `graham` and `canonical` tuples of bitboard integers
+    are built on first use and cached, so a count sorts nothing and makes
+    no Python int per board.
     """
 
     m: int
     n: int
-    boards: np.ndarray
-    is_canonical: np.ndarray
+    representatives: np.ndarray
     orbits: int
+
+    @cached_property
+    def boards(self) -> np.ndarray:
+        full = np.uint64((1 << (self.m * self.n)) - 1)
+        boards = np.sort(np.concatenate([self.representatives, self.representatives ^ full]))
+        boards.flags.writeable = False
+        return boards
+
+    @cached_property
+    def is_canonical(self) -> np.ndarray:
+        keep = _canonical_mask(self.boards, self.m, self.n)
+        keep.flags.writeable = False
+        return keep
 
     @cached_property
     def graham(self) -> tuple[int, ...]:
@@ -265,18 +293,34 @@ def _outer_or(parts: list[np.ndarray]) -> np.ndarray:
     return table
 
 
-def _partial_boards(m: int, n: int, j: int, free: np.ndarray) -> np.ndarray:
+@cache
+def _column_table(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every m-bit column and its reversed complement, read-only, built once per m."""
+    columns = np.arange(1 << m, dtype=np.uint64)
+    revcomp = _revcomp_columns(columns, m)
+    columns.flags.writeable = revcomp.flags.writeable = False
+    return columns, revcomp
+
+
+def _partial_boards(m: int, n: int, j: int, free: np.ndarray | None = None) -> np.ndarray:
     """Left-half column j set from each free value, with its mirror column.
 
     Column j contributes itself at column j and its reversed complement at
     column n-1-j.  The middle column of an odd width is its own reversed
     complement: it contributes itself alone, and its free value is its top
-    half.
+    half.  free defaults to every free value, in order; the other columns
+    then read their reversed complements from _column_table.
     """
     u = np.uint64
     if 2 * j + 1 == n:
+        if free is None:
+            free = np.arange(1 << (m // 2), dtype=u)
         return _self_revcomp_columns(m, free) << u(j * m)
-    return (free << u(j * m)) | (_revcomp_columns(free, m) << u((n - 1 - j) * m))
+    if free is None:
+        free, revcomp = _column_table(m)
+    else:
+        revcomp = _revcomp_columns(free, m)
+    return (free << u(j * m)) | (revcomp << u((n - 1 - j) * m))
 
 
 def _columns_mask(m: int, columns) -> int:
@@ -386,8 +430,7 @@ def _euler_blocks(m: int, n: int):
     k = (n + 1) // 2
     if k == 0:
         return
-    free_bits = [m // 2 if 2 * j + 1 == n else m for j in range(k)]
-    rest = [_partial_boards(m, n, j, np.arange(1 << free_bits[j], dtype=u)) for j in range(1, k)]
+    rest = [_partial_boards(m, n, j) for j in range(1, k)]
     split, size = 0, min(_CHUNK, 1 << (m - 1))  # size: of one first-column slice
     while split < len(rest) and size * rest[split].size <= _CHUNK:
         size *= rest[split].size
@@ -405,8 +448,8 @@ def _euler_blocks(m: int, n: int):
         hi = _outer_or(rest[split:])
         hi = _half(hi[~_isolated(hi, hi_cells, m, not_top, not_bottom)],
                    m, split + 1, n - 2 - split, target, not_bottom)
-    # cell (0, 0) is bit 0 of the first column's free value
-    end = 1 << free_bits[0]
+    # cell (0, 0) is bit 0 of the first column's free value, its top half when n = 1
+    end = 1 << (m // 2 if n == 1 else m)
     for start in range(0, end, 2 * _CHUNK):
         first = _partial_boards(m, n, 0, np.arange(start, min(start + 2 * _CHUNK, end), 2, dtype=u))
         lo = (first[:, None] | lo_rest[None, :]).ravel()
@@ -478,29 +521,27 @@ def _sweep(m: int, n: int) -> SweepResult:
     # exactly when the 1-region is; and every survivor has Euler number 1, so
     # the 1s are connected exactly when a flood from their border cells
     # covers them (see _connected)
-    half = survivors[_connected(survivors, m, n)]
-    comp = u((1 << (m * n)) - 1)
-    boards = np.sort(np.concatenate([half, half ^ comp]))
-
+    reps = survivors[_connected(survivors, m, n)]
     if m * n % 2 == 1:
-        assert not boards.size
+        assert not reps.size
 
-    # each cut is one board of half; horizontal reflection reverses the order
-    # of the m-bit columns, and an orbit's key is the least of the four boards
-    # a cut and its reflection make up
-    flipped = np.zeros_like(half)
-    for j in range(n):
-        flipped |= ((half >> u(j * m)) & u((1 << m) - 1)) << u((n - 1 - j) * m)
-    # distinct values by sort: np.unique imports numpy.ma on first use (11 ms)
-    keys = np.sort(np.minimum(np.minimum(half, half ^ comp), np.minimum(flipped, flipped ^ comp)))
-    orbits = int(np.count_nonzero(keys[1:] != keys[:-1])) + 1 if keys.size else 0
-
-    # the stipulations of board.is_canonical, on the whole array
-    bottom_left = sum(1 << (j * m + m - 1) for j in range((n + 1) // 2))
-    keep = ((boards & u(bottom_left)) == 0) & (2 * np.bitwise_count(boards & u((1 << m) - 1)) <= m)
-    # the cache hands these arrays to every caller
-    boards.flags.writeable = keep.flags.writeable = False
-    return SweepResult(m, n, boards, keep, orbits)
+    # Burnside: the orbits of the cuts under horizontal reflection number
+    # (cuts + cuts the reflection fixes) / 2.  A board b obeys b = rot(b) ^ full
+    # with rot the half-turn, i.e. the row flip of the column reversal, so its
+    # column reversal is its row flip complemented, and a cut {h, h ^ full} is
+    # fixed exactly when the row flip of h is h or h ^ full
+    full = u((1 << (m * n)) - 1)
+    top_row = sum(1 << (j * m) for j in range(n))
+    # the row flip swaps rows i and m-1-i, and keeps an odd m's middle row
+    vflip = reps & u(top_row << (m // 2)) if m % 2 else np.zeros_like(reps)
+    for i in range(m // 2):
+        row, shift = u(top_row << i), u(m - 1 - 2 * i)
+        vflip |= ((reps & row) << shift) | ((reps >> shift) & row)
+    fixed = int(np.count_nonzero((vflip == reps) | (vflip == reps ^ full)))
+    assert (reps.size + fixed) % 2 == 0
+    # the cache hands this array to every caller
+    reps.flags.writeable = False
+    return SweepResult(m, n, reps, (reps.size + fixed) // 2)
 
 
 @dataclass(frozen=True)
@@ -533,21 +574,25 @@ class CountReport:
 def count_report(m: int, n: int, *, budget: int = DEFAULT_BUDGET) -> CountReport:
     """Count canonical matrices, cuts and reflection orbits by full sweep.
 
-    All three are read from the cached SweepResult: cuts and canonical
-    matrices from its arrays, and orbits as the sweep counted them on its
-    uint64 boards, so no array is rebuilt from a tuple.
+    All three are read from the cached SweepResult's representatives, one
+    board per cut: cuts is their number, canonical matrices are those among
+    them and their complements that meet the stipulations, and orbits are
+    as the sweep counted them.  No board array is sorted or rebuilt.
     """
     if not 1 <= m <= 6:
         raise ValueError(f"row count {m} outside the validated sweep range 1..6")
     started = time.perf_counter()
     result = sweep(m, n, budget=budget)
-    cuts = result.boards.size // 2
+    reps = result.representatives
+    cuts = reps.size
     assert result.orbits <= cuts <= 2 * result.orbits or cuts == 0
+    full = np.uint64((1 << (m * n)) - 1)
+    canonical = np.count_nonzero(_canonical_mask(reps, m, n)) + np.count_nonzero(_canonical_mask(reps ^ full, m, n))
 
     return CountReport(
         m=m,
         n=n,
-        canonical=int(np.count_nonzero(result.is_canonical)),
+        canonical=int(canonical),
         cuts=cuts,
         orbits=result.orbits,
         elapsed_ms=(time.perf_counter() - started) * 1000.0,

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import warnings
 
 import numpy as np
@@ -269,6 +270,40 @@ class TestFullSweepAnswers:
         assert oracle.count_report(4, 13).cuts == term
 
 
+def sorted_orbit_count(result):
+    """Orbits of the cuts under horizontal reflection, by distinct keys.
+
+    A test-local reference that shares nothing with the sweep's Burnside
+    count: each board's key is the least of itself, its complement, its
+    column reversal and that reversal's complement, and the orbits are the
+    distinct keys.
+    """
+    u = np.uint64
+    m, n, boards = result.m, result.n, result.boards
+    comp = u((1 << (m * n)) - 1)
+    flipped = np.zeros_like(boards)
+    for j in range(n):
+        flipped |= ((boards >> u(j * m)) & u((1 << m) - 1)) << u((n - 1 - j) * m)
+    keys = np.sort(np.minimum(np.minimum(boards, boards ^ comp), np.minimum(flipped, flipped ^ comp)))
+    return int(np.count_nonzero(keys[1:] != keys[:-1])) + 1 if keys.size else 0
+
+
+class TestOrbitReference:
+    def test_every_small_shape(self):
+        # every shape with m*ceil(n/2) <= 22, m*n <= 64 and n >= 0 (164 shapes);
+        # the digest was recorded with the sweep that counted orbits by sorted keys
+        rows = []
+        for m in range(1, 21):
+            for n in range(0, 65):
+                if m * ((n + 1) // 2) <= 22 and m * n <= 64:
+                    result = oracle.sweep(m, n)
+                    assert result.orbits == sorted_orbit_count(result), (m, n)
+                    rows.append([m, n, len(result.graham) // 2, len(result.canonical), result.orbits])
+        assert len(rows) == 164
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == "2539c9c596aa91d5d077de6bca617032e4b4c6726f69a546fdb9f121e30f1d6f"
+
+
 class TestSmallShapesDigest:
     def test_every_small_shape(self):
         # every shape with m*ceil(n/2) <= 20 and m*n <= 64 (132 shapes), recorded
@@ -497,16 +532,29 @@ class TestSweepResult:
     def test_count_builds_no_tuples(self):
         oracle._sweep.cache_clear()
         oracle.count_report(4, 8)
-        assert not {"graham", "canonical"} & vars(oracle.sweep(4, 8)).keys()
+        # a count reads the representatives alone: no sorted array, mask or tuple
+        built = {"boards", "is_canonical", "graham", "canonical"} & vars(oracle.sweep(4, 8)).keys()
+        assert not built
+
+    def test_representatives_are_read_only(self):
+        result = oracle.sweep(4, 6)
+        assert not (result.representatives & np.uint64(1)).any()
+        with pytest.raises(ValueError):
+            result.representatives[0] = 0
 
     def test_equality_compares_the_boards(self):
         # same_sweep is what test_join_tiles_are_chunked compares sweeps with
         result = oracle.sweep(4, 6)
-        same = oracle.SweepResult(4, 6, result.boards.copy(), result.is_canonical.copy(), result.orbits)
+        reps = result.representatives
+        same = oracle.SweepResult(4, 6, reps.copy(), result.orbits)
         assert same_sweep(same, result)
-        assert not same_sweep(oracle.SweepResult(4, 6, result.boards[1:], result.is_canonical[1:], result.orbits), result)
-        assert not same_sweep(oracle.SweepResult(4, 6, result.boards, ~result.is_canonical, result.orbits), result)
-        assert not same_sweep(oracle.SweepResult(4, 6, result.boards, result.is_canonical, result.orbits + 1), result)
+        assert not same_sweep(oracle.SweepResult(4, 6, reps[1:], result.orbits), result)
+        assert not same_sweep(oracle.SweepResult(4, 6, reps, result.orbits + 1), result)
+        # the boards are the representatives and their complements, so a
+        # representative swapped for its complement gives the same sweep
+        other = reps.copy()
+        other[0] ^= np.uint64((1 << 24) - 1)
+        assert same_sweep(oracle.SweepResult(4, 6, other, result.orbits), result)
 
 
 class TestDelahaye:
