@@ -9,15 +9,25 @@ generating function of a machine with S states and transfer matrix T is
 with s the start indicator: each symbol of a word covers two columns of the
 finished board except that the final symbol of an odd-width word covers one.
 
+G is read from the lumped matrix L instead of T (Kemeny & Snell, Finite
+Markov Chains, sec. 6.3).  `lumped` finds the coarsest partition of the
+states into r blocks on which both accept vectors are constant and every
+state of a block has the same number of transitions into each block.  With
+U the S x r membership matrix, that says T U = U L and a = U a_L for both
+accept vectors, so s T^k a = s T^k U a_L = (s U) L^k a_L for every k: L
+counts exactly what T counts, with r <= S states (7 for the 9 of canonical
+m = 4, and 70 for the 254 of general m = 7).
+
 G is found by guess-and-certify instead of by solving that linear system.
-Integer vector iteration s T^k gives the exact counts c_0 .. c_{4S+3}, and
-Berlekamp-Massey finds the shortest linear recurrence they satisfy, i.e. a
-rational function P/Q with Q(0) != 0 whose series starts with those counts.
-By Cramer's rule both the numerator and the denominator of G have degree at
-most 2S, and its denominator det(I - x^2 T) has constant term 1.  Two such
-functions that agree on 4S+1 coefficients are equal: P1 Q2 - P2 Q1 has degree
-at most 4S and vanishes mod x^(4S+1).  So once the guess is checked to obey
-the degree bound and to reproduce every computed count, it is G.  The
+Integer vector iteration (s U) L^k gives the exact counts c_0 .. c_{4r+3},
+and Berlekamp-Massey finds the shortest linear recurrence they satisfy, i.e.
+a rational function P/Q with Q(0) != 0 whose series starts with those
+counts.  By Cramer's rule on I - x^2 L both the numerator and the
+denominator of G have degree at most 2r, and its denominator det(I - x^2 L)
+has constant term 1.  Two such functions that agree on 4r+1 coefficients
+are equal: P1 Q2 - P2 Q1 has degree at most 4r and vanishes mod x^(4r+1).
+So once the guess is checked to obey the degree bound and to reproduce
+every computed count, it is G.  The
 resolvent-denominator LCM is grown the same way, one certified fit at a
 time, until it annihilates T (proof in `resolvent_denominator_lcm`).
 These Berlekamp-Massey certificates are the one exact-algebra mechanism: no
@@ -41,6 +51,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import gcd as int_gcd
 from typing import Iterable, Iterator, Sequence
 
@@ -53,6 +64,7 @@ __all__ = [
     "RationalFunction",
     "Recurrence",
     "certified_series",
+    "lumped",
     "recurrence_of",
     "resolvent_denominator_lcm",
     "series_terms",
@@ -372,13 +384,70 @@ def _board_counts(T: TransferMatrix, count: int) -> list[int]:
     return out[:count]
 
 
+def _relabel(keys: Iterable) -> tuple[list[int], int]:
+    """Each key's block number, blocks numbered by first occurrence, and the
+    number of blocks."""
+    number: dict = {}
+    return [number.setdefault(key, len(number)) for key in keys], len(number)
+
+
+def lumped(T: TransferMatrix) -> TransferMatrix:
+    """T on the coarsest partition of its states where both accept vectors
+    are constant on each block and every state of a block has the same
+    number of transitions into each block (ordinary lumpability).
+
+    Refinement starts from the blocks of (accept_even, accept_odd) and
+    regroups the states by (block, counts into each block) until the block
+    count stops growing.  L[B][B'] sums row rep(B) of T over B', the start
+    vector is summed over each block, and the accept vectors are read at each
+    block's representative, its first state.
+    """
+    rows = _sparse_rows(T.entries)
+    accepts = list(zip(T.accept_even_vector, T.accept_odd_vector))
+    block, size = _relabel(accepts)
+    while True:
+        into = []
+        for row in rows:
+            counts: dict[int, int] = {}
+            for j, w in row:
+                counts[block[j]] = counts.get(block[j], 0) + w
+            into.append(tuple(sorted(counts.items())))
+        refined, grown = _relabel(zip(block, into))
+        if grown == size:
+            break
+        block, size = refined, grown
+    rep = [0] * size
+    for i in reversed(range(len(block))):
+        rep[block[i]] = i
+    # lumpable: T U = U L for the membership matrix U, so s T^k a = (s U) L^k a_L
+    assert all(
+        into[i] == into[rep[b]] and accepts[i] == accepts[rep[b]] for i, b in enumerate(block)
+    ), "the partition is not lumpable"
+    start = [0] * size
+    for i, v in enumerate(T.start_vector):
+        start[block[i]] += v
+    entries = []
+    for r in rep:
+        row = [0] * size
+        for b, w in into[r]:
+            row[b] = w
+        entries.append(tuple(row))
+    return TransferMatrix(
+        entries=tuple(entries),
+        start_vector=tuple(start),
+        accept_even_vector=tuple(accepts[r][0] for r in rep),
+        accept_odd_vector=tuple(accepts[r][1] for r in rep),
+    )
+
+
 def _certified_gf(T: TransferMatrix) -> tuple[Polynomial, Polynomial]:
     """Generating function (N, D) of a transfer matrix, before normal form.
 
     A word of k symbols encodes a board of width 2k (counted by the even
     accept vector, weight x^2 per symbol) or width 2k-1 (odd accept vector,
-    where the middle column contributes a single x).  Guessed from 4S+4
-    counts and certified by the degree bound 2S; see the module docstring.
+    where the middle column contributes a single x).  Guessed from 4r+4
+    counts, r the order of T, and certified by the degree bound 2r; see the
+    module docstring.
     """
     bound = 2 * T.order
     return certified_series(_board_counts(T, 2 * bound + 4), bound)
@@ -387,10 +456,11 @@ def _certified_gf(T: TransferMatrix) -> tuple[Polynomial, Polynomial]:
 @cache
 def generating_function(automaton) -> RationalFunction:
     """Machine gf over its divisor (general machines read each cut twice),
-    coprime by `certified_series` and put in normal form once.  Cached per
-    process: a machine and its gf are immutable values, so equal machines
-    share one certified gf."""
-    num, den = _certified_gf(transfer_matrix(automaton))
+    certified from the lumped transfer matrix, whose counts are the
+    machine's (see `lumped`), coprime by `certified_series` and put in
+    normal form once.  Cached per process: a machine and its gf are
+    immutable values, so equal machines share one certified gf."""
+    num, den = _certified_gf(lumped(transfer_matrix(automaton)))
     return RationalFunction(num, den * automaton.divisor)
 
 
@@ -436,6 +506,21 @@ def resolvent_denominator_lcm(T: TransferMatrix) -> Polynomial:
     return lcm.primitive()
 
 
+def _taps(den: Sequence[int]) -> list[tuple[int, int]]:
+    return [(i, c) for i, c in enumerate(den) if i and c]
+
+
+def _stripped_taps(den: Sequence[int]) -> tuple[list[tuple[int, int]], int]:
+    """The taps to recur on for a denominator with den[0] = 1, and the number
+    k of running sums to take after: those of E and k when den = (1 - x)^k E
+    with 1 - x no factor of E and taps(E) + k < taps(den), else den's and 0."""
+    quot, strip = den, 0
+    while sum(quot) == 0:  # 1 - x divides quot: divide by synthetic division
+        quot, strip = list(accumulate(quot))[:-1], strip + 1
+    taps, quot_taps = _taps(den), _taps(quot)
+    return (quot_taps, strip) if len(quot_taps) + strip < len(taps) else (taps, 0)
+
+
 def series_terms(G: RationalFunction, count: int) -> list[int]:
     """Exact coefficients c_1..c_count of the power series of G.
 
@@ -444,6 +529,13 @@ def series_terms(G: RationalFunction, count: int) -> list[int]:
     coefficients mean a corrupted input and raise InexactError rather than
     rounding.  A fractional c_0 = a/b is allowed: the recurrence then runs
     on b*c_n, and otherwise on the returned terms themselves.
+
+    With D(0) = 1 and c_0 an integer, every factor 1 - x is divided out of
+    D = (1 - x)^k E.  When E has fewer taps than D by more than k, the
+    recurrence runs on N/E, and k running sums from c_0 then give N/D: both
+    m = 4 gfs take 4 multiply-adds and 2 additions a term instead of 10.
+    This stays exact: E(0) = D(0) = 1, so N/E is an integer series, and so
+    is each running sum of it.
     """
     num, den = G.numerator.coeffs, G.denominator.coeffs
     if not den or den[0] == 0:
@@ -453,7 +545,7 @@ def series_terms(G: RationalFunction, count: int) -> list[int]:
     c0 = Fraction(num[0] if num else 0, den[0])
     scale = c0.denominator
     divisor = scale * den[0]
-    taps = [(i, c) for i, c in enumerate(den) if i and c]
+    taps, strip = _stripped_taps(den) if divisor == 1 else (_taps(den), 0)
     scaled = [c0.numerator]  # scale * c_n
     out = []
     for n in range(1, count + 1):
@@ -470,6 +562,12 @@ def series_terms(G: RationalFunction, count: int) -> list[int]:
                 )
         out.append(acc)
         scaled.append(acc if scale == 1 else scale * acc)
+    del scaled  # so each replaced term below is freed
+    for _ in range(strip):
+        acc = c0.numerator
+        for n, c in enumerate(out):
+            acc += c
+            out[n] = acc
     return out
 
 

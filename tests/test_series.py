@@ -21,13 +21,18 @@ from gridcuts.series import (
     Polynomial,
     RationalFunction,
     _certified_gf,
+    _stripped_taps,
     certified_series,
     generating_function,
+    lumped,
     product,
     recurrence_of,
     resolvent_denominator_lcm,
     series_terms,
 )
+
+import test_automaton
+from test_automaton import closure_machine, symmetry_orbits
 
 
 def padd(a, b):
@@ -590,6 +595,112 @@ class TestSeriesTermsAgainstLongDivision:
             with pytest.raises(InexactError) as caught:
                 series_terms(gf, count)
             assert str(caught.value) == f"coefficient {bad} is not an integer: {want[bad - 1]}"
+
+
+@st.composite
+def stripped_recurrence_gfs(draw):
+    """A `recurrence_gfs` draw with its denominator times (1 - x)^k, k = 0..3.
+    D[0] stays in +-1, +-2, +-3, so factors 1 - x reach both the recurrence
+    with D(0) = 1 and an integer c_0, which may divide them out, and the one
+    that checks every remainder."""
+    gf = draw(recurrence_gfs())
+    k = draw(st.integers(0, 3))
+    return RationalFunction(gf.numerator, gf.denominator * product([poly(1, -1)] * k))
+
+
+class TestStrippedRecurrenceAgainstLongDivision:
+    @given(stripped_recurrence_gfs(), st.integers(0, 200))
+    @example(RationalFunction(poly(1, 3), poly(1, 0, -5) * poly(1, -1) * poly(1, -1)), 40)
+    def test_terms_or_first_non_integer(self, gf, count):
+        want = series_terms_longdiv(gf, count)
+        bad = next((n for n, c in enumerate(want, start=1) if c.denominator != 1), None)
+        if bad is None:
+            assert series_terms(gf, count) == want
+        else:
+            with pytest.raises(InexactError) as caught:
+                series_terms(gf, count)
+            assert str(caught.value) == f"coefficient {bad} is not an integer: {want[bad - 1]}"
+
+
+def unstripped_series_terms(G, count):
+    """`series_terms` as it was before it divided out 1 - x: the recurrence
+    over every nonzero tap of the denominator."""
+    num, den = G.numerator.coeffs, G.denominator.coeffs
+    if den[0] < 0:
+        num, den = [-c for c in num], [-c for c in den]
+    c0 = Fraction(num[0] if num else 0, den[0])
+    scale = c0.denominator
+    divisor = scale * den[0]
+    taps = [(i, c) for i, c in enumerate(den) if i and c]
+    scaled = [c0.numerator]
+    out = []
+    for n in range(1, count + 1):
+        acc = scale * num[n] if n < len(num) else 0
+        for i, c in taps:
+            if i > n:
+                break
+            acc -= c * scaled[n - i]
+        if divisor != 1:
+            acc, rem = divmod(acc, divisor)
+            assert not rem
+        out.append(acc)
+        scaled.append(acc if scale == 1 else scale * acc)
+    return out
+
+
+CLI_MACHINES = [f"{mode}{m}" for mode in ("canonical", "general") for m in range(1, 6)]
+
+
+class TestStrippedRecurrence:
+    @pytest.mark.parametrize("name", CLI_MACHINES)
+    def test_only_m4_divides_out_one_minus_x(self, name):
+        gf = generating_function(_machine(name))
+        den = list(gf.denominator.coeffs)
+        # c_0 = 0 and D(0) = +-1, so `series_terms` asks `_stripped_taps`
+        assert gf.numerator.constant() == 0 and abs(den[0]) == 1
+        if den[0] < 0:
+            den = [-c for c in den]
+        taps, strip = _stripped_taps(den)
+        assert strip == (2 if name.endswith("4") else 0)
+        assert len(taps) == (4 if name.endswith("4") else len([c for c in den[1:] if c]))
+
+    @pytest.mark.parametrize("name", ["canonical4", "general4"])
+    def test_m4_terms_match_the_unstripped_recurrence(self, name):
+        gf = generating_function(_machine(name))
+        assert series_terms(gf, 3000) == unstripped_series_terms(gf, 3000)
+
+
+LUMPED_MACHINES = [("canonical", m) for m in range(1, 6)] + [("general", m) for m in range(1, 7)]
+
+
+class TestLumping:
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_blocks_are_the_symmetry_orbits(self, m):
+        machine = closure_machine("general", m)
+        assert lumped(transfer_matrix(machine)).order == symmetry_orbits(machine)
+
+    @pytest.mark.parametrize("mode,m", LUMPED_MACHINES)
+    def test_gf_equals_the_unlumped_fit(self, mode, m):
+        # past build_general's m <= 5 at general m = 6
+        machine = closure_machine(mode, m)
+        num, den = _certified_gf(transfer_matrix(machine))
+        assert generating_function(machine) == RationalFunction(num, den * machine.divisor)
+
+    @given(transfer_matrices)
+    def test_lumped_matrix_counts_what_the_matrix_counts(self, T):
+        L = lumped(T)
+        assert L.order <= T.order
+        assert resolvent_sum(L) == resolvent_sum(T)
+        assert _direct_counts(L, 30) == _direct_counts(T, 30)
+
+    def test_parallel_edges_and_one_state_keep_their_terms(self):
+        one_state = TransferMatrix(
+            entries=((3,),), start_vector=(1,), accept_even_vector=(1,), accept_odd_vector=(0,)
+        )
+        parallel = transfer_matrix(test_automaton.TestTransferMatrixInvariant.PARALLEL_EDGES)
+        for T, terms in ((one_state, [0, 1, 0, 3, 0, 9]), (parallel, [0, 0, 0, 2, 0, 0])):
+            assert lumped(T) == T
+            assert series_terms(resolvent_sum(lumped(T)), 6) == terms
 
 
 class TestNormalization:
