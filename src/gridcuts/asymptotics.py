@@ -1,18 +1,19 @@
 """Dominant-pole asymptotics with a certified smallest positive pole.
 
 The coefficient growth of a rational generating function is controlled by
-the smallest-modulus zeros of its denominator.  The smallest positive pole
-z is found by one descent: sign-variation counts of the Sturm chain of the
-denominator D halve (0, Cauchy bound] toward the leftmost positive root
-until it is alone, and bisection refines that one root.  The chain is built
-in integers, and bisection keeps both ends over one common denominator.
-At points that are not roots the chain counts distinct roots even when D is
-not squarefree, and it ends in a multiple of gcd(D, D'), which gives the
-squarefree part that is bisected.  The reported interval is certified: that
-part changes sign across it and it contains exactly one root.  The chain is
-the only remainder sequence run over D: whether z is a multiple pole, and
-whether -z is a pole too, are each a gcd with the squarefree part and a sign
-test across the certified interval.
+the smallest-modulus zeros of its denominator D.  The smallest positive pole
+z is a root of the squarefree part S = D/gcd(D, D'), found by one descent
+over the dyadic cells of (0, B], B the Cauchy bound of S (Collins & Akritas,
+SYMSAC 1976; Rouillier & Zimmermann, J. Comput. Appl. Math. 162, 2004).
+Each cell is an integer polynomial, and Descartes' rule of signs bounds the
+roots in it: the walk goes left first, skips the cells whose count is 0,
+and stops at the first count of 1, which means exactly one root there, and
+a simple one.  Bisection refines that root on the same grid, with both ends
+over one common denominator.  The reported interval is certified: S changes
+sign across it and it contains exactly one root, or it is the point z
+itself (the rule is in `AsymptoticEstimate.pole_interval`).  Whether z is a
+multiple pole, and whether -z is a pole too, are each a gcd with S and a
+sign test across that interval.
 
 Supported pole shapes: a single simple positive dominant pole z, or a simple
 real pair +-z.  The amplitude at a simple pole r of N/D is -N(r)/(r D'(r)),
@@ -31,7 +32,7 @@ Non-negative Matrices, ch. 1):
 - No pole inside the circle.  A power series with nonnegative coefficients
   has its radius of convergence R as a singularity (Pringsheim), so the
   rational G has R as a pole and no pole with |x| < R.  The smallest
-  positive pole that the Sturm descent certifies is R.
+  positive pole that the descent certifies is R.
 - No complex pole on the circle.  Every pole x has x^2 = 1/lambda for an
   eigenvalue lambda of T.  Every state of a built machine is reachable from
   a start and can reach acceptance, so R = rho(T)^(-1/2).  Every state has
@@ -61,7 +62,6 @@ __all__ = [
     "dominant_form",
     "error_profile",
     "refine_root",
-    "sturm_chain",
 ]
 
 _REFINE_WIDTH = Fraction(1, 10**30)
@@ -71,13 +71,6 @@ _REFERENCE_TOLERANCE = 1e-6
 class UnsupportedPoleShape(GridcutsError, ValueError):
     """The dominant poles are not a simple real z or pair +-z, or G has a
     negative coefficient and so is no counting series."""
-
-
-def sturm_chain(p: Polynomial) -> list[Polynomial]:
-    """Sturm sequence of p in integers, `p.remainders(p')`: a positive
-    multiple of the rational chain element by element, so sign variations
-    are the same.  (`primitive` would flip signs with the leading term.)"""
-    return list(p.remainders(p.derivative()))
 
 
 def _sign_at(coeffs: Sequence[int], a: int, q: int, shift: int) -> int:
@@ -91,13 +84,21 @@ def _sign_at(coeffs: Sequence[int], a: int, q: int, shift: int) -> int:
     return (value > 0) - (value < 0)
 
 
-def _variations(chain: Sequence[Polynomial], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        sign = _sign_at(p.coeffs, x.numerator, x.denominator, 0)
-        if sign:
-            signs.append(sign)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _shift(q: Sequence[int]) -> list[int]:
+    """Coefficients of q(y + 1), by Taylor shift in additions only."""
+    out = list(q)
+    for i in range(len(out) - 1):
+        for k in range(len(out) - 2, i - 1, -1):
+            out[k] += out[k + 1]
+    return out
+
+
+def _descartes(q: Sequence[int]) -> int:
+    """Sign variations of (1 + y)^d q(1/(1 + y)), Descartes' bound on the
+    roots of q in (0, 1) counted with multiplicity: it has their parity,
+    and it is exact when it is 0 or 1."""
+    signs = [c > 0 for c in _shift(q[::-1]) if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _root_bound(p: Polynomial) -> Fraction:
@@ -130,40 +131,49 @@ def refine_root(p: Polynomial, lo: Fraction, hi: Fraction, width: Fraction) -> t
     return Fraction(a, q << k), Fraction(b, q << k)
 
 
-def _leftmost_root(chain: Sequence[Polynomial], sqf: Polynomial) -> tuple[Fraction, Fraction] | None:
-    """Certified bracket of the smallest positive root of p, narrower than
-    10^-30, or None when p has none; `chain` is p's Sturm chain, `sqf` its
-    squarefree part, and p(0) != 0.
+def _leftmost_root(sqf: Polynomial) -> tuple[Fraction, Fraction] | None:
+    """Certified bracket of the smallest positive root of the squarefree sqf,
+    narrower than 10^-30, or None when it has none; sqf(0) != 0.
 
-    The chain drives a descent from (0, Cauchy bound]: halve toward the
-    leftmost root until it is alone, then bisect it once in sqf.  Neither
-    end of the start interval is a root, so the counts need no nudging there.
+    A depth-first walk over the dyadic cells (j, j+1) B/2^k of (0, B], B the
+    Cauchy bound, left half first, so every cell before the current one holds
+    no root.  The cell is read on (0, 1) as q(y) = 2^(kd) sqf(B (j + y)/2^k)
+    times B's denominator to the d: its left half is 2^d q(y/2), and its
+    right half that at y + 1.  At a Descartes count of 0 the cell holds no
+    root, and if its right end is one (q(1) = 0) that end is z.  At a count
+    of 1 with q(1) != 0 the cell holds z, simple, and bisection refines it on
+    the same grid.  Any other cell is halved.
     """
-    lo, hi = Fraction(0), _root_bound(sqf)
-    v_lo, v_hi = _variations(chain, lo), _variations(chain, hi)
-    while v_lo - v_hi > 1:
-        mid = (lo + hi) / 2
-        if sqf(mid) == 0:
-            # keep the root inside (lo, mid] and off the new endpoint
-            mid += min(hi - mid, _REFINE_WIDTH) / 2
-        v_mid = _variations(chain, mid)
-        if v_lo > v_mid:
-            hi, v_hi = mid, v_mid
-        else:
-            lo, v_lo = mid, v_mid
-    if v_lo == v_hi:
-        return None
-    # one simple root in (lo, hi]: either hi is the root or a sign change
-    # brackets it, so plain bisection finishes the job
-    return refine_root(sqf, lo, hi, _REFINE_WIDTH)
+    bound, d = _root_bound(sqf), sqf.degree
+    n, m = bound.numerator, bound.denominator
+    cells = [(0, 0, [c * n**i * m ** (d - i) for i, c in enumerate(sqf.coeffs)])]
+    while cells:
+        k, j, q = cells.pop()
+        if j % 2:
+            q = _shift(q)  # a right half, shifted only when it is reached
+        count, end_is_root = _descartes(q), sum(q) == 0
+        if count == 0 and not end_is_root:
+            continue
+        hi = bound * (j + 1) / 2**k
+        if count == 0:
+            return hi, hi
+        if count == 1 and not end_is_root:
+            return refine_root(sqf, bound * j / 2**k, hi, _REFINE_WIDTH)
+        left = [c << (d - i) for i, c in enumerate(q)]
+        cells += [(k + 1, 2 * j + 1, left), (k + 1, 2 * j, left)]
+    return None
 
 
 @dataclass(frozen=True)
 class AsymptoticEstimate:
     """Two-term coefficient estimate from the dominant pole(s).
 
-    `pole_interval` certifies z; floats are rounded from rational midpoints
-    of intervals refined far below the display precision.
+    `pole_interval` certifies z.  It is the dyadic cell (j, j+1) B/2^k of
+    (0, B], B the Cauchy bound of D's squarefree part, that contains z at the
+    first level k with B/2^k < 10^-30, or (z, z) when z is a point of that
+    grid.  A deeper cell is returned only when another root of D lies within
+    2 * 10^-30 of z.  Floats are rounded from rational midpoints of intervals
+    refined far below the display precision.
     """
 
     pole_interval: tuple[Fraction, Fraction]
@@ -223,10 +233,9 @@ def dominant_form(
     if G.numerator.constant() * den.constant() < 0 or min(head, default=0) < 0:
         raise UnsupportedPoleShape("a coefficient is negative: not a counting series")
 
-    chain = sturm_chain(den)
-    multiple = chain[-1].primitive()  # gcd(D, D') up to the sign and content primitive() removes
+    multiple = den.gcd(den.derivative())
     sqf = den.divexact(multiple)
-    bracket = _leftmost_root(chain, sqf)
+    bracket = _leftmost_root(sqf)
     if bracket is None:
         raise UnsupportedPoleShape("no positive real pole")
     lo, hi = bracket

@@ -39,9 +39,8 @@ A certified fit is in lowest terms by Berlekamp-Massey minimality (proof in
 coprime contents and a positive leading denominator coefficient.  Equality
 of generating functions is then a literal coefficient comparison and no
 consumer normalizes again.  Polynomial gcds are left to `asymptotics`, and
-they and its Sturm chains never leave the integers: both run
-`Polynomial.remainders`, one primitive pseudo-remainder sequence (Brown &
-Traub 1971).
+they never leave the integers: `Polynomial.gcd` runs one primitive
+pseudo-remainder sequence (Brown & Traub 1971).
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 from math import gcd as int_gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .automaton import TransferMatrix, transfer_matrix
 from .errors import GridcutsError
@@ -186,26 +185,14 @@ class Polynomial:
             content = -content
         return Polynomial([c // content for c in self.coeffs])
 
-    def remainders(self, other: "Polynomial") -> Iterator["Polynomial"]:
-        """self, other, then each negated pseudo-remainder of the two before
-        over its positive content, up to the last nonzero one: a positive
-        multiple of the rational remainder sequence, element by element, so
-        from p and p' it is p's Sturm chain, and it ends in a gcd multiple."""
-        a, b = self, other
-        yield a
-        while not b.is_zero():
-            yield b
-            rem = a.pseudo_remainder(b)
-            content = int_gcd(*rem.coeffs) or 1
-            a, b = b, Polynomial([-c // content for c in rem.coeffs])
-
     def gcd(self, other: "Polynomial") -> "Polynomial":
         """Greatest common divisor over the rationals, as a primitive integer
         polynomial with positive leading coefficient (zero for two zeros)."""
-        # keep only the last remainder: a whole sequence can be hundreds of MB
-        for last in self.primitive().remainders(other.primitive()):
-            pass
-        return last.primitive()
+        # dividing out each remainder's content keeps the coefficients small
+        a, b = self.primitive(), other.primitive()
+        while not b.is_zero():
+            a, b = b, a.pseudo_remainder(b).primitive()
+        return a
 
     def __str__(self) -> str:
         if self.is_zero():

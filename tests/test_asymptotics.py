@@ -1,7 +1,7 @@
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import isqrt
+from math import comb, gcd, isqrt
 
 import pytest
 from hypothesis import assume, given
@@ -11,14 +11,14 @@ from gridcuts import automaton, oracle
 from gridcuts.asymptotics import (
     UnsupportedPoleShape,
     _REFINE_WIDTH,
+    _descartes,
     _leftmost_root,
     _root_bound,
+    _shift,
     _sign_at,
-    _variations,
     dominant_form,
     error_profile,
     refine_root,
-    sturm_chain,
 )
 from gridcuts.automaton import build_canonical, build_general, transfer_matrix
 from gridcuts.reference import (
@@ -31,6 +31,7 @@ from gridcuts.series import (
     Polynomial,
     RationalFunction,
     generating_function,
+    product,
     series_terms,
 )
 from test_series import (
@@ -50,10 +51,37 @@ def poly(*coeffs):
 def smallest_positive_root(p):
     """Certified bracket of the smallest positive root of p with p(0) != 0,
     narrower than 10^-30; None when there is no such root.  p need not be
-    squarefree: its Sturm chain ends in a multiple of gcd(p, p'), and
-    p / gcd(p, p') is bisected, as `dominant_form` does for a denominator."""
-    chain = sturm_chain(p)
-    return _leftmost_root(chain, p.divexact(chain[-1].primitive()))
+    squarefree: p / gcd(p, p') is searched, as `dominant_form` does for a
+    denominator."""
+    return _leftmost_root(p.divexact(p.gcd(p.derivative())))
+
+
+def sturm_chain(p):
+    """Sturm chain of p in integers: p, p', then each negated
+    pseudo-remainder of the two before over its positive content, up to the
+    last nonzero one.  Element by element it is a positive multiple of the
+    rational chain, so it has the same sign variations."""
+    chain = [p, p.derivative()]
+    while not chain[-1].is_zero():
+        rem = chain[-2].pseudo_remainder(chain[-1])
+        content = gcd(*rem.coeffs) or 1
+        chain.append(Polynomial([-c // content for c in rem.coeffs]))
+    chain.pop()
+    return chain
+
+
+def grid_bracket(z, bound, width=_REFINE_WIDTH):
+    """The bracket rule in closed form: the dyadic cell (j, j+1) bound/2^k
+    holding the rational z at the first level k with bound/2^k < width, or
+    (z, z) when z is a point of that grid."""
+    cell = bound
+    while cell >= width:
+        cell /= 2
+    j = z / cell
+    if j.denominator == 1:
+        return z, z
+    j = j.numerator // j.denominator
+    return j * cell, (j + 1) * cell
 
 
 def fraction_variations(chain, x):
@@ -87,7 +115,7 @@ def fraction_refine_root(p, lo, hi, width):
 
 
 def root_count(chain, lo, hi):
-    """Number of distinct real roots in (lo, hi]."""
+    """Number of distinct real roots in (lo, hi]; lo and hi may be roots."""
     return fraction_variations(chain, lo) - fraction_variations(chain, hi)
 
 
@@ -98,7 +126,9 @@ def isolate_real_roots(p, interval=None, width=Fraction(1, 10**12)):
     Test-local reference: the all-roots isolator the library used before
     dominant_form searched for the smallest positive pole alone, in
     Fraction arithmetic throughout.  Works on the squarefree part of p, so
-    multiple roots are located once.
+    multiple roots are located once.  Cells are halves of `interval`, and a
+    root that is a halving point is returned as (r, r), so each bracket
+    follows the rule `grid_bracket` states.
     """
     if p.degree < 1:
         return []
@@ -117,14 +147,13 @@ def isolate_real_roots(p, interval=None, width=Fraction(1, 10**12)):
     found = []
 
     def split(a, b, count):
+        # count roots in (a, b]; a itself may be a root, found to its left
         if count == 0:
             return
-        if count == 1:
+        if count == 1 and sqf(a) != 0:
             found.append(fraction_refine_root(sqf, a, b, width))
             return
         mid = (a + b) / 2
-        if sqf(mid) == 0:
-            mid += min(b - mid, width) / 2
         left = root_count(chain, a, mid)
         split(a, mid, left)
         split(mid, b, count - left)
@@ -219,17 +248,18 @@ def rational_sturm_chain(coeffs):
 
 class TestSmallestPositiveRoot:
     # in each, some halving midpoint of (0, Cauchy bound] is itself a root
-    # while two or more roots remain, e.g. 2 in (0, 4] for (x - 1)(x - 2)
+    # while two or more roots remain, e.g. 2 in (0, 4] for (x - 1)(x - 2);
+    # the smallest positive root is 1 in each
     @pytest.mark.parametrize("coeffs", [
         (2, -3, 1), (6, -7, 0, 1), (-6, 11, -6, 1), (-15, 23, -9, 1), (-42, 55, -14, 1),
     ])
     def test_midpoint_on_a_root_gives_the_reference_bracket(self, coeffs):
         p = poly(*coeffs)
-        width = Fraction(1, 10**30)
-        first = isolate_real_roots(p, (Fraction(0), _root_bound(p)), width)[0]
-        assert smallest_positive_root(p) == first
-        lo, hi = first
-        assert 0 < hi - lo < width
+        assert smallest_positive_root(p) == grid_bracket(Fraction(1), _root_bound(p))
+
+    def test_root_on_the_grid_is_returned_as_a_point(self):
+        # 1 = 4/2^2 on the grid of (0, 4]
+        assert smallest_positive_root(poly(2, -3, 1)) == (1, 1)
 
     @pytest.mark.parametrize("coeffs", [(1, 1), (1, 0, 1), (2, 3, 1), (1, 0, 0, 1)])
     def test_no_positive_root(self, coeffs):
@@ -239,6 +269,35 @@ class TestSmallestPositiveRoot:
 rational_roots = st.lists(
     st.fractions(min_value=-6, max_value=6, max_denominator=60), min_size=1, max_size=4, unique=True
 )
+
+
+def linear_factors(roots):
+    return product(poly(-r.numerator, r.denominator) for r in roots)
+
+
+@st.composite
+def rational_root_polys(draw):
+    """Distinct nonzero rational linear factors, times x^2 + c (c > 0, no
+    real root) with probability 1/2, and the smallest positive root or None."""
+    roots = draw(rational_roots.filter(lambda roots: 0 not in roots))
+    p = linear_factors(roots)
+    if draw(st.booleans()):
+        p = p * poly(draw(st.integers(1, 9)), 0, 1)
+    return p, min((r for r in roots if r > 0), default=None)
+
+
+@st.composite
+def unit_interval_polys(draw):
+    """Rational linear factors around (0, 1), repeats allowed, times a
+    quadratic whose complex pair lies near (0, 1) with probability 1/2, and
+    the number of roots in (0, 1) counted with multiplicity."""
+    roots = draw(st.lists(st.fractions(min_value=-1, max_value=2, max_denominator=12), max_size=5))
+    p = linear_factors(roots)
+    if draw(st.booleans()):
+        # 144 w ((x - u/12)^2 + 1/w)
+        u, w = draw(st.integers(0, 12)), draw(st.integers(1, 400))
+        p = p * poly(w * u * u + 144, -24 * w * u, 144 * w)
+    return p, sum(0 < r < 1 for r in roots)
 
 
 @st.composite
@@ -281,10 +340,20 @@ class TestRootIsolationAgainstFractions:
         sign = (value > 0) - (value < 0)
         assert _sign_at(p.coeffs, x.numerator, x.denominator, shift) == sign
 
-    @given(nonzero_polys, fractions)
-    def test_variations(self, p, x):
-        chain = sturm_chain(p)
-        assert _variations(chain, x) == fraction_variations(chain, x)
+    @given(integer_polys, fractions)
+    def test_shift(self, p, y):
+        shifted = _shift(p.coeffs)
+        assert shifted == [
+            sum(c * comb(i, k) for i, c in enumerate(p.coeffs)) for k in range(len(p.coeffs))
+        ]
+        assert fraction_horner(shifted, y) == fraction_horner(p.coeffs, y + 1)
+
+    @given(unit_interval_polys())
+    def test_descartes_bounds_the_roots_in_the_unit_interval(self, p_count):
+        p, count = p_count
+        bound = _descartes(p.coeffs)
+        # at least the count and of its parity, so exact when it is 0 or 1
+        assert bound >= count and (bound - count) % 2 == 0
 
     @given(squarefree_polys(), st.data(), narrow_widths)
     def test_refine_root(self, p_root, data, width):
@@ -326,18 +395,25 @@ class TestRootIsolationAgainstFractions:
         found = isolate_real_roots(p, (Fraction(0), _root_bound(p)), _REFINE_WIDTH)
         assert smallest_positive_root(p) == (found[0] if found else None)
 
+    @given(rational_root_polys())
+    def test_bracket_follows_the_grid_rule(self, p_z):
+        p, z = p_z
+        expected = None if z is None else grid_bracket(z, _root_bound(p))
+        assert smallest_positive_root(p) == expected
+
 
 class TestDominantForm:
     def test_growth(self, estimate):
         assert abs(estimate.growth - REFERENCE_GROWTH) <= 1e-8
 
-    def test_one_chain_gives_gcd_of_d_and_its_derivative(self, machine_gf, monkeypatch):
-        # two gcds test the multiple and the mirror pole; gcd(D, D') ends the Sturm chain
+    def test_three_gcds_squarefree_part_multiple_and_mirror(self, machine_gf, monkeypatch):
+        # gcd(D, D') gives the squarefree part, and one gcd each tests the
+        # multiple and the mirror pole
         calls = []
         real = Polynomial.gcd
         monkeypatch.setattr(Polynomial, "gcd", lambda a, b: calls.append(1) or real(a, b))
         dominant_form(machine_gf)
-        assert calls == [1, 1]
+        assert calls == [1, 1, 1]
 
     def test_amplitudes(self, estimate):
         assert abs(estimate.amplitude - REFERENCE_A) <= 1e-4
