@@ -6,16 +6,22 @@ Usage:
 """
 
 import argparse
+import sys
 
 from gridcuts import build_canonical, dominant_form, error_profile, series_terms
+from gridcuts.cli import ASYMPTOTICS_MAX_LIMIT
 from gridcuts.reference import reference_amplitudes
 from gridcuts.series import generating_function
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=30)
     args = parser.parse_args()
+    # past the cap the float estimate growth^n overflows, as `gridcuts asymptotics` refuses too
+    if not 1 <= args.max_n <= ASYMPTOTICS_MAX_LIMIT:
+        print(f"asymptotic_error_table: --max-n must be in 1..{ASYMPTOTICS_MAX_LIMIT}", file=sys.stderr)
+        return 2
 
     gf = generating_function(build_canonical(4))
     est = dominant_form(gf, amplitude_reference=reference_amplitudes)
@@ -27,7 +33,8 @@ def main() -> None:
     print(f"{'n':>3} {'exact':>12} {'estimate':>14} {'rel err':>10}")
     for (n, err), value in zip(errors, exact):
         print(f"{n:>3} {value:>12} {est.predict(n):>14.1f} {err:>10.2e}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -10,24 +10,33 @@ Usage:
 """
 
 import argparse
+import sys
 
-from gridcuts import count_report
+from gridcuts import GridcutsError, count_report
 from gridcuts.oracle import delahaye_formula
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--m", type=int, default=4)
     parser.add_argument("--max-n", type=int, default=12)
     args = parser.parse_args()
+    try:
+        if args.max_n < 1:
+            raise ValueError("--max-n must be at least 1")
+        # widest first: a refused row count or budget stops the table before any sweep
+        reports = [count_report(args.m, n) for n in range(args.max_n, 0, -1)][::-1]
+    except (GridcutsError, ValueError) as exc:
+        # the library's budget advice names a --budget this script does not take
+        print(f"convention_table: {str(exc).partition(';')[0]}", file=sys.stderr)
+        return 2
 
     show_formula = args.m == 3
     header = f"{'n':>3} {'canonical':>10} {'cuts':>8} {'orbits':>8}"
     if show_formula:
         header += f" {'2^(k+1)-k-1':>12}"
     print(header)
-    for n in range(1, args.max_n + 1):
-        report = count_report(args.m, n)
+    for n, report in enumerate(reports, start=1):
         line = f"{n:>3} {report.canonical:>10} {report.cuts:>8} {report.orbits:>8}"
         if show_formula:
             formula = delahaye_formula(n // 2) if n % 2 == 0 else "-"
@@ -35,7 +44,8 @@ def main() -> None:
         print(line)
     if not report.canonical_validated:
         print(f"(canonical column unvalidated for m={args.m}; stipulations assume 4 rows)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -71,6 +71,14 @@ class _Option(NamedTuple):
     help: str | None = None
 
 
+class _Subcommand(NamedTuple):
+    """A subcommand's help and description, its options in help order, and its handler."""
+
+    help: str
+    options: tuple[_Option, ...]
+    run: Callable[[argparse.Namespace], int]
+
+
 def _formats(*choices: str) -> _Option:
     return _Option("--format", "fmt", choices=choices)
 
@@ -79,56 +87,6 @@ _OUT = _Option("--out", "out", help="write output to this path")
 _M = _Option("--m", "m", int)
 _MODE = _Option("--mode", "mode", choices=("canonical", "general"))
 _BUDGET = _Option("--budget", "budget", int, help="sweep candidate cap (default %(default)s)")
-
-# subcommand -> (its help and description, its options in help order); the
-# one declaration both the strict parser and build_parser read
-_SUBCOMMANDS: dict[str, tuple[str, tuple[_Option, ...]]] = {
-    "count": (
-        "count boards of the given width(s) by exhaustive sweep; text output is the canonical "
-        "column, unvalidated for m != 4 (--format json carries canonical_validated: false)",
-        (_formats("json", "text"), _OUT, _M,
-         _Option("--n", "n", required=True, help="width, or inclusive range like 1-12"),
-         _BUDGET, _Option("--timings", "timings", flag=True)),
-    ),
-    "enumerate": (
-        "list every canonical board of one width",
-        (_formats("ascii", "json", "svg", "text"), _OUT, _M, _Option("--n", "n", required=True), _BUDGET),
-    ),
-    "gf": (
-        "print the generating function of the chosen machine",
-        (_formats("json", "text"), _OUT, _M, _MODE),
-    ),
-    "terms": (
-        "series terms of the canonical generating function",
-        (_formats("bfile", "json", "text"), _OUT, _M, _MODE, _Option("--limit", "limit", int)),
-    ),
-    "recurrence": (
-        "linear recurrence satisfied by the terms",
-        (_formats("json", "text"), _OUT, _M, _MODE),
-    ),
-    "automaton": (
-        "build the column machine and report its structure",
-        (_formats("dot", "json", "text"), _OUT, _M, _MODE),
-    ),
-    "asymptotics": (
-        "dominant-pole growth and amplitudes",
-        (_formats("json", "text"), _OUT, _Option("--limit", "limit", int, help="error profile length")),
-    ),
-    "figures": (
-        "verify and emit the two reference galleries",
-        (_formats("ascii", "json", "svg", "text"), _OUT),
-    ),
-    "delahaye": (
-        "closed-form 3 x 2n count next to oracle counts",
-        (_formats("json", "text"), _OUT, _Option("--n", "n", required=True, help="half-width, 1..6")),
-    ),
-    "verify": (
-        "run the acceptance suite",
-        (_formats("json", "text"), _OUT,
-         _Option("--only", "only", help="comma-separated criterion names (default: all)")),
-    ),
-}
-
 
 def _parse_n_values(value: str) -> range:
     text = value.strip()
@@ -161,7 +119,7 @@ def _parse_strict(argv: list[str]) -> argparse.Namespace | None:
     """
     if not argv or argv[0] not in _SUBCOMMANDS:
         return None
-    _, options = _SUBCOMMANDS[argv[0]]
+    options = _SUBCOMMANDS[argv[0]].options
     by_name = {opt.name: opt for opt in options}
     missing = {opt.name for opt in options if opt.required}
     values = dict(_DEFAULTS)
@@ -197,10 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Count and enumerate cuts of an m x n grid into two congruent connected pieces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, options) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text, description=help_text)
+    for name, command in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=command.help, description=command.help)
         p.set_defaults(**_DEFAULTS)  # also the default of each option added below
-        for opt in options:
+        for opt in command.options:
             if opt.flag:
                 p.add_argument(opt.name, dest=opt.dest, action="store_true", help=opt.help)
             else:
@@ -471,24 +429,69 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-_COMMANDS = {
-    "count": cmd_count,
-    "enumerate": cmd_enumerate,
-    "gf": cmd_gf,
-    "terms": cmd_terms,
-    "recurrence": cmd_recurrence,
-    "automaton": cmd_automaton,
-    "asymptotics": cmd_asymptotics,
-    "figures": cmd_figures,
-    "delahaye": cmd_delahaye,
-    "verify": cmd_verify,
+# every subcommand, declared once: the strict parser, build_parser and main read it
+_SUBCOMMANDS: dict[str, _Subcommand] = {
+    "count": _Subcommand(
+        "count boards of the given width(s) by exhaustive sweep; text output is the canonical "
+        "column, unvalidated for m != 4 (--format json carries canonical_validated: false)",
+        (_formats("json", "text"), _OUT, _M,
+         _Option("--n", "n", required=True, help="width, or inclusive range like 1-12"),
+         _BUDGET, _Option("--timings", "timings", flag=True)),
+        cmd_count,
+    ),
+    "enumerate": _Subcommand(
+        "list every canonical board of one width",
+        (_formats("ascii", "json", "svg", "text"), _OUT, _M, _Option("--n", "n", required=True), _BUDGET),
+        cmd_enumerate,
+    ),
+    "gf": _Subcommand(
+        "print the generating function of the chosen machine",
+        (_formats("json", "text"), _OUT, _M, _MODE),
+        cmd_gf,
+    ),
+    "terms": _Subcommand(
+        "series terms of the canonical generating function",
+        (_formats("bfile", "json", "text"), _OUT, _M, _MODE, _Option("--limit", "limit", int)),
+        cmd_terms,
+    ),
+    "recurrence": _Subcommand(
+        "linear recurrence satisfied by the terms",
+        (_formats("json", "text"), _OUT, _M, _MODE),
+        cmd_recurrence,
+    ),
+    "automaton": _Subcommand(
+        "build the column machine and report its structure",
+        (_formats("dot", "json", "text"), _OUT, _M, _MODE),
+        cmd_automaton,
+    ),
+    "asymptotics": _Subcommand(
+        "dominant-pole growth and amplitudes",
+        (_formats("json", "text"), _OUT, _Option("--limit", "limit", int, help="error profile length")),
+        cmd_asymptotics,
+    ),
+    "figures": _Subcommand(
+        "verify and emit the two reference galleries",
+        (_formats("ascii", "json", "svg", "text"), _OUT),
+        cmd_figures,
+    ),
+    "delahaye": _Subcommand(
+        "closed-form 3 x 2n count next to oracle counts",
+        (_formats("json", "text"), _OUT, _Option("--n", "n", required=True, help="half-width, 1..6")),
+        cmd_delahaye,
+    ),
+    "verify": _Subcommand(
+        "run the acceptance suite",
+        (_formats("json", "text"), _OUT,
+         _Option("--only", "only", help="comma-separated criterion names (default: all)")),
+        cmd_verify,
+    ),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else list(argv))
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command].run(args)
     except BrokenPipeError:
         # downstream (e.g. `| head`) closed stdout; leave quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -77,9 +77,9 @@ follow from Burnside's lemma (Harary & Palmer, Graphical Enumeration, 1973,
 ch. 2) as (cuts + cuts the reflection fixes) / 2, with no sort.  By the
 complement rule a board's horizontal reflection is its row flip
 complemented, so a cut is fixed exactly when the row flip of its
-representative is that board or its complement.  The sorted array of all
-boards, and the tuples built from it, are made only when a caller of
-`sweep` asks for them, as `enumerate_canonical` does.
+representative is that board or its complement.  The sorted tuples of all
+boards and of the canonical ones are built from the representatives only
+when a caller of `sweep` asks for them, as `enumerate_canonical` does.
 """
 
 from __future__ import annotations
@@ -87,7 +87,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -251,10 +250,10 @@ class SweepResult:
     representatives holds one board per cut, the one whose cell (0, 0) is
     0, as a read-only uint64 array in the flood fill's order; the other
     board of each cut is its complement.  A count reads only that array.
-    `boards` (every board, sorted), `is_canonical` (its mask of canonical
-    boards), and the `graham` and `canonical` tuples of bitboard integers
-    are built on first use and cached, so a count sorts nothing and makes
-    no Python int per board.
+    `graham` (every board) and `canonical` (the boards that meet the
+    stipulations), sorted tuples of bitboard integers, are built from it on
+    first use and cached, so a count sorts nothing and makes no Python int
+    per board.
     """
 
     m: int
@@ -262,27 +261,18 @@ class SweepResult:
     representatives: np.ndarray
     orbits: int
 
-    @cached_property
-    def boards(self) -> np.ndarray:
-        full = np.uint64((1 << (self.m * self.n)) - 1)
-        boards = np.sort(np.concatenate([self.representatives, self.representatives ^ full]))
-        boards.flags.writeable = False
-        return boards
-
-    @cached_property
-    def is_canonical(self) -> np.ndarray:
-        keep = _canonical_mask(self.boards, self.m, self.n)
-        keep.flags.writeable = False
-        return keep
+    def _boards(self) -> np.ndarray:
+        reps = self.representatives
+        return np.concatenate([reps, reps ^ np.uint64((1 << (self.m * self.n)) - 1)])
 
     @cached_property
     def graham(self) -> tuple[int, ...]:
-        return tuple(self.boards.tolist())
+        return tuple(np.sort(self._boards()).tolist())
 
     @cached_property
     def canonical(self) -> tuple[int, ...]:
-        # shares graham's int objects, as the cache holds both
-        return tuple(compress(self.graham, self.is_canonical.tolist()))
+        boards = self._boards()
+        return tuple(np.sort(boards[_canonical_mask(boards, self.m, self.n)]).tolist())
 
 
 def _outer_or(parts: list[np.ndarray]) -> np.ndarray:
@@ -554,7 +544,11 @@ class CountReport:
     cuts: int
     orbits: int
     elapsed_ms: float
-    canonical_validated: bool
+
+    @property
+    def canonical_validated(self) -> bool:
+        """The stipulations behind `canonical` are validated for m = 4 only."""
+        return self.m == 4
 
     def to_json_dict(self, *, timings: bool = True) -> dict:
         data = {
@@ -596,7 +590,6 @@ def count_report(m: int, n: int, *, budget: int = DEFAULT_BUDGET) -> CountReport
         cuts=cuts,
         orbits=result.orbits,
         elapsed_ms=(time.perf_counter() - started) * 1000.0,
-        canonical_validated=(m == 4),
     )
 
 

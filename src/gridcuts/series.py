@@ -566,10 +566,13 @@ class Recurrence:
     with c[k] = 0 for k < 0.  `initial` pins c_0 .. c_{valid_from - 1}.
     """
 
-    order: int
     coefficients: tuple[int, ...]
     valid_from: int
     initial: tuple[int, ...]
+
+    @property
+    def order(self) -> int:
+        return len(self.coefficients) - 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -616,7 +619,6 @@ def recurrence_of(G: RationalFunction) -> Recurrence:
         raise InexactError(f"coefficient 0 is not an integer: {c0}")
     valid_from = max(G.numerator.degree + 1, 1)
     return Recurrence(
-        order=den.degree,
         coefficients=den.coeffs,
         valid_from=valid_from,
         initial=(int(c0), *series_terms(G, valid_from - 1)),

@@ -486,7 +486,7 @@ class TestErrorBase:
             Polynomial([1, 0, 1]).divexact(Polynomial([2, 1]))
 
 
-_ALL_OPTIONS = list(dict.fromkeys(opt for _, options in _SUBCOMMANDS.values() for opt in options))
+_ALL_OPTIONS = list(dict.fromkeys(opt for command in _SUBCOMMANDS.values() for opt in command.options))
 _VALUES = ["4", "-1", "+3", "\u0663", "x", "", " 5", "1-3", "terms-30", "json", "general", "txt"]
 
 
@@ -497,7 +497,7 @@ def _argvs(draw):
     abbreviated, --name=value, a name another command owns, a missing value,
     help or the end-of-options marker."""
     command = draw(st.sampled_from([*_SUBCOMMANDS, "bogus"]))
-    options = _SUBCOMMANDS[command][1] if command in _SUBCOMMANDS else _ALL_OPTIONS
+    options = _SUBCOMMANDS[command].options if command in _SUBCOMMANDS else _ALL_OPTIONS
     spellings = ["exact"]
     if draw(st.booleans()):
         spellings += ["abbreviated", "equals", "other", "bare", "special"]
@@ -679,3 +679,28 @@ class TestGoldenStdout:
             data = out.encode()
             assert code == 0
             assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+# an empty table, a row count outside 1..6, a width past the budget, and
+# estimates past the float range of growth^n
+REFUSED_SCRIPT_ARGS = [
+    ("convention_table.py", ("--max-n", "0")),
+    ("convention_table.py", ("--m", "0")),
+    ("convention_table.py", ("--m", "7")),
+    ("convention_table.py", ("--max-n", "15")),
+    ("asymptotic_error_table.py", ("--max-n", "1188")),
+    ("asymptotic_error_table.py", ("--max-n", "1200")),
+]
+
+
+class TestExperimentScripts:
+    @pytest.mark.parametrize("script,argv", REFUSED_SCRIPT_ARGS,
+                             ids=[" ".join((script, *argv)) for script, argv in REFUSED_SCRIPT_ARGS])
+    def test_refused_arguments_give_one_line(self, script, argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(gridcuts.__file__).resolve().parent.parent)}
+        refused = subprocess.run([sys.executable, str(SCRIPTS / script), *argv], env=env,
+                                 capture_output=True, text=True, timeout=60)
+        assert refused.returncode == 2 and refused.stdout == ""
+        assert refused.stderr.count("\n") == 1 and "Traceback" not in refused.stderr

@@ -147,10 +147,8 @@ class TestCountReport:
 
 
 def same_sweep(a, b):
-    """Whether two SweepResults hold the same shape, orbit count and arrays."""
-    return ((a.m, a.n, a.orbits) == (b.m, b.n, b.orbits)
-            and np.array_equal(a.boards, b.boards)
-            and np.array_equal(a.is_canonical, b.is_canonical))
+    """Whether two SweepResults hold the same shape, orbit count and boards."""
+    return (a.m, a.n, a.orbits, a.graham) == (b.m, b.n, b.orbits, b.graham)
 
 
 def record_shapes(monkeypatch, name):
@@ -279,7 +277,7 @@ def sorted_orbit_count(result):
     distinct keys.
     """
     u = np.uint64
-    m, n, boards = result.m, result.n, result.boards
+    m, n, boards = result.m, result.n, np.array(result.graham, dtype=np.uint64)
     comp = u((1 << (m * n)) - 1)
     flipped = np.zeros_like(boards)
     for j in range(n):
@@ -514,26 +512,20 @@ class TestRevcompColumns:
 
 
 class TestSweepResult:
-    def test_tuples_come_from_the_arrays(self):
-        result = oracle.sweep(4, 6)
-        assert result.graham == tuple(result.boards.tolist())
-        assert result.canonical == tuple(itertools.compress(result.graham, result.is_canonical))
-        # canonical shares graham's int objects
-        graham_ids = {id(board) for board in result.graham}
-        assert all(id(board) in graham_ids for board in result.canonical)
-
-    def test_cached_arrays_are_read_only(self):
-        result = oracle.sweep(4, 6)
-        with pytest.raises(ValueError):
-            result.boards[0] = 0
-        with pytest.raises(ValueError):
-            result.is_canonical[0] = True
+    def test_tuples_come_from_the_representatives(self):
+        for n in (5, 6):
+            result = oracle.sweep(4, n)
+            full = (1 << (4 * n)) - 1
+            reps = result.representatives.tolist()
+            boards = reps + [b ^ full for b in reps]
+            assert result.graham == tuple(sorted(boards))
+            assert result.canonical == tuple(sorted(b for b in boards if is_canonical(Board(4, n, b))))
 
     def test_count_builds_no_tuples(self):
         oracle._sweep.cache_clear()
         oracle.count_report(4, 8)
-        # a count reads the representatives alone: no sorted array, mask or tuple
-        built = {"boards", "is_canonical", "graham", "canonical"} & vars(oracle.sweep(4, 8)).keys()
+        # a count reads the representatives alone: no sorted tuple of boards
+        built = {"graham", "canonical"} & vars(oracle.sweep(4, 8)).keys()
         assert not built
 
     def test_representatives_are_read_only(self):
