@@ -6,19 +6,24 @@ Usage:
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from gridcuts import enumerate_canonical, regenerate_figures
 from gridcuts.board import boards_to_svg
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out/gallery")
     args = parser.parse_args()
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"render_gallery: {exc}", file=sys.stderr)
+        return 2
 
     galleries = regenerate_figures()
     (out / "gallery_3x6.svg").write_text(boards_to_svg(galleries["three_by_six"]))
@@ -28,7 +33,8 @@ def main() -> None:
     (out / "all_canonical_4x6.svg").write_text(boards_to_svg(boards))
     print(f"wrote {out}/gallery_3x6.svg, gallery_4x6.svg and "
           f"all_canonical_4x6.svg ({len(boards)} boards)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -450,7 +450,7 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
         cmd_gf,
     ),
     "terms": _Subcommand(
-        "series terms of the canonical generating function",
+        "series terms of the generating function of the chosen machine",
         (_formats("bfile", "json", "text"), _OUT, _M, _MODE, _Option("--limit", "limit", int)),
         cmd_terms,
     ),

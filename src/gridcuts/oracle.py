@@ -646,9 +646,11 @@ def regenerate_figures() -> dict[str, list[Board]]:
     """Verify and return the two reference galleries.
 
     The twelve 4x6 boards must all appear in the canonical enumeration; the
-    twelve 3x6 boards must be valid two-component complement-rule boards and
-    satisfy the (unvalidated for m=3) stipulations.  Any offender is listed
-    in the raised FigureMismatch.
+    twelve 3x6 boards must be valid two-component complement-rule boards with
+    no 1 in the left half of the bottom row.  That is the first stipulation
+    only: the column-0 one is not checked, and boards 1, 3, 5 and 7 have
+    more 1s than 0s in column 0.  Any offender is listed in the raised
+    FigureMismatch.
     """
     bad: list[str] = []
 

@@ -41,6 +41,16 @@ of generating functions is then a literal coefficient comparison and no
 consumer normalizes again.  Polynomial gcds are left to `asymptotics`, and
 they never leave the integers: `Polynomial.gcd` runs one primitive
 pseudo-remainder sequence (Brown & Traub 1971).
+
+Every gf here counts boards, so its power series has integer coefficients,
+and `series_terms` checks that by one test on the denominator.  A coprime
+N/D in normal form has an integer power series exactly when D(0) = +-1.
+If D(0) = +-1, the recurrence D(0) c_n = N_n - sum_{i>=1} D_i c_{n-i}
+divides by +-1.  Conversely, by Fatou's lemma (Acta Math. 30, 1906) an
+integer power series that is rational equals P/Q with P, Q in Z[x] coprime
+and Q(0) = 1.  Lowest terms are unique up to a scalar, so N = lam P and
+D = lam Q for a rational lam.  The joint content of P and Q divides
+Q(0) = 1, and that of N and D is 1, so lam = +-1 and D(0) = +-1.
 """
 
 from __future__ import annotations
@@ -71,7 +81,7 @@ __all__ = [
 
 class InexactError(GridcutsError, ArithmeticError):
     """An exact computation met a value it cannot represent: a certificate
-    failed, a division was inexact, or a term was not an integer."""
+    failed, a division was inexact, or a series was not integral."""
 
 
 class Polynomial:
@@ -237,7 +247,8 @@ class RationalFunction:
 
     Precondition: the arguments are coprime, as every `generating_function`
     result is (see `certified_series`).  The constructor cancels no common
-    factor, so only for coprime arguments is the form unique."""
+    factor, so only for coprime arguments is the form unique, and only then
+    does `series_terms`' test D(0) = +-1 decide integrality."""
 
     numerator: Polynomial
     denominator: Polynomial
@@ -511,50 +522,39 @@ def _stripped_taps(den: Sequence[int]) -> tuple[list[tuple[int, int]], int]:
 def series_terms(G: RationalFunction, count: int) -> list[int]:
     """Exact coefficients c_1..c_count of the power series of G.
 
-    Runs the linear recurrence given by the denominator in integers over
-    its nonzero taps; requires a nonzero constant term.  Non-integer
-    coefficients mean a corrupted input and raise InexactError rather than
-    rounding.  A fractional c_0 = a/b is allowed: the recurrence then runs
-    on b*c_n, and otherwise on the returned terms themselves.
+    Requires D(0) = +-1, where the series is integral (theorem in the module
+    docstring), and refuses any other D(0) before a term is computed.  Runs
+    the linear recurrence given by the denominator in integers over its
+    nonzero taps.
 
-    With D(0) = 1 and c_0 an integer, every factor 1 - x is divided out of
-    D = (1 - x)^k E.  When E has fewer taps than D by more than k, the
-    recurrence runs on N/E, and k running sums from c_0 then give N/D: both
-    m = 4 gfs take 4 multiply-adds and 2 additions a term instead of 10.
-    This stays exact: E(0) = D(0) = 1, so N/E is an integer series, and so
-    is each running sum of it.
+    Every factor 1 - x is divided out of D = (1 - x)^k E.  When E has fewer
+    taps than D by more than k, the recurrence runs on N/E, and k running
+    sums from c_0 then give N/D: both m = 4 gfs take 4 multiply-adds and 2
+    additions a term instead of 10.  This stays exact: E(0) = D(0) = 1, so
+    N/E is an integer series, and so is each running sum of it.
     """
     num, den = G.numerator.coeffs, G.denominator.coeffs
     if not den or den[0] == 0:
         raise ValueError("denominator must have a nonzero constant term")
-    if den[0] < 0:  # G = -num / -den, so the divisor below is positive
+    if abs(den[0]) != 1:
+        raise InexactError(f"D(0) = {den[0]} is not +-1, so the series is not integral")
+    if den[0] < 0:  # G = -num / -den
         num, den = [-c for c in num], [-c for c in den]
-    c0 = Fraction(num[0] if num else 0, den[0])
-    scale = c0.denominator
-    divisor = scale * den[0]
-    taps, strip = _stripped_taps(den) if divisor == 1 else (_taps(den), 0)
-    scaled = [c0.numerator]  # scale * c_n
-    out = []
+    taps, strip = _stripped_taps(den)
+    out = [num[0] if num else 0]  # c_0 .. c_count
     for n in range(1, count + 1):
-        acc = scale * num[n] if n < len(num) else 0
+        acc = num[n] if n < len(num) else 0
         for i, c in taps:
             if i > n:
                 break
-            acc -= c * scaled[n - i]
-        if divisor != 1:
-            acc, rem = divmod(acc, divisor)
-            if rem:
-                raise InexactError(
-                    f"coefficient {n} is not an integer: {acc + Fraction(rem, divisor)}"
-                )
+            acc -= c * out[n - i]
         out.append(acc)
-        scaled.append(acc if scale == 1 else scale * acc)
-    del scaled  # so each replaced term below is freed
     for _ in range(strip):
-        acc = c0.numerator
+        acc = 0
         for n, c in enumerate(out):
             acc += c
             out[n] = acc
+    del out[0]
     return out
 
 
@@ -610,16 +610,12 @@ def format_bfile(terms: Sequence[int]) -> str:
 def recurrence_of(G: RationalFunction) -> Recurrence:
     """Recurrence read off the denominator of a gf.  Precondition: numerator
     and denominator are coprime, as every `generating_function` result is;
-    otherwise the recurrence holds but is not the shortest."""
-    den = G.denominator
-    if den.constant() == 0:
-        raise ValueError("denominator must have a nonzero constant term")
-    c0 = Fraction(G.numerator.constant(), den.constant())
-    if c0.denominator != 1:
-        raise InexactError(f"coefficient 0 is not an integer: {c0}")
+    otherwise the recurrence holds but is not the shortest.  `series_terms`
+    refuses a D(0) other than +-1, so c_0 = N(0) / D(0) = N(0) * D(0)."""
     valid_from = max(G.numerator.degree + 1, 1)
+    initial = series_terms(G, valid_from - 1)
     return Recurrence(
-        coefficients=den.coeffs,
+        coefficients=G.denominator.coeffs,
         valid_from=valid_from,
-        initial=(int(c0), *series_terms(G, valid_from - 1)),
+        initial=(G.numerator.constant() * G.denominator.constant(), *initial),
     )

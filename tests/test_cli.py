@@ -683,8 +683,10 @@ class TestGoldenStdout:
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
-# an empty table, a row count outside 1..6, a width past the budget, and
-# estimates past the float range of growth^n
+# an empty table, a row count outside 1..6, a width past the budget,
+# estimates past the float range of growth^n, and an output directory that
+# cannot be made because its parent is a regular file ({tmp} is a fresh
+# directory holding the regular file "file")
 REFUSED_SCRIPT_ARGS = [
     ("convention_table.py", ("--max-n", "0")),
     ("convention_table.py", ("--m", "0")),
@@ -692,13 +694,16 @@ REFUSED_SCRIPT_ARGS = [
     ("convention_table.py", ("--max-n", "15")),
     ("asymptotic_error_table.py", ("--max-n", "1188")),
     ("asymptotic_error_table.py", ("--max-n", "1200")),
+    ("render_gallery.py", ("--out", "{tmp}/file/gallery")),
 ]
 
 
 class TestExperimentScripts:
     @pytest.mark.parametrize("script,argv", REFUSED_SCRIPT_ARGS,
                              ids=[" ".join((script, *argv)) for script, argv in REFUSED_SCRIPT_ARGS])
-    def test_refused_arguments_give_one_line(self, script, argv):
+    def test_refused_arguments_give_one_line(self, tmp_path, script, argv):
+        (tmp_path / "file").write_text("")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
         env = {**os.environ, "PYTHONPATH": str(Path(gridcuts.__file__).resolve().parent.parent)}
         refused = subprocess.run([sys.executable, str(SCRIPTS / script), *argv], env=env,
                                  capture_output=True, text=True, timeout=60)

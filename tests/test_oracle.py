@@ -591,3 +591,15 @@ class TestFigures:
         with pytest.raises(oracle.FigureMismatch) as exc:
             oracle.regenerate_figures()
         assert "gallery board 0" in str(exc.value)
+
+    def test_bottom_row_stipulation_reports_offender(self, monkeypatch):
+        from gridcuts import reference
+        from gridcuts.board import transform
+
+        # the complement of a valid cut is a valid cut, with 1s along the bottom row
+        tampered = list(reference.GALLERY_3X6)
+        tampered[0] = transform(tampered[0], "complement")
+        assert is_graham(tampered[0])
+        monkeypatch.setattr(reference, "GALLERY_3X6", tuple(tampered))
+        with pytest.raises(oracle.FigureMismatch, match="^3x6 gallery board 0 violates the bottom-row stipulation:"):
+            oracle.regenerate_figures()

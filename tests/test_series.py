@@ -551,24 +551,36 @@ class TestSeriesTerms:
             series_terms(half, 3)
 
     def test_non_integer_message_names_first_bad_coefficient(self):
-        # (3 + x)/(3 + 2x): c_0 = 1, c_1 = -1/3
+        # (3 + x)/(3 + 2x) has c_1 = -1/3; the refusal names D(0), before any term
         gf = RationalFunction(poly(3, 1), poly(3, 2))
-        with pytest.raises(ArithmeticError, match=r"^coefficient 1 is not an integer: -1/3$"):
-            series_terms(gf, 5)
+        for count in (0, 5):
+            with pytest.raises(InexactError, match=r"^D\(0\) = 3 is not \+-1, so the series is not integral$"):
+                series_terms(gf, count)
 
     def test_fractional_constant_term_is_dropped(self):
-        # (1 + 2x)/2: c_0 = 1/2 is not reported, c_1 = 1
-        assert series_terms(RationalFunction(poly(1, 2), poly(2)), 4) == [1, 0, 0, 0]
+        # (1 + 2x)/2: c_0 = 1/2 is refused, though c_1.. are integers
+        with pytest.raises(InexactError):
+            series_terms(RationalFunction(poly(1, 2), poly(2)), 4)
 
     def test_fractional_constant_term_feeds_recurrence(self):
-        # (1 + x)/(2 - 2x): c_0 = 1/2, then c_n = 1 for n >= 1
-        assert series_terms(RationalFunction(poly(1, 1), poly(2, -2)), 5) == [1] * 5
+        # (1 + x)/(2 - 2x): c_0 = 1/2, then c_n = 1 for n >= 1, is refused
+        with pytest.raises(InexactError):
+            series_terms(RationalFunction(poly(1, 1), poly(2, -2)), 5)
+
+    def test_refused_before_the_first_non_integer_term(self):
+        # (2 + 2x + ... + 2x^5 + x^6)/2 has c_0..c_5 = 1 and c_6 = 1/2
+        gf = RationalFunction(poly(2, 2, 2, 2, 2, 2, 1), poly(2))
+        assert series_terms_longdiv(gf, 6) == [1, 1, 1, 1, 1, Fraction(1, 2)]
+        with pytest.raises(InexactError, match=r"^D\(0\) = 2 "):
+            series_terms(gf, 5)
+        with pytest.raises(InexactError, match=r"^D\(0\) = 2 "):
+            recurrence_of(gf)
 
 
 @st.composite
 def recurrence_gfs(draw):
     """N/D from D with D[0] in +-1, +-2, +-3, D sparse or constant, and N
-    zero, of any degree, or a multiple of D (integer terms).
+    zero, of any degree, or a multiple of D.
 
     The constructor makes D's leading coefficient positive, so D[0] stays
     negative whenever the two have opposite signs.  It cancels no common
@@ -584,25 +596,28 @@ def recurrence_gfs(draw):
     return RationalFunction(num, den)
 
 
+def assert_terms_or_refused(gf, count):
+    """Long division's terms when |D(0)| = 1, else the up-front refusal."""
+    d0 = gf.denominator.constant()
+    if abs(d0) == 1:
+        assert series_terms(gf, count) == series_terms_longdiv(gf, count)
+    else:
+        with pytest.raises(InexactError) as caught:
+            series_terms(gf, count)
+        assert str(caught.value) == f"D(0) = {d0} is not +-1, so the series is not integral"
+
+
 class TestSeriesTermsAgainstLongDivision:
     @given(recurrence_gfs(), st.integers(0, 200))
     def test_terms_or_first_non_integer(self, gf, count):
-        want = series_terms_longdiv(gf, count)
-        bad = next((n for n, c in enumerate(want, start=1) if c.denominator != 1), None)
-        if bad is None:
-            assert series_terms(gf, count) == want
-        else:
-            with pytest.raises(InexactError) as caught:
-                series_terms(gf, count)
-            assert str(caught.value) == f"coefficient {bad} is not an integer: {want[bad - 1]}"
+        assert_terms_or_refused(gf, count)
 
 
 @st.composite
 def stripped_recurrence_gfs(draw):
     """A `recurrence_gfs` draw with its denominator times (1 - x)^k, k = 0..3.
-    D[0] stays in +-1, +-2, +-3, so factors 1 - x reach both the recurrence
-    with D(0) = 1 and an integer c_0, which may divide them out, and the one
-    that checks every remainder."""
+    D[0] stays in +-1, +-2, +-3, so factors 1 - x reach both the recurrence,
+    which may divide them out, and the refusal."""
     gf = draw(recurrence_gfs())
     k = draw(st.integers(0, 3))
     return RationalFunction(gf.numerator, gf.denominator * product([poly(1, -1)] * k))
@@ -612,65 +627,48 @@ class TestStrippedRecurrenceAgainstLongDivision:
     @given(stripped_recurrence_gfs(), st.integers(0, 200))
     @example(RationalFunction(poly(1, 3), poly(1, 0, -5) * poly(1, -1) * poly(1, -1)), 40)
     def test_terms_or_first_non_integer(self, gf, count):
-        want = series_terms_longdiv(gf, count)
-        bad = next((n for n, c in enumerate(want, start=1) if c.denominator != 1), None)
-        if bad is None:
-            assert series_terms(gf, count) == want
-        else:
-            with pytest.raises(InexactError) as caught:
-                series_terms(gf, count)
-            assert str(caught.value) == f"coefficient {bad} is not an integer: {want[bad - 1]}"
+        assert_terms_or_refused(gf, count)
 
 
 def unstripped_series_terms(G, count):
     """`series_terms` as it was before it divided out 1 - x: the recurrence
-    over every nonzero tap of the denominator."""
+    over every nonzero tap of the denominator, for D(0) = +-1."""
     num, den = G.numerator.coeffs, G.denominator.coeffs
     if den[0] < 0:
         num, den = [-c for c in num], [-c for c in den]
-    c0 = Fraction(num[0] if num else 0, den[0])
-    scale = c0.denominator
-    divisor = scale * den[0]
+    assert den[0] == 1
     taps = [(i, c) for i, c in enumerate(den) if i and c]
-    scaled = [c0.numerator]
-    out = []
+    out = [num[0] if num else 0]
     for n in range(1, count + 1):
-        acc = scale * num[n] if n < len(num) else 0
+        acc = num[n] if n < len(num) else 0
         for i, c in taps:
             if i > n:
                 break
-            acc -= c * scaled[n - i]
-        if divisor != 1:
-            acc, rem = divmod(acc, divisor)
-            assert not rem
+            acc -= c * out[n - i]
         out.append(acc)
-        scaled.append(acc if scale == 1 else scale * acc)
-    return out
+    return out[1:]
 
 
-CLI_MACHINES = [f"{mode}{m}" for mode in ("canonical", "general") for m in range(1, 6)]
+LUMPED_MACHINES = [("canonical", m) for m in range(1, 6)] + [("general", m) for m in range(1, 7)]
 
 
 class TestStrippedRecurrence:
-    @pytest.mark.parametrize("name", CLI_MACHINES)
-    def test_only_m4_divides_out_one_minus_x(self, name):
-        gf = generating_function(_machine(name))
+    @pytest.mark.parametrize("mode,m", LUMPED_MACHINES, ids=[f"{mode}{m}" for mode, m in LUMPED_MACHINES])
+    def test_only_m4_divides_out_one_minus_x(self, mode, m):
+        gf = generating_function(closure_machine(mode, m))
         den = list(gf.denominator.coeffs)
-        # c_0 = 0 and D(0) = +-1, so `series_terms` asks `_stripped_taps`
+        # c_0 = 0 and D(0) = +-1, so the series is integral and `series_terms` accepts it
         assert gf.numerator.constant() == 0 and abs(den[0]) == 1
         if den[0] < 0:
             den = [-c for c in den]
         taps, strip = _stripped_taps(den)
-        assert strip == (2 if name.endswith("4") else 0)
-        assert len(taps) == (4 if name.endswith("4") else len([c for c in den[1:] if c]))
+        assert strip == (2 if m == 4 else 0)
+        assert len(taps) == (4 if m == 4 else len([c for c in den[1:] if c]))
 
     @pytest.mark.parametrize("name", ["canonical4", "general4"])
     def test_m4_terms_match_the_unstripped_recurrence(self, name):
         gf = generating_function(_machine(name))
         assert series_terms(gf, 3000) == unstripped_series_terms(gf, 3000)
-
-
-LUMPED_MACHINES = [("canonical", m) for m in range(1, 6)] + [("general", m) for m in range(1, 7)]
 
 
 class TestLumping:
