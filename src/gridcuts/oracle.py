@@ -26,8 +26,9 @@ component of its own, and the 1-label has m*n/2 >= 2 cells, so such a board
 is no cut.  The tables test only the cells whose four neighbours they
 already fix.  The sieve is exact because it only rejects; an isolated
 0-cell is the half-turn image of an isolated 1-cell, so testing the 1s
-covers both labels; and it is skipped when m*n = 2, where each label is a
-single cell.
+covers both labels.  A one-column left half (n <= 2) is never sieved, as
+the lo table tests only the columns before its last; so neither is m*n = 2,
+where each label is a single cell.
 
 Only the boards that pass an Euler-number sieve are ever built.  For the
 1-cells, V - E + F (cells, 4-adjacent pairs, 2x2 blocks) is the
@@ -177,17 +178,6 @@ def _neighbours(bits: np.ndarray, m: int, not_top: int, not_bottom: int) -> np.n
             | ((bits & u(not_bottom)) << u(1))
             | (bits >> u(m))
             | (bits << u(m)))
-
-
-def _sieve_cells(m: int, n: int, columns) -> int:
-    """Mask of the cells in these columns that the isolated-cell sieve tests.
-
-    Empty when m*n = 2: each label is then one cell, so a lone 1 is the
-    whole 1-label rather than proof of a second component.
-    """
-    if m * n <= 2:
-        return 0
-    return _columns_mask(m, columns)
 
 
 def _isolated(bits: np.ndarray, cells: int, m: int, not_top: int, not_bottom: int) -> np.ndarray:
@@ -429,8 +419,8 @@ def _euler_blocks(m: int, n: int):
     # sieve each table on the cells whose four neighbours lie in its own column
     # groups: columns 0..split-1 for a slice's lo, split+2..k-1 for hi, and mirrors
     not_top, not_bottom = _row_masks(m, n)
-    lo_cells = _sieve_cells(m, n, [c for j in range(split) for c in (j, n - 1 - j)])
-    hi_cells = _sieve_cells(m, n, [c for j in range(split + 2, k) for c in (j, n - 1 - j)])
+    lo_cells = _columns_mask(m, [c for j in range(split) for c in (j, n - 1 - j)])
+    hi_cells = _columns_mask(m, [c for j in range(split + 2, k) for c in (j, n - 1 - j)])
     # every candidate has V = m*n/2 one-cells, and a cut has Euler number 1
     target = m * n // 2 - 1
     hi = None
@@ -487,6 +477,8 @@ def check_shape(m: int, n: int, budget: int = DEFAULT_BUDGET) -> None:
         )
     if m * n > 64:
         raise ValueError(f"shape {m}x{n} has {m * n} cells; a bitboard holds at most 64")
+    if m > 64:  # a column is one m-bit word, even at width 0
+        raise ValueError(f"shape {m}x{n} has {m} rows; a bitboard column holds at most 64")
 
 
 def sweep(m: int, n: int, *, budget: int = DEFAULT_BUDGET) -> SweepResult:
@@ -547,7 +539,8 @@ class CountReport:
 
     @property
     def canonical_validated(self) -> bool:
-        """The stipulations behind `canonical` are validated for m = 4 only."""
+        """The stipulations behind `canonical` are validated for m = 4 only;
+        every other height the sweep reaches reports the column flagged."""
         return self.m == 4
 
     def to_json_dict(self, *, timings: bool = True) -> dict:
@@ -568,13 +561,13 @@ class CountReport:
 def count_report(m: int, n: int, *, budget: int = DEFAULT_BUDGET) -> CountReport:
     """Count canonical matrices, cuts and reflection orbits by full sweep.
 
-    All three are read from the cached SweepResult's representatives, one
-    board per cut: cuts is their number, canonical matrices are those among
-    them and their complements that meet the stipulations, and orbits are
-    as the sweep counted them.  No board array is sorted or rebuilt.
+    Every shape that check_shape accepts is answered, at any height, and
+    any other raises as check_shape does.  All three are read from the
+    cached SweepResult's representatives, one board per cut: cuts is their
+    number, canonical matrices are those among them and their complements
+    that meet the stipulations, and orbits are as the sweep counted them.
+    No board array is sorted or rebuilt.
     """
-    if not 1 <= m <= 6:
-        raise ValueError(f"row count {m} outside the validated sweep range 1..6")
     started = time.perf_counter()
     result = sweep(m, n, budget=budget)
     reps = result.representatives

@@ -89,6 +89,21 @@ class TestCount:
         assert out == ""
         assert err.count("\n") == 1 and "64" in err
 
+    def test_any_height_within_the_budget(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "--m", "7", "--n", "1-8", "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert [r["cuts"] for r in data] == [0, 7, 0, 151, 0, 2947, 0, 55939]
+        assert all(r["canonical_validated"] is False for r in data)
+        code, out, err = run_cli(capsys, "count", "--m", "7", "--n", "9")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("gridcuts: ") and "budget" in err
+
+    def test_column_too_tall_for_bitboard(self, capsys):
+        code, out, err = run_cli(capsys, "count", "--m", "100", "--n", "0")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("gridcuts: ") and "64" in err
+
     def test_budget_is_not_read_from_the_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("GRIDCUTS_BUDGET", "16")
         code, out, _ = run_cli(capsys, "count", "--n", "4")
@@ -683,7 +698,7 @@ class TestGoldenStdout:
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
-# an empty table, a row count outside 1..6, a width past the budget,
+# an empty table, a row count of 0, widths past the budget (7 x 12 and 4 x 15),
 # estimates past the float range of growth^n, and an output directory that
 # cannot be made because its parent is a regular file ({tmp} is a fresh
 # directory holding the regular file "file")
@@ -709,3 +724,12 @@ class TestExperimentScripts:
                                  capture_output=True, text=True, timeout=60)
         assert refused.returncode == 2 and refused.stdout == ""
         assert refused.stderr.count("\n") == 1 and "Traceback" not in refused.stderr
+
+    def test_convention_table_past_four_rows_flags_the_canonical_column(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(gridcuts.__file__).resolve().parent.parent)}
+        table = subprocess.run([sys.executable, str(SCRIPTS / "convention_table.py"), "--m", "7", "--max-n", "8"],
+                               env=env, capture_output=True, text=True, timeout=60)
+        assert table.returncode == 0 and table.stderr == ""
+        header, *rows, note = table.stdout.splitlines()
+        assert [row.split() for row in rows][-1] == ["8", "29649", "55939", "27970"] and len(rows) == 8
+        assert note == "(canonical column unvalidated for m=7; stipulations assume 4 rows)"

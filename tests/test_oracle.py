@@ -103,6 +103,27 @@ class TestCountReport:
         for n in range(1, 13):
             assert oracle.count_report(2, n).cuts == n
 
+    def test_height_seven_matches_the_general_machine(self):
+        # past the CLI's machine heights: the general m = 7 machine, through _build
+        from gridcuts.automaton import _build
+        from gridcuts.series import generating_function, series_terms
+
+        alphabet = tuple(range(1 << 7))
+        terms = series_terms(generating_function(_build(7, "general", alphabet, alphabet, 2)), 8)
+        assert [oracle.count_report(7, n).cuts for n in range(1, 9)] == terms
+        assert not oracle.count_report(7, 8).canonical_validated
+
+    def test_transpose_symmetric(self):
+        # the transpose commutes with the half-turn, so it maps cuts onto cuts;
+        # it maps the reflection onto the row flip, which on a cut is the
+        # reflection complemented, so orbits match too; canonical is observed
+        pairs = [(m, n) for n in range(2, 65) for m in range(1, n)
+                 if max(m * ((n + 1) // 2), n * ((m + 1) // 2)) <= 24 and m * n <= 64]
+        assert len(pairs) == 67
+        for m, n in pairs:
+            wide, tall = oracle.count_report(m, n), oracle.count_report(n, m)
+            assert (wide.canonical, wide.cuts, wide.orbits) == (tall.canonical, tall.cuts, tall.orbits), (m, n)
+
     def test_orbits_match_burnside(self):
         # independent formula: orbits = (cuts + cuts fixed by reflection) / 2
         from gridcuts.board import transform
@@ -239,6 +260,10 @@ class TestSweepAgainstPurePython:
     def test_too_many_cells_rejected(self):
         with pytest.raises(ValueError, match="64"):
             oracle.sweep(6, 11, budget=1 << 40)
+        # a board of width 0 has no cell, but its height is still one column word
+        with pytest.raises(ValueError, match="64"):
+            oracle.count_report(65, 0)
+        assert oracle.count_report(64, 0).cuts == 0
 
 
 # SHA-256 of ",".join(map(str, sweep(m, n).graham)), computed with a sweep

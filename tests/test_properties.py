@@ -250,7 +250,7 @@ class TestIsolatedCellSieve:
             for i in range(m) for j in range(n)
         )
         bits = np.array([board.bits], dtype=np.uint64)
-        cells = oracle._sieve_cells(m, n, range(n))
+        cells = oracle._columns_mask(m, range(n))
         flagged = bool(oracle._isolated(bits, cells, m, *oracle._row_masks(m, n))[0])
         assert flagged == lone
         if flagged:

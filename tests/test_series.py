@@ -838,3 +838,10 @@ class TestRecurrence:
     def test_general_mode_divisor(self):
         gf = generating_function(build_general(4))
         assert series_terms(gf, 10) == [oracle.count_report(4, n).cuts for n in range(1, 11)]
+
+    def test_general_machines_transpose(self):
+        # c(m, n), term n of the m-row gf, counts the cuts of the n x m board too
+        terms = {m: series_terms(generating_function(build_general(m)), 5) for m in range(1, 6)}
+        for m in range(1, 6):
+            for n in range(1, 6):
+                assert terms[m][n - 1] == terms[n][m - 1], (m, n)
