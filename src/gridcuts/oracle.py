@@ -4,8 +4,10 @@ Every width-n board that satisfies the complement rule is determined by its
 left half of k = ceil(n/2) columns, and the 2^(m*k) left halves are the
 candidates (the budget counts all of them).  Candidates are the `bits` of
 a Board, cell (i, j) at bit j*m + i, held in uint64 arrays, so at most 64
-cells fit.  The sweep
-skips work it can prove redundant without knowing anything about cuts:
+cells fit.  Masks and shift counts stay Python ints: under NEP 50 (numpy
+>= 2.0) a Python int meets a uint64 array as a uint64, and one outside
+0..2^64 - 1 raises OverflowError instead of wrapping.  The sweep skips work
+it can prove redundant without knowing anything about cuts:
 
 * the complement of a valid board is valid and differs at cell (0, 0), so
   only left halves with that cell 0 are swept, and every survivor adds its
@@ -60,10 +62,11 @@ they have holes, and the half-turn maps each hole (an 8-component of
 (Rosenfeld's 4/8 duality, Amer. Math. Monthly 86, 1979).  So the 1-cells
 are 4-connected exactly when an 8-connected flood seeded at their border
 cells covers them.  The flood grows every candidate, with no compaction of
-the working set, until none grows any more.  That takes as many steps as
-the farthest 1-cell lies from the border, and one more to see that nothing
-grew: 11 at 4 x 12, where a 4-connected flood from one cell needed 23.  The
-flood fill is the only test that accepts a board.  This stays a
+the working set, until none grows any more, which each step tests with one
+comparison and one reduction, (grown != cur).any().  That takes as many
+steps as the farthest 1-cell lies from the border, and one more to see that
+nothing grew: 11 at 4 x 12, where a 4-connected flood from one cell needed
+23.  The flood fill is the only test that accepts a board.  This stays a
 per-candidate brute-force check; nothing here shares logic with the column
 automaton it is used to validate.
 
@@ -131,7 +134,7 @@ class FigureMismatch(GridcutsError, RuntimeError):
 # (block width, mask of the low block of every pair) for each swap step of a
 # bit reversal, smallest blocks first
 _SWAPS = tuple(
-    (np.uint64(width), np.uint64(sum(((1 << width) - 1) << i for i in range(0, 64, 2 * width))))
+    (width, sum(((1 << width) - 1) << i for i in range(0, 64, 2 * width)))
     for width in (1, 2, 4, 8, 16, 32)
 )
 
@@ -148,7 +151,7 @@ def _revcomp_columns(cols: np.ndarray, m: int) -> np.ndarray:
     rev = cols
     for width, low in _SWAPS[:k]:
         rev = ((rev >> width) & low) | ((rev & low) << width)
-    return (rev >> np.uint64((1 << k) - m)) ^ np.uint64((1 << m) - 1)
+    return (rev >> ((1 << k) - m)) ^ ((1 << m) - 1)
 
 
 def _self_revcomp_columns(m: int, top: np.ndarray) -> np.ndarray:
@@ -160,7 +163,7 @@ def _self_revcomp_columns(m: int, top: np.ndarray) -> np.ndarray:
     """
     if m % 2:
         return np.zeros(0, dtype=np.uint64)
-    half = np.uint64(m // 2)
+    half = m // 2
     return top | (_revcomp_columns(top, m) >> half << half)
 
 
@@ -173,11 +176,10 @@ def _row_masks(m: int, n: int) -> tuple[int, int]:
 
 def _neighbours(bits: np.ndarray, m: int, not_top: int, not_bottom: int) -> np.ndarray:
     """Element-wise: the cells 4-adjacent to a set cell (bits past m*n may be set)."""
-    u = np.uint64
-    return (((bits & u(not_top)) >> u(1))
-            | ((bits & u(not_bottom)) << u(1))
-            | (bits >> u(m))
-            | (bits << u(m)))
+    return (((bits & not_top) >> 1)
+            | ((bits & not_bottom) << 1)
+            | (bits >> m)
+            | (bits << m))
 
 
 def _isolated(bits: np.ndarray, cells: int, m: int, not_top: int, not_bottom: int) -> np.ndarray:
@@ -187,7 +189,7 @@ def _isolated(bits: np.ndarray, cells: int, m: int, not_top: int, not_bottom: in
     cells, so the board cannot be a cut.  The cells mask must only hold
     cells whose four neighbours are all determined by bits.
     """
-    lonely = bits & np.uint64(cells) & ~_neighbours(bits, m, not_top, not_bottom)
+    lonely = bits & cells & ~_neighbours(bits, m, not_top, not_bottom)
     return lonely != 0
 
 
@@ -211,25 +213,23 @@ def _connected(bits: np.ndarray, m: int, n: int) -> np.ndarray:
     stays as it is, so nothing is compacted, and a candidate is connected
     exactly when its flood then covers its mask.
     """
-    u = np.uint64
     not_top, not_bottom = _row_masks(m, n)
     assert (_edges_minus_squares(bits, m, not_bottom) == m * n // 2 - 1).all()
     # the top and bottom rows, and the first and last columns (none at n = 0)
     border = ((1 << (m * n)) - 1) & ~(not_top & not_bottom) | (_columns_mask(m, (0, n - 1)) if n else 0)
-    cur = bits & u(border)
+    cur = bits & border
     while True:
-        column = cur | ((cur & u(not_top)) >> u(1)) | ((cur & u(not_bottom)) << u(1))
-        grown = (column | (column >> u(m)) | (column << u(m))) & bits
-        if np.array_equal(grown, cur):
+        column = cur | ((cur & not_top) >> 1) | ((cur & not_bottom) << 1)
+        grown = (column | (column >> m) | (column << m)) & bits
+        if not (grown != cur).any():
             return cur == bits
         cur = grown
 
 
 def _canonical_mask(boards: np.ndarray, m: int, n: int) -> np.ndarray:
     """Element-wise: the board meets the stipulations of board.is_canonical."""
-    u = np.uint64
     bottom_left = sum(1 << (j * m + m - 1) for j in range((n + 1) // 2))
-    return ((boards & u(bottom_left)) == 0) & (np.bitwise_count(boards & u((1 << m) - 1)) <= m // 2)
+    return ((boards & bottom_left) == 0) & (np.bitwise_count(boards & ((1 << m) - 1)) <= m // 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +253,7 @@ class SweepResult:
 
     def _boards(self) -> np.ndarray:
         reps = self.representatives
-        return np.concatenate([reps, reps ^ np.uint64((1 << (self.m * self.n)) - 1)])
+        return np.concatenate([reps, reps ^ ((1 << (self.m * self.n)) - 1)])
 
     @cached_property
     def graham(self) -> tuple[int, ...]:
@@ -291,16 +291,15 @@ def _partial_boards(m: int, n: int, j: int, free: np.ndarray | None = None) -> n
     half.  free defaults to every free value, in order; the other columns
     then read their reversed complements from _column_table.
     """
-    u = np.uint64
     if 2 * j + 1 == n:
         if free is None:
-            free = np.arange(1 << (m // 2), dtype=u)
-        return _self_revcomp_columns(m, free) << u(j * m)
+            free = np.arange(1 << (m // 2), dtype=np.uint64)
+        return _self_revcomp_columns(m, free) << (j * m)
     if free is None:
         free, revcomp = _column_table(m)
     else:
         revcomp = _revcomp_columns(free, m)
-    return (free << u(j * m)) | (revcomp << u((n - 1 - j) * m))
+    return (free << (j * m)) | (revcomp << ((n - 1 - j) * m))
 
 
 def _columns_mask(m: int, columns) -> int:
@@ -337,20 +336,21 @@ def _half(boards: np.ndarray, m: int, col: int, mirror: int, target: int, not_bo
     either half, a half above target never completes to a cut, and dropping
     it keeps every score inside the join's cells.
     """
-    u = np.uint64
     score = _edges_minus_squares(boards, m, not_bottom)
     keep = score <= target
     boards = boards[keep]
     # one sort of (boundary column, E - F, index): a join has two column groups,
     # so n >= 3, m <= 21, and the key takes 21 + 8 + 32 bits
-    column = (boards >> u(col * m)) & u((1 << m) - 1)
-    key = np.sort((column << u(40)) | (score[keep].astype(u) << u(32)) | np.arange(boards.size, dtype=u))
-    boards, column = boards[(key & u(0xFFFFFFFF)).astype(np.int64)], key >> u(40)
+    column = (boards >> (col * m)) & ((1 << m) - 1)
+    key = (column << 40) | (score[keep].astype(np.uint64) << 32) | np.arange(boards.size, dtype=np.uint64)
+    key.sort()
+    boards, column = boards[(key & 0xFFFFFFFF).astype(np.int64)], key >> 40
     # the entries whose column differs from the one before (the first always does)
-    head = np.flatnonzero(np.concatenate([column[:1] + u(1), column[:-1]]) != column)
-    group = np.repeat(np.arange(head.size), np.diff(head, append=boards.size))
-    edge = boards & u(_columns_mask(m, (col, mirror)))
-    score = ((key >> u(32)) & u(0xFF)).astype(np.int64)
+    new = np.ones(column.size, dtype=bool)
+    new[1:] = column[1:] != column[:-1]
+    group, head = new.cumsum() - 1, new.nonzero()[0]
+    edge = boards & _columns_mask(m, (col, mirror))
+    score = ((key >> 32) & 0xFF).astype(np.int64)
     return _Half(boards, score, edge, group, head)
 
 
@@ -371,7 +371,7 @@ def _join(q: _Half, t: _Half, m: int, target: int, not_bottom: int):
     width = target + 2
     rep = t.edge[t.head]
     count = np.bincount(t.group * width + 1 + t.score, minlength=rep.size * width)
-    run = np.cumsum(count) - count
+    run = count.cumsum() - count
     occupied = count.astype(bool)
     # the wanted E - F is target - E-F(q) - cross, and
     # cross = E-F(q.edge | rep) - E-F(q.edge) - E-F(rep)
@@ -385,12 +385,12 @@ def _join(q: _Half, t: _Half, m: int, target: int, not_bottom: int):
             edges = q.edge[r:r + rows, None] | rep[c:c + cols]
             need = t_part[c:c + cols] + q_part[r:r + rows, None] - _edges_minus_squares(edges, m, not_bottom)
             cell = (base[c:c + cols] + np.maximum(need, -1)).ravel()
-            found = np.flatnonzero(occupied[cell])
+            found = occupied[cell].nonzero()[0]
             cell = cell[found]
             first, hits = run[cell], count[cell]
             # the hits[i] entries of t from first[i] on, for every query i
-            pos = np.repeat(first - np.cumsum(hits) + hits, hits) + np.arange(hits.sum())
-            yield q.boards[r + np.repeat(found // edges.shape[1], hits)] | t.boards[pos]
+            pos = (first - hits.cumsum() + hits).repeat(hits) + np.arange(hits.sum())
+            yield q.boards[r + (found // edges.shape[1]).repeat(hits)] | t.boards[pos]
 
 
 def _euler_blocks(m: int, n: int):
@@ -406,7 +406,6 @@ def _euler_blocks(m: int, n: int):
     When lo takes every column there is no hi, and each slice is tested
     board by board.
     """
-    u = np.uint64
     k = (n + 1) // 2
     if k == 0:
         return
@@ -431,7 +430,7 @@ def _euler_blocks(m: int, n: int):
     # cell (0, 0) is bit 0 of the first column's free value, its top half when n = 1
     end = 1 << (m // 2 if n == 1 else m)
     for start in range(0, end, 2 * _CHUNK):
-        first = _partial_boards(m, n, 0, np.arange(start, min(start + 2 * _CHUNK, end), 2, dtype=u))
+        first = _partial_boards(m, n, 0, np.arange(start, min(start + 2 * _CHUNK, end), 2, dtype=np.uint64))
         lo = (first[:, None] | lo_rest[None, :]).ravel()
         lo = lo[~_isolated(lo, lo_cells, m, not_top, not_bottom)]
         if hi is None:
@@ -452,10 +451,9 @@ def _edges_minus_squares(bits: np.ndarray, m: int, not_bottom: int) -> np.ndarra
     number of the 1-cells: 4-components minus 8-connected holes.  The
     popcounts are uint8, which holds E (at most 2*64 pairs).
     """
-    u = np.uint64
-    vert = bits & (bits >> u(1)) & u(not_bottom)
-    horiz = bits & (bits >> u(m))
-    square = vert & (vert >> u(m))
+    vert = bits & (bits >> 1) & not_bottom
+    horiz = bits & (bits >> m)
+    square = vert & (vert >> m)
     return np.bitwise_count(vert) + np.bitwise_count(horiz) - np.bitwise_count(square)
 
 
@@ -497,8 +495,7 @@ def sweep(m: int, n: int, *, budget: int = DEFAULT_BUDGET) -> SweepResult:
 @cache
 def _sweep(m: int, n: int) -> SweepResult:
     """The body of `sweep`, cached per process; `cache_info()` counts hits."""
-    u = np.uint64
-    survivors = np.concatenate([np.zeros(0, dtype=u), *_euler_blocks(m, n)])
+    survivors = np.concatenate([np.zeros(0, dtype=np.uint64), *_euler_blocks(m, n)])
     # the 0-region is the half-turn image of the 1-region, so it is connected
     # exactly when the 1-region is; and every survivor has Euler number 1, so
     # the 1s are connected exactly when a flood from their border cells
@@ -512,12 +509,12 @@ def _sweep(m: int, n: int) -> SweepResult:
     # with rot the half-turn, i.e. the row flip of the column reversal, so its
     # column reversal is its row flip complemented, and a cut {h, h ^ full} is
     # fixed exactly when the row flip of h is h or h ^ full
-    full = u((1 << (m * n)) - 1)
+    full = (1 << (m * n)) - 1
     top_row = sum(1 << (j * m) for j in range(n))
     # the row flip swaps rows i and m-1-i, and keeps an odd m's middle row
-    vflip = reps & u(top_row << (m // 2)) if m % 2 else np.zeros_like(reps)
+    vflip = reps & (top_row << (m // 2)) if m % 2 else np.zeros_like(reps)
     for i in range(m // 2):
-        row, shift = u(top_row << i), u(m - 1 - 2 * i)
+        row, shift = top_row << i, m - 1 - 2 * i
         vflip |= ((reps & row) << shift) | ((reps >> shift) & row)
     fixed = int(np.count_nonzero((vflip == reps) | (vflip == reps ^ full)))
     assert (reps.size + fixed) % 2 == 0
@@ -573,7 +570,7 @@ def count_report(m: int, n: int, *, budget: int = DEFAULT_BUDGET) -> CountReport
     reps = result.representatives
     cuts = reps.size
     assert result.orbits <= cuts <= 2 * result.orbits or cuts == 0
-    full = np.uint64((1 << (m * n)) - 1)
+    full = (1 << (m * n)) - 1
     canonical = np.count_nonzero(_canonical_mask(reps, m, n)) + np.count_nonzero(_canonical_mask(reps ^ full, m, n))
 
     return CountReport(

@@ -239,13 +239,21 @@ def criterion_cross_convention(check: _Check) -> None:
 
 
 def criterion_general_mode(check: _Check) -> None:
-    """General machines agree with oracle cut counts for n <= 10."""
+    """General machines agree with oracle cut counts for n <= 10, and with
+    each other under transposition for m, n <= 5."""
     for m in (3, 4):
         gf = generating_function(build_general(m))
         terms = series_terms(gf, 10)
         cuts = [oracle.count_report(m, n).cuts for n in range(1, 11)]
         check.equal(terms, cuts, f"general m={m} gf coefficients vs oracle cuts")
         check.details[f"m{m}"] = terms
+    # term n of the m-row gf counts the m x n cuts, and so the n x m ones too
+    terms = {m: series_terms(generating_function(build_general(m)), 5) for m in range(1, 6)}
+    for m in range(1, 6):
+        for n in range(m + 1, 6):
+            check.equal(terms[m][n - 1], terms[n][m - 1], f"general m={m} term {n} vs m={n} term {m}")
+    # row m - 1 holds terms 1..m of the m-row gf
+    check.details["transpose_terms"] = [row[:m] for m, row in terms.items()]
 
 
 def _left_halves(board_ints: Sequence[int], m: int, n: int) -> set[tuple[int, ...]]:

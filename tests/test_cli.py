@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import gridcuts
@@ -605,6 +605,38 @@ class TestParser:
             main(["count", "--help"])
         assert exited.value.code == 0
         assert "unvalidated for m != 4" in " ".join(capsys.readouterr().out.split())
+
+
+def _whole_suite(argv):
+    """argv runs every verify criterion, about 0.5 s; the acceptance tests do that."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):  # help exits after printing
+            args = build_parser().parse_args(argv)
+    except (ValueError, SystemExit):
+        return False
+    return args.command == "verify" and args.only is None
+
+
+class TestCliContract:
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_argvs())
+    def test_answer_or_one_line_and_exit_2(self, tmp_path, monkeypatch, argv):
+        # every drawn value is a relative path, so an --out lands under tmp_path,
+        # where --out x names a directory and --format svg --out txt a file
+        assert not any(os.path.isabs(value) for value in argv)
+        assume(not _whole_suite(argv))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "x").mkdir(exist_ok=True)
+        (tmp_path / "txt").touch()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exited:  # help, which argparse prints and exits 0 after
+                code = exited.code
+        assert code in (0, 2), (argv, code, err.getvalue())
+        if code == 2:
+            assert err.getvalue().startswith("gridcuts: ") and err.getvalue().count("\n") == 1, err.getvalue()
 
 
 class TestBadOutputPath:

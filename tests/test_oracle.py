@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import operator
 import warnings
 
 import numpy as np
@@ -534,6 +535,35 @@ class TestRevcompColumns:
         values = [0, full] + [v & full for v in alternating + random]
         got = oracle._revcomp_columns(np.array(values, dtype=np.uint64), m).tolist()
         assert got == [int(format(c, f"0{m}b")[::-1], 2) ^ full for c in values]
+
+
+class TestPythonIntsAgainstUint64:
+    # the oracle's masks and shift counts are plain Python ints; under NEP 50
+    # (numpy >= 2.0) a Python int meets a uint64 array as a uint64
+    values = np.array([0, 1, 0x5555555555555555, 1 << 63, (1 << 64) - 1], dtype=np.uint64)
+    scalars = [0, 1, 0xAAAAAAAAAAAAAAAA, 1 << 63, (1 << 64) - 1]
+
+    @pytest.mark.parametrize("op", [operator.and_, operator.or_, operator.xor])
+    def test_bitwise_stays_uint64(self, op):
+        for scalar in self.scalars:
+            for got in (op(self.values, scalar), op(scalar, self.values)):
+                assert got.dtype == np.uint64
+                assert got.tolist() == [op(v, scalar) for v in self.values.tolist()]
+
+    def test_shifts_stay_uint64(self):
+        full = (1 << 64) - 1
+        for shift in (0, 1, 40, 63, 64):  # a shift by the width gives 0, as _neighbours needs at m = 64
+            left, right = self.values << shift, self.values >> shift
+            assert left.dtype == right.dtype == np.uint64
+            assert left.tolist() == [(v << shift) & full for v in self.values.tolist()]
+            assert right.tolist() == [v >> shift for v in self.values.tolist()]
+
+    @pytest.mark.parametrize("op", [operator.and_, operator.or_, operator.xor, operator.lshift, operator.rshift])
+    def test_out_of_range_int_raises(self, op):
+        # a negative mask would wrap to a huge one if it were cast; it raises instead
+        for scalar in (-1, 1 << 64):
+            with pytest.raises(OverflowError):
+                op(self.values, scalar)
 
 
 class TestSweepResult:
