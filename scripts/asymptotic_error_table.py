@@ -16,6 +16,8 @@ from gridcuts.series import generating_function
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
+    # a usage error is one line and exit code 2, like every other refusal here
+    parser.error = lambda message: parser.exit(2, f"asymptotic_error_table: {message}\n")
     parser.add_argument("--max-n", type=int, default=30)
     args = parser.parse_args()
     # past the cap the float estimate growth^n overflows, as `gridcuts asymptotics` refuses too

@@ -18,6 +18,8 @@ from gridcuts.oracle import delahaye_formula
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
+    # a usage error is one line and exit code 2, like every other refusal here
+    parser.error = lambda message: parser.exit(2, f"convention_table: {message}\n")
     parser.add_argument("--m", type=int, default=4)
     parser.add_argument("--max-n", type=int, default=12)
     args = parser.parse_args()

@@ -15,6 +15,8 @@ from gridcuts.board import boards_to_svg
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
+    # a usage error is one line and exit code 2, like every other refusal here
+    parser.error = lambda message: parser.exit(2, f"render_gallery: {message}\n")
     parser.add_argument("--out", default="out/gallery")
     args = parser.parse_args()
 

@@ -339,35 +339,41 @@ def accepted_words(a: Automaton, length: int, parity: str) -> list[tuple[int, ..
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """Transition counts of the machine plus start and accept indicator vectors."""
+    """Transition counts of the machine as sparse rows, plus start and accept
+    indicator vectors: row i holds the sorted (j, count) pairs with count > 0."""
 
-    entries: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
     start_vector: tuple[int, ...]
     accept_even_vector: tuple[int, ...]
     accept_odd_vector: tuple[int, ...]
 
     @property
     def order(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The dense table, entry (i, j) counting i -> j, for the reference check."""
+        return tuple(tuple(row.get(j, 0) for j in range(self.order)) for row in map(dict, self.rows))
 
 
 def transfer_matrix(a: Automaton) -> TransferMatrix:
-    """Entry (i, j) counts the transitions from state i to state j, so walk
+    """Row i counts the transitions from state i to each state j, so walk
     counts equal word counts for any machine.  A built machine has at most
     one per ordered pair (a state records the column just read, so the
     destination fixes the symbol); a machine assembled by hand may have more.
     """
     size = len(a.states)
-    rows = [[0] * size for _ in range(size)]
+    counts: list[dict[int, int]] = [{} for _ in range(size)]
     for src, _, dst in a.transitions:
-        rows[src][dst] += 1
+        counts[src][dst] = counts[src].get(dst, 0) + 1
     def indicator(idxs: Sequence[int]) -> tuple[int, ...]:
         vec = [0] * size
         for i in idxs:
             vec[i] = 1
         return tuple(vec)
     return TransferMatrix(
-        entries=tuple(tuple(row) for row in rows),
+        rows=tuple(tuple(sorted(row.items())) for row in counts),
         start_vector=indicator(a.start),
         accept_even_vector=indicator(a.accept_even),
         accept_odd_vector=indicator(a.accept_odd),

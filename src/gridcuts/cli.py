@@ -332,9 +332,8 @@ def cmd_automaton(args: argparse.Namespace) -> int:
         for col, facts in sorted(always_rejected_columns(machine).items())
     ]
     if machine.mode == "canonical" and machine.m == 4:
-        T = transfer_matrix(machine)
         witness = permutation_similarity_witness(
-            T.entries, reference.REFERENCE_TRANSFER_MATRIX
+            transfer_matrix(machine).entries, reference.REFERENCE_TRANSFER_MATRIX
         )
         data["reference_similarity"] = {
             "similar": witness is not None,

@@ -28,9 +28,10 @@ component of its own, and the 1-label has m*n/2 >= 2 cells, so such a board
 is no cut.  The tables test only the cells whose four neighbours they
 already fix.  The sieve is exact because it only rejects; an isolated
 0-cell is the half-turn image of an isolated 1-cell, so testing the 1s
-covers both labels.  A one-column left half (n <= 2) is never sieved, as
-the lo table tests only the columns before its last; so neither is m*n = 2,
-where each label is a single cell.
+covers both labels.  A table with no such cell skips the sieve, so a
+one-column left half (n <= 2) is never sieved, as the lo table tests only
+the columns before its last; so neither is m*n = 2, where each label is a
+single cell.
 
 Only the boards that pass an Euler-number sieve are ever built.  For the
 1-cells, V - E + F (cells, 4-adjacent pairs, 2x2 blocks) is the
@@ -425,14 +426,14 @@ def _euler_blocks(m: int, n: int):
     hi = None
     if split < len(rest):
         hi = _outer_or(rest[split:])
-        hi = _half(hi[~_isolated(hi, hi_cells, m, not_top, not_bottom)],
+        hi = _half(hi[~_isolated(hi, hi_cells, m, not_top, not_bottom)] if hi_cells else hi,
                    m, split + 1, n - 2 - split, target, not_bottom)
     # cell (0, 0) is bit 0 of the first column's free value, its top half when n = 1
     end = 1 << (m // 2 if n == 1 else m)
     for start in range(0, end, 2 * _CHUNK):
         first = _partial_boards(m, n, 0, np.arange(start, min(start + 2 * _CHUNK, end), 2, dtype=np.uint64))
         lo = (first[:, None] | lo_rest[None, :]).ravel()
-        lo = lo[~_isolated(lo, lo_cells, m, not_top, not_bottom)]
+        lo = lo[~_isolated(lo, lo_cells, m, not_top, not_bottom)] if lo_cells else lo
         if hi is None:
             yield lo[_edges_minus_squares(lo, m, not_bottom) == target]
             continue

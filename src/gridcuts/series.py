@@ -8,6 +8,9 @@ generating function of a machine with S states and transfer matrix T is
 
 with s the start indicator: each symbol of a word covers two columns of the
 finished board except that the final symbol of an odd-width word covers one.
+T is held as sparse rows, row i the (j, count) pairs with count > 0, and
+vector iteration, lumping and the LCM read only those rows: no dense S x S
+table is built on the way to G.
 
 G is read from the lumped matrix L instead of T (Kemeny & Snell, Finite
 Markov Chains, sec. 6.3).  `lumped` finds the coarsest partition of the
@@ -352,12 +355,8 @@ def certified_series(terms: Sequence[int], degree_bound: int) -> tuple[Polynomia
     return num, den
 
 
-def _sparse_rows(matrix: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:
-    return [[(j, w) for j, w in enumerate(row) if w] for row in matrix]
-
-
-def _step(vec: list[int], rows: list[list[tuple[int, int]]]) -> list[int]:
-    """Row vector times matrix, over the nonzero entries."""
+def _step(vec: list[int], rows: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
+    """Row vector times matrix, over the matrix's sparse rows."""
     out = [0] * len(vec)
     for i, v in enumerate(vec):
         if v:
@@ -372,13 +371,12 @@ def _board_counts(T: TransferMatrix, count: int) -> list[int]:
     With v = s T^(k-1), width 2k-1 is counted by v . a_odd and width 2k by
     v . a_even; width 0 has no word.
     """
-    rows = _sparse_rows(T.entries)
     vec = list(T.start_vector)
     out = [0]
     while len(out) < count:
         out.append(sum(v * a for v, a in zip(vec, T.accept_odd_vector)))
         out.append(sum(v * a for v, a in zip(vec, T.accept_even_vector)))
-        vec = _step(vec, rows)
+        vec = _step(vec, T.rows)
     return out[:count]
 
 
@@ -400,12 +398,11 @@ def lumped(T: TransferMatrix) -> TransferMatrix:
     vector is summed over each block, and the accept vectors are read at each
     block's representative, its first state.
     """
-    rows = _sparse_rows(T.entries)
     accepts = list(zip(T.accept_even_vector, T.accept_odd_vector))
     block, size = _relabel(accepts)
     while True:
         into = []
-        for row in rows:
+        for row in T.rows:
             counts: dict[int, int] = {}
             for j, w in row:
                 counts[block[j]] = counts.get(block[j], 0) + w
@@ -424,14 +421,8 @@ def lumped(T: TransferMatrix) -> TransferMatrix:
     start = [0] * size
     for i, v in enumerate(T.start_vector):
         start[block[i]] += v
-    entries = []
-    for r in rep:
-        row = [0] * size
-        for b, w in into[r]:
-            row[b] = w
-        entries.append(tuple(row))
     return TransferMatrix(
-        entries=tuple(entries),
+        rows=tuple(into[r] for r in rep),
         start_vector=tuple(start),
         accept_even_vector=tuple(accepts[r][0] for r in rep),
         accept_odd_vector=tuple(accepts[r][1] for r in rep),
@@ -482,8 +473,7 @@ def resolvent_denominator_lcm(T: TransferMatrix) -> Polynomial:
     there are at most S fits.  Once e_i L*(T) T^S = 0 for every row i, every
     L F_ij is a polynomial, so every Q_ij divides L, and L is the LCM.
     """
-    size = T.order
-    rows = _sparse_rows(T.entries)
+    size, rows = T.order, T.rows
     lcm = Polynomial.ONE
     for i in range(size):
         while True:

@@ -165,16 +165,16 @@ def criterion_machine_structure(check: _Check) -> None:
         all(i not in accepting for i in lonely), "(0,1,1,0) accepts nothing"
     )
 
-    T = transfer_matrix(machine)
-    witness = permutation_similarity_witness(T.entries, reference.REFERENCE_TRANSFER_MATRIX)
+    entries = transfer_matrix(machine).entries
+    witness = permutation_similarity_witness(entries, reference.REFERENCE_TRANSFER_MATRIX)
     if check.expect(witness is not None, "no permutation conjugates our matrix to the reference one"):
         # P^T R P = T for a permutation matrix P, so det(xI - T) = det(xI - R)
-        check.expect(sorted(witness) == list(range(T.order)), "similarity witness is not a permutation")
+        check.expect(sorted(witness) == list(range(len(entries))), "similarity witness is not a permutation")
         check.expect(
             all(
-                reference.REFERENCE_TRANSFER_MATRIX[witness[i]][witness[j]] == T.entries[i][j]
-                for i in range(T.order)
-                for j in range(T.order)
+                reference.REFERENCE_TRANSFER_MATRIX[witness[i]][witness[j]] == entries[i][j]
+                for i in range(len(entries))
+                for j in range(len(entries))
             ),
             "similarity witness does not actually conjugate the matrices",
         )

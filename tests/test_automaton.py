@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 from functools import reduce
 from itertools import combinations, product
 from operator import or_
@@ -550,6 +551,22 @@ class TestTransferMatrixInvariant:
         assert transfer_matrix(self.PARALLEL_EDGES).entries == ((0, 2), (0, 0))
         terms = series_terms(generating_function(self.PARALLEL_EDGES), 6)
         assert terms == [count_boards(self.PARALLEL_EDGES, n) for n in range(1, 7)] == [0, 0, 0, 2, 0, 0]
+
+    def test_parallel_edges_sum_in_one_row_entry(self):
+        assert transfer_matrix(self.PARALLEL_EDGES).rows == (((1, 2),), ())
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    @pytest.mark.parametrize("build", [build_canonical, build_general])
+    def test_rows_count_the_transitions(self, build, m):
+        machine = build(m)
+        counted = Counter((src, dst) for src, _, dst in machine.transitions)
+        expected = tuple(
+            tuple(sorted((dst, c) for (src, dst), c in counted.items() if src == i))
+            for i in range(len(machine.states))
+        )
+        rows = transfer_matrix(machine).rows
+        assert rows == expected
+        assert all(w > 0 for row in rows for _, w in row)
 
     @pytest.mark.parametrize("m", [None, 1, 2, 3, 4], ids=lambda m: f"general{m}" if m else "canonical4")
     def test_count_boards_equals_gf_terms(self, m):

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -745,7 +746,59 @@ REFUSED_SCRIPT_ARGS = [
 ]
 
 
+# per script, the values drawn for each option: some it answers quickly, some
+# it refuses, and some argparse refuses; "file" is a regular file
+SCRIPT_OPTIONS = {
+    "convention_table.py": {"--m": ["1", "3", "4", "7", "0", "-2", "x", ""],
+                            "--max-n": ["1", "6", "8", "15", "0", "x", ""]},
+    "asymptotic_error_table.py": {"--max-n": ["1", "30", "1187", "1188", "0", "x", ""]},
+    "render_gallery.py": {"--out": ["gallery", "", "file", "file/gallery"]},
+}
+
+
+@st.composite
+def _script_argvs(draw, options):
+    """Up to three options, each spelled exactly, as --name=value, with its
+    value missing, or replaced by an option the script lacks or by -h."""
+    argv = []
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(sorted(options)))
+        value = draw(st.sampled_from(options[name]))
+        spelling = draw(st.sampled_from(["exact", "equals", "bare", "other"]))
+        if spelling == "exact":
+            argv += [name, value]
+        elif spelling == "equals":
+            argv.append(f"{name}={value}")
+        elif spelling == "bare":
+            argv.append(name)
+        else:
+            argv += [draw(st.sampled_from(["--bogus", "-h"])), value]
+    return argv
+
+
 class TestExperimentScripts:
+    @settings(max_examples=3, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.fixed_dictionaries({script: _script_argvs(options) for script, options in SCRIPT_OPTIONS.items()}))
+    def test_drawn_arguments_answer_or_give_one_line(self, tmp_path, argvs):
+        # the three scripts run side by side, each in its own process, in tmp_path,
+        # so a relative --out lands there
+        (tmp_path / "file").touch()
+        env = {**os.environ, "PYTHONPATH": str(Path(gridcuts.__file__).resolve().parent.parent)}
+
+        def run(script):
+            return subprocess.run([sys.executable, str(SCRIPTS / script), *argvs[script]], cwd=tmp_path,
+                                  env=env, capture_output=True, text=True, timeout=60)
+
+        with ThreadPoolExecutor(max_workers=len(argvs)) as pool:
+            runs = dict(zip(argvs, pool.map(run, argvs)))
+        for script, ran in runs.items():
+            assert ran.returncode in (0, 2), (script, argvs[script], ran.stderr)
+            if ran.returncode == 0:
+                assert ran.stderr == "", (script, argvs[script], ran.stderr)
+            else:
+                assert ran.stderr.startswith(f"{Path(script).stem}: "), (script, argvs[script], ran.stderr)
+                assert ran.stderr.count("\n") == 1, (script, argvs[script], ran.stderr)
+
     @pytest.mark.parametrize("script,argv", REFUSED_SCRIPT_ARGS,
                              ids=[" ".join((script, *argv)) for script, argv in REFUSED_SCRIPT_ARGS])
     def test_refused_arguments_give_one_line(self, tmp_path, script, argv):

@@ -220,14 +220,24 @@ class TestSweepAgainstPurePython:
 
     @pytest.mark.parametrize("m", [16, 18])
     def test_first_column_is_sliced(self, m, monkeypatch):
-        # a one-column left half has 2^(m-1) even first columns to sweep; they
-        # reach the isolated-cell sieve, and then the Euler test, in slices
+        # a one-column left half has 2^(m-1) even first columns to sweep; none
+        # of its cells has four fixed neighbours, so they skip the isolated-cell
+        # sieve and reach the Euler test in slices
         sieved = record_shapes(monkeypatch, "_isolated")
         scored = record_shapes(monkeypatch, "_edges_minus_squares")
         list(oracle._euler_blocks(m, 2))
-        assert max(size for (size,) in sieved) <= oracle._CHUNK
-        assert sum(size for (size,) in sieved) == 1 << (m - 1)
+        assert sieved == []
         assert max(size for (size,) in scored) <= oracle._CHUNK
+        assert sum(size for (size,) in scored) == 1 << (m - 1)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_one_column_left_halves_never_call_the_sieve(self, m, monkeypatch):
+        # the sieve's cell mask is empty for n <= 2, so the call is skipped
+        oracle._sweep.cache_clear()
+        sieved = record_shapes(monkeypatch, "_isolated")
+        assert len(oracle.sweep(m, 1).graham) == 2 * (m % 2 == 0)
+        assert len(oracle.sweep(m, 2).graham) == 2 * m
+        assert sieved == []
 
     # (8, 4) has 256 boundary columns in its second column, so tiles split them
     @pytest.mark.parametrize("m,n", [(4, 8), (5, 6), (6, 6), (6, 7), (8, 4)])

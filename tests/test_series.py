@@ -90,6 +90,13 @@ def resolvent_sum(T):
     return RationalFunction(*_certified_gf(T))
 
 
+def from_entries(entries, **vectors):
+    """The TransferMatrix of a dense table: each row's sorted (j, count)
+    pairs with count > 0, and the start and accept vectors as given."""
+    rows = tuple(tuple((j, w) for j, w in enumerate(row) if w) for row in entries)
+    return TransferMatrix(rows=rows, **vectors)
+
+
 @pytest.fixture(scope="module")
 def machine_gf():
     return resolvent_sum(transfer_matrix(build_canonical(4)))
@@ -270,8 +277,8 @@ class TestBareiss:
 
 class TestResolvent:
     def test_single_loop_state(self):
-        T = TransferMatrix(
-            entries=((1,),),
+        T = from_entries(
+            ((1,),),
             start_vector=(1,),
             accept_even_vector=(1,),
             accept_odd_vector=(0,),
@@ -293,8 +300,8 @@ class TestResolvent:
         entries = tuple(
             tuple(T.entries[perm[i]][perm[j]] for j in range(size)) for i in range(size)
         )
-        shuffled = TransferMatrix(
-            entries=entries,
+        shuffled = from_entries(
+            entries,
             start_vector=tuple(T.start_vector[perm[i]] for i in range(size)),
             accept_even_vector=tuple(T.accept_even_vector[perm[i]] for i in range(size)),
             accept_odd_vector=tuple(T.accept_odd_vector[perm[i]] for i in range(size)),
@@ -412,8 +419,8 @@ def gcd_fold_lcm(T):
 
 def _lcm_input(entries):
     size = len(entries)
-    return TransferMatrix(
-        entries=tuple(tuple(row) for row in entries),
+    return from_entries(
+        entries,
         start_vector=(0,) * size,
         accept_even_vector=(0,) * size,
         accept_odd_vector=(0,) * size,
@@ -481,7 +488,7 @@ def _indicator(size):
 
 transfer_matrices = st.integers(0, 6).flatmap(
     lambda size: st.builds(
-        TransferMatrix,
+        from_entries,
         entries=st.tuples(*([_indicator(size)] * size)),
         start_vector=_indicator(size),
         accept_even_vector=_indicator(size),
@@ -501,7 +508,7 @@ class TestGuessAndCertify:
         assert series_terms(resolvent_sum(T), 40) == _direct_counts(T, 40)
 
     def test_empty_machine(self):
-        T = TransferMatrix(entries=(), start_vector=(), accept_even_vector=(), accept_odd_vector=())
+        T = from_entries((), start_vector=(), accept_even_vector=(), accept_odd_vector=())
         gf = resolvent_sum(T)
         assert gf.numerator == Polynomial() and gf.denominator == Polynomial.ONE
         assert resolvent_denominator_lcm(T) == Polynomial.ONE
@@ -692,13 +699,26 @@ class TestLumping:
         assert _direct_counts(L, 30) == _direct_counts(T, 30)
 
     def test_parallel_edges_and_one_state_keep_their_terms(self):
-        one_state = TransferMatrix(
-            entries=((3,),), start_vector=(1,), accept_even_vector=(1,), accept_odd_vector=(0,)
+        one_state = from_entries(
+            ((3,),), start_vector=(1,), accept_even_vector=(1,), accept_odd_vector=(0,)
         )
         parallel = transfer_matrix(test_automaton.TestTransferMatrixInvariant.PARALLEL_EDGES)
         for T, terms in ((one_state, [0, 1, 0, 3, 0, 9]), (parallel, [0, 0, 0, 2, 0, 0])):
             assert lumped(T) == T
             assert series_terms(resolvent_sum(lumped(T)), 6) == terms
+
+
+class TestSparseRowsOnly:
+    def test_gf_and_lcm_never_read_the_dense_table(self, monkeypatch):
+        def dense(T):
+            raise AssertionError("the dense table was read")
+
+        monkeypatch.setattr(TransferMatrix, "entries", property(dense))
+        machine = build_general(5)
+        num, den = _certified_gf(lumped(transfer_matrix(machine)))
+        assert RationalFunction(num, den * machine.divisor) == generating_function(machine)
+        lcm = resolvent_denominator_lcm(transfer_matrix(build_canonical(4)))
+        assert lcm == product(Polynomial(c) for c in RESOLVENT_LCM_FACTORS).primitive()
 
 
 class TestNormalization:
