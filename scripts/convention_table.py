@@ -12,7 +12,7 @@ Usage:
 import argparse
 import sys
 
-from gridcuts import GridcutsError, count_report
+from gridcuts import GridcutsError, count_reports
 from gridcuts.oracle import delahaye_formula
 
 
@@ -26,8 +26,8 @@ def main() -> int:
     try:
         if args.max_n < 1:
             raise ValueError("--max-n must be at least 1")
-        # widest first: a refused row count or budget stops the table before any sweep
-        reports = [count_report(args.m, n) for n in range(args.max_n, 0, -1)][::-1]
+        # every width is checked first: a refused row count or budget stops the table before any sweep
+        reports = count_reports(args.m, range(1, args.max_n + 1))
     except (GridcutsError, ValueError) as exc:
         # the library's budget advice names a --budget this script does not take
         print(f"convention_table: {str(exc).partition(';')[0]}", file=sys.stderr)

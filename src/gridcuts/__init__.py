@@ -27,6 +27,7 @@ from .oracle import (
     BudgetError,
     CountReport,
     count_report,
+    count_reports,
     delahaye_report,
     enumerate_canonical,
     regenerate_figures,
@@ -59,6 +60,7 @@ __all__ = [
     "complete_board",
     "component_counts",
     "count_report",
+    "count_reports",
     "delahaye_report",
     "dominant_form",
     "enumerate_canonical",

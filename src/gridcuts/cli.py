@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import os
-import re
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -89,15 +88,13 @@ _MODE = _Option("--mode", "mode", choices=("canonical", "general"))
 _BUDGET = _Option("--budget", "budget", int, help="sweep candidate cap (default %(default)s)")
 
 def _parse_n_values(value: str) -> range:
-    text = value.strip()
-    matched = re.fullmatch(r"(\d+)-(\d+)", text)
-    if matched:
-        lo, hi = int(matched.group(1)), int(matched.group(2))
-        if hi < lo:
+    # a number or lo-hi, in Unicode decimal digits (category Nd), as int() reads them
+    lo, dash, hi = value.strip().partition("-")
+    if lo.isdecimal() and (hi.isdecimal() or not dash):
+        first, last = int(lo), int(hi or lo)
+        if last < first:
             raise ValueError(f"empty width range {value!r}")
-        return range(lo, hi + 1)
-    if re.fullmatch(r"\d+", text):
-        return range(int(text), int(text) + 1)
+        return range(first, last + 1)
     raise ValueError(f"bad width {value!r}; use a number or a range like 1-12")
 
 
@@ -239,7 +236,7 @@ def _emit_json(args: argparse.Namespace, data) -> None:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    reports = [oracle.count_report(args.m, n, budget=args.budget) for n in args.n]
+    reports = oracle.count_reports(args.m, args.n, budget=args.budget)
     if args.fmt == "json":
         data = [r.to_json_dict(timings=args.timings) for r in reports]
         _emit_json(args, data[0] if len(data) == 1 else data)

@@ -54,20 +54,24 @@ The join makes 11840 queries where testing every completed board would take
 1694600, and it builds the 6279 boards with Euler number 1; the flood fill
 accepts 4314 of them.
 
-Connectivity of the survivors of the whole sweep is then checked once,
-per candidate, by a vectorized flood fill of the 1-region (the 0-region is
-its half-turn image, so it is connected exactly when the 1-region is).  A
-survivor has Euler number 1, so its 1-cells have one 4-component more than
-they have holes, and the half-turn maps each hole (an 8-component of
-0-cells off the border) onto an 8-component of 1-cells off the border
-(Rosenfeld's 4/8 duality, Amer. Math. Monthly 86, 1979).  So the 1-cells
-are 4-connected exactly when an 8-connected flood seeded at their border
-cells covers them.  The flood grows every candidate, with no compaction of
-the working set, until none grows any more, which each step tests with one
-comparison and one reduction, (grown != cur).any().  That takes as many
-steps as the farthest 1-cell lies from the border, and one more to see that
-nothing grew: 11 at 4 x 12, where a 4-connected flood from one cell needed
-23.  The flood fill is the only test that accepts a board.  This stays a
+Connectivity of the survivors of a query is then checked once, per
+candidate, by a vectorized flood fill of the 1-region (the 0-region is its
+half-turn image, so it is connected exactly when the 1-region is).  A query
+sweeps each of its widths on its own, then floods the survivors of all of
+them in one pass, in tiles of at most 2^13 boards that may hold several
+widths: each board reads its own width's border, Euler number and masks,
+and the widest width's row masks serve every board, as the bits past a
+board's m*n are 0.  A survivor has Euler number 1, so its 1-cells have one
+4-component more than they have holes, and the half-turn maps each hole
+(an 8-component of 0-cells off the border) onto an 8-component of 1-cells
+off the border (Rosenfeld's 4/8 duality, Amer. Math. Monthly 86, 1979).
+So the 1-cells are 4-connected exactly when an 8-connected flood seeded at
+their border cells covers them.  The flood grows every candidate, with no
+compaction of the working set, until none grows any more, which each step
+tests with one comparison and one reduction, (grown != cur).any().  That
+takes as many steps as the farthest 1-cell lies from the border, and one
+more to see that nothing grew: 11 at 4 x 12, where a 4-connected flood from
+one cell needed 23.  The flood fill is the only test that accepts a board.  This stays a
 per-candidate brute-force check; nothing here shares logic with the column
 automaton it is used to validate.
 
@@ -82,14 +86,17 @@ follow from Burnside's lemma (Harary & Palmer, Graphical Enumeration, 1973,
 ch. 2) as (cuts + cuts the reflection fixes) / 2, with no sort.  By the
 complement rule a board's horizontal reflection is its row flip
 complemented, so a cut is fixed exactly when the row flip of its
-representative is that board or its complement.  The sorted tuples of all
+representative is that board or its complement.  The Burnside and
+canonical counts run in the flood's tiles too.  The sorted tuples of all
 boards and of the canonical ones are built from the representatives only
 when a caller of `sweep` asks for them, as `enumerate_canonical` does.
+Each shape is swept at most once per process, alone or with other widths.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
@@ -108,6 +115,7 @@ __all__ = [
     "check_half_width",
     "check_shape",
     "count_report",
+    "count_reports",
     "delahaye_formula",
     "delahaye_report",
     "enumerate_canonical",
@@ -175,6 +183,17 @@ def _row_masks(m: int, n: int) -> tuple[int, int]:
     return full & ~top, full & ~(top << (m - 1))
 
 
+def _border(m: int, n: int) -> int:
+    """Mask of the top and bottom rows and the first and last columns (none at n = 0)."""
+    not_top, not_bottom = _row_masks(m, n)
+    return ((1 << (m * n)) - 1) & ~(not_top & not_bottom) | (_columns_mask(m, (0, n - 1)) if n else 0)
+
+
+def _bottom_left(m: int, n: int) -> int:
+    """Mask of the left half of the bottom row, which a canonical board keeps 0."""
+    return sum(1 << (j * m + m - 1) for j in range((n + 1) // 2))
+
+
 def _neighbours(bits: np.ndarray, m: int, not_top: int, not_bottom: int) -> np.ndarray:
     """Element-wise: the cells 4-adjacent to a set cell (bits past m*n may be set)."""
     return (((bits & not_top) >> 1)
@@ -194,9 +213,14 @@ def _isolated(bits: np.ndarray, cells: int, m: int, not_top: int, not_bottom: in
     return lonely != 0
 
 
-def _connected(bits: np.ndarray, m: int, n: int) -> np.ndarray:
+def _connected(bits: np.ndarray, m: int, n: int, border: np.ndarray | None = None,
+               target: np.ndarray | None = None) -> np.ndarray:
     """Element-wise: the 1-cells of a complement-rule board with Euler number 1
     form one 4-connected region.
+
+    Every board has width n, or, given per-board border masks and E - F
+    targets (m*w/2 - 1 at width w), any width up to n: the bits past a
+    board's cells are 0, so the row masks of width n serve it.
 
     Euler number 1 means c4 - h = 1, with c4 the 4-components of the
     1-cells and h the 8-components of 0-cells that touch no border cell
@@ -215,10 +239,11 @@ def _connected(bits: np.ndarray, m: int, n: int) -> np.ndarray:
     exactly when its flood then covers its mask.
     """
     not_top, not_bottom = _row_masks(m, n)
-    assert (_edges_minus_squares(bits, m, not_bottom) == m * n // 2 - 1).all()
-    # the top and bottom rows, and the first and last columns (none at n = 0)
-    border = ((1 << (m * n)) - 1) & ~(not_top & not_bottom) | (_columns_mask(m, (0, n - 1)) if n else 0)
+    if border is None:
+        border, target = _border(m, n), m * n // 2 - 1
+    assert (_edges_minus_squares(bits, m, not_bottom) == target).all()
     cur = bits & border
+    del border  # one per board is as large as bits: not kept through the flood
     while True:
         column = cur | ((cur & not_top) >> 1) | ((cur & not_bottom) << 1)
         grown = (column | (column >> m) | (column << m)) & bits
@@ -227,9 +252,11 @@ def _connected(bits: np.ndarray, m: int, n: int) -> np.ndarray:
         cur = grown
 
 
-def _canonical_mask(boards: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Element-wise: the board meets the stipulations of board.is_canonical."""
-    bottom_left = sum(1 << (j * m + m - 1) for j in range((n + 1) // 2))
+def _canonical_mask(boards: np.ndarray, m: int, bottom_left) -> np.ndarray:
+    """Element-wise: the board meets the stipulations of board.is_canonical.
+
+    bottom_left is _bottom_left of the boards' width, one int or one per board.
+    """
     return ((boards & bottom_left) == 0) & (np.bitwise_count(boards & ((1 << m) - 1)) <= m // 2)
 
 
@@ -240,17 +267,19 @@ class SweepResult:
 
     representatives holds one board per cut, the one whose cell (0, 0) is
     0, as a read-only uint64 array in the flood fill's order; the other
-    board of each cut is its complement.  A count reads only that array.
-    `graham` (every board) and `canonical` (the boards that meet the
-    stipulations), sorted tuples of bitboard integers, are built from it on
-    first use and cached, so a count sorts nothing and makes no Python int
-    per board.
+    board of each cut is its complement.  orbits and canonical_count (the
+    boards that meet the stipulations) are counted with the flood, so a
+    count reads fields alone.  `graham` (every board) and `canonical`,
+    sorted tuples of bitboard integers, are built from the representatives
+    on first use and cached, so a count sorts nothing and makes no Python
+    int per board.
     """
 
     m: int
     n: int
     representatives: np.ndarray
     orbits: int
+    canonical_count: int
 
     def _boards(self) -> np.ndarray:
         reps = self.representatives
@@ -263,7 +292,7 @@ class SweepResult:
     @cached_property
     def canonical(self) -> tuple[int, ...]:
         boards = self._boards()
-        return tuple(np.sort(boards[_canonical_mask(boards, self.m, self.n)]).tolist())
+        return tuple(np.sort(boards[_canonical_mask(boards, self.m, _bottom_left(self.m, self.n))]).tolist())
 
 
 def _outer_or(parts: list[np.ndarray]) -> np.ndarray:
@@ -289,8 +318,10 @@ def _partial_boards(m: int, n: int, j: int, free: np.ndarray | None = None) -> n
     Column j contributes itself at column j and its reversed complement at
     column n-1-j.  The middle column of an odd width is its own reversed
     complement: it contributes itself alone, and its free value is its top
-    half.  free defaults to every free value, in order; the other columns
-    then read their reversed complements from _column_table.
+    half.  free defaults to every free value, in order.  The reversed
+    complements are read from _column_table, except for a first-column
+    slice at n <= 3: no other column builds the table there, and its 2^m
+    entries would outgrow the slice (64 MB at 22 x 2).
     """
     if 2 * j + 1 == n:
         if free is None:
@@ -298,6 +329,8 @@ def _partial_boards(m: int, n: int, j: int, free: np.ndarray | None = None) -> n
         return _self_revcomp_columns(m, free) << (j * m)
     if free is None:
         free, revcomp = _column_table(m)
+    elif n >= 4:
+        revcomp = _column_table(m)[1][free]
     else:
         revcomp = _revcomp_columns(free, m)
     return (free << (j * m)) | (revcomp << ((n - 1 - j) * m))
@@ -449,13 +482,15 @@ def _edges_minus_squares(bits: np.ndarray, m: int, not_bottom: int) -> np.ndarra
     """Element-wise E - F: 4-adjacent pairs of 1-cells minus 2x2 blocks of 1-cells.
 
     With V the number of 1-cells, V - E + F is the 4-connectivity Euler
-    number of the 1-cells: 4-components minus 8-connected holes.  The
-    popcounts are uint8, which holds E (at most 2*64 pairs).
+    number of the 1-cells: 4-components minus 8-connected holes.  A 2x2
+    block is a vertical pair whose right neighbour is one too, so every
+    block's bit lies in vert, and the vertical pairs minus the blocks are
+    the pairs that start no block.  The popcounts are uint8, which holds E
+    (at most 2*64 pairs).
     """
     vert = bits & (bits >> 1) & not_bottom
     horiz = bits & (bits >> m)
-    square = vert & (vert >> m)
-    return np.bitwise_count(vert) + np.bitwise_count(horiz) - np.bitwise_count(square)
+    return np.bitwise_count(vert & ~(vert >> m)) + np.bitwise_count(horiz)
 
 
 def check_shape(m: int, n: int, budget: int = DEFAULT_BUDGET) -> None:
@@ -484,49 +519,147 @@ def sweep(m: int, n: int, *, budget: int = DEFAULT_BUDGET) -> SweepResult:
     """Enumerate every complement-rule two-component board of the given shape.
 
     Raises BudgetError (never truncates) or ValueError as check_shape does.
-    The first column is taken in slices, and the join in tiles, of at most
-    _CHUNK, so memory grows with the hi table and the Euler sieve's
-    survivors, not with the first column's 2^(m-1) values.
+    The first column is taken in slices, and the join and the flood in
+    tiles, of at most _CHUNK, so memory grows with the hi table and the
+    Euler sieve's survivors, not with the first column's 2^(m-1) values.
+    This is the one-width case of a query (see _sweeps).
     """
-    # checked before the cache so exit codes do not depend on prior calls
-    check_shape(m, n, budget)
-    return _sweep(m, n)
+    (result,) = _sweeps(m, (n,), budget)
+    return result
 
 
-@cache
-def _sweep(m: int, n: int) -> SweepResult:
-    """The body of `sweep`, cached per process; `cache_info()` counts hits."""
-    survivors = np.concatenate([np.zeros(0, dtype=np.uint64), *_euler_blocks(m, n)])
-    # the 0-region is the half-turn image of the 1-region, so it is connected
-    # exactly when the 1-region is; and every survivor has Euler number 1, so
-    # the 1s are connected exactly when a flood from their border cells
-    # covers them (see _connected)
-    reps = survivors[_connected(survivors, m, n)]
-    if m * n % 2 == 1:
-        assert not reps.size
+def _sweeps(m: int, widths: tuple[int, ...], budget: int) -> list[SweepResult]:
+    """The SweepResult of each width of height m, in order.
 
-    # Burnside: the orbits of the cuts under horizontal reflection number
-    # (cuts + cuts the reflection fixes) / 2.  A board b obeys b = rot(b) ^ full
-    # with rot the half-turn, i.e. the row flip of the column reversal, so its
-    # column reversal is its row flip complemented, and a cut {h, h ^ full} is
-    # fixed exactly when the row flip of h is h or h ^ full
-    full = (1 << (m * n)) - 1
-    top_row = sum(1 << (j * m) for j in range(n))
-    # the row flip swaps rows i and m-1-i, and keeps an odd m's middle row
-    vflip = reps & (top_row << (m // 2)) if m % 2 else np.zeros_like(reps)
-    for i in range(m // 2):
-        row, shift = top_row << i, m - 1 - 2 * i
-        vflip |= ((reps & row) << shift) | ((reps >> shift) & row)
-    fixed = int(np.count_nonzero((vflip == reps) | (vflip == reps ^ full)))
-    assert (reps.size + fixed) % 2 == 0
-    # the cache hands this array to every caller
+    Every width is checked before any is swept, and before the cache, so
+    exit codes do not depend on prior calls.  The widths the cache lacks
+    are swept in one _sweep_widths pass.
+    """
+    for n in widths:
+        check_shape(m, n, budget)
+    return _sweep_cache.results(m, widths)
+
+
+class _CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    currsize: int
+
+
+class _SweepCache:
+    """Every SweepResult of this process, by shape, however it was asked for.
+
+    A shape is swept at most once, alone or with other widths, and every
+    caller gets the same result.  As for a functools.cache, cache_info()
+    counts each requested shape answered from the cache as a hit and each
+    shape swept as a miss, and cache_clear() empties it.
+    """
+
+    def __init__(self) -> None:
+        self._results: dict[tuple[int, int], SweepResult] = {}
+        self._hits = self._misses = 0
+
+    def results(self, m: int, widths: tuple[int, ...]) -> list[SweepResult]:
+        new = sorted({n for n in widths if (m, n) not in self._results})
+        if new:
+            self._results.update(((m, n), result) for n, result in zip(new, _sweep_widths(m, new)))
+        self._misses += len(new)
+        self._hits += len(widths) - len(new)
+        return [self._results[m, n] for n in widths]
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, len(self._results))
+
+    def cache_clear(self) -> None:
+        self._results.clear()
+        self._hits = self._misses = 0
+
+
+_sweep_cache = _SweepCache()
+
+
+def _sweep_widths(m: int, widths: list[int]) -> list[SweepResult]:
+    """The SweepResults of distinct widths of height m, in order, from one pass.
+
+    Each width is enumerated on its own, and the survivors of all of them
+    form one array.  The flood with its Euler assertion, the Burnside count
+    and the canonical count then run once over that array, in tiles of at
+    most _CHUNK boards that may hold parts of several widths.  Each board
+    reads its own width's border, E - F target, full mask and bottom-left
+    mask by its width's index, and the widest width's row masks serve every
+    board (see _connected).  The counts of each width are read back with
+    bincount.
+    """
+    blocks, bounds = [], [0]
+    for n in widths:
+        found = list(_euler_blocks(m, n))
+        blocks += found
+        bounds.append(bounds[-1] + sum(block.size for block in found))
+    survivors = np.concatenate([np.zeros(0, dtype=np.uint64), *blocks])
+    del blocks, found
+
+    widest, k = max(widths), len(widths)
+    border = np.array([_border(m, n) for n in widths], dtype=np.uint64)
+    target = np.array([m * n // 2 - 1 for n in widths], dtype=np.int8)  # -1..31
+    full = np.array([(1 << (m * n)) - 1 for n in widths], dtype=np.uint64)
+    bottom_left = np.array([_bottom_left(m, n) for n in widths], dtype=np.uint64)
+    top_row = sum(1 << (j * m) for j in range(widest))
+    parts = []
+    cuts, fixed, canonical = (np.zeros(k, dtype=np.int64) for _ in range(3))
+    for lo in range(0, survivors.size, _CHUNK):
+        hi = lo + _CHUNK
+        # each board's index in widths: the tile's part of each width, in order
+        share = [max(0, min(hi, end) - max(lo, start)) for start, end in zip(bounds, bounds[1:])]
+        width = np.arange(k).repeat(share)
+        bits = survivors[lo:hi]
+        # the 0-region is the half-turn image of the 1-region, so it is connected
+        # exactly when the 1-region is; and every survivor has Euler number 1, so
+        # the 1s are connected exactly when a flood from their border cells
+        # covers them (see _connected)
+        connected = _connected(bits, m, widest, border[width], target[width])
+        reps, width = bits[connected], width[connected]
+        parts.append(reps)
+        cuts += np.bincount(width, minlength=k)
+
+        # Burnside: the orbits of the cuts under horizontal reflection number
+        # (cuts + cuts the reflection fixes) / 2.  A board b obeys b = rot(b) ^ full
+        # with rot the half-turn, i.e. the row flip of the column reversal, so its
+        # column reversal is its row flip complemented, and a cut {h, h ^ full} is
+        # fixed exactly when the row flip of h is h or h ^ full
+        complement = reps ^ full[width]
+        # the row flip swaps rows i and m-1-i, and keeps an odd m's middle row
+        vflip = reps & (top_row << (m // 2)) if m % 2 else np.zeros_like(reps)
+        for i in range(m // 2):
+            row, shift = top_row << i, m - 1 - 2 * i
+            vflip |= ((reps & row) << shift) | ((reps >> shift) & row)
+        fixed += np.bincount(width[(vflip == reps) | (vflip == complement)], minlength=k)
+        corner = bottom_left[width]
+        canonical += np.bincount(width[_canonical_mask(reps, m, corner)], minlength=k)
+        canonical += np.bincount(width[_canonical_mask(complement, m, corner)], minlength=k)
+
+    reps = np.concatenate([np.zeros(0, dtype=np.uint64), *parts])
+    # the cache hands these boards to every caller
     reps.flags.writeable = False
-    return SweepResult(m, n, reps, (reps.size + fixed) // 2)
+    results, end = [], 0
+    for n, cut, fix, canon in zip(widths, cuts.tolist(), fixed.tolist(), canonical.tolist()):
+        start, end = end, end + cut
+        orbits = (cut + fix) // 2
+        assert (cut + fix) % 2 == 0 and (orbits <= cut <= 2 * orbits or cut == 0)
+        assert m * n % 2 == 0 or not cut
+        results.append(SweepResult(m, n, reps[start:end], orbits, canon))
+    return results
 
 
 @dataclass(frozen=True)
 class CountReport:
-    """The three counting conventions for one board shape."""
+    """The three counting conventions for one board shape.
+
+    elapsed_ms is the wall time of the call that made the report.  Every
+    report of one count_reports call carries that call's time, which
+    covers the sweep of each of its widths the cache lacked and nothing
+    done before it; a call whose widths are all cached reads only the
+    cache, and its time shows that.
+    """
 
     m: int
     n: int
@@ -556,32 +689,28 @@ class CountReport:
         return data
 
 
-def count_report(m: int, n: int, *, budget: int = DEFAULT_BUDGET) -> CountReport:
-    """Count canonical matrices, cuts and reflection orbits by full sweep.
+def count_reports(m: int, widths: Iterable[int], *, budget: int = DEFAULT_BUDGET) -> list[CountReport]:
+    """Count canonical matrices, cuts and reflection orbits of each width, in order.
 
-    Every shape that check_shape accepts is answered, at any height, and
-    any other raises as check_shape does.  All three are read from the
-    cached SweepResult's representatives, one board per cut: cuts is their
-    number, canonical matrices are those among them and their complements
-    that meet the stipulations, and orbits are as the sweep counted them.
-    No board array is sorted or rebuilt.
+    Every width is checked as check_shape does before any is swept, and
+    the widths not yet swept in this process are swept in one pass.  Every
+    shape check_shape accepts is answered, at any height.  All three counts
+    are fields of the cached SweepResult: cuts is the number of its
+    representatives, one board per cut, and canonical and orbits were
+    counted with the flood.  No board array is sorted or rebuilt.
     """
+    widths = tuple(widths)
     started = time.perf_counter()
-    result = sweep(m, n, budget=budget)
-    reps = result.representatives
-    cuts = reps.size
-    assert result.orbits <= cuts <= 2 * result.orbits or cuts == 0
-    full = (1 << (m * n)) - 1
-    canonical = np.count_nonzero(_canonical_mask(reps, m, n)) + np.count_nonzero(_canonical_mask(reps ^ full, m, n))
+    results = _sweeps(m, widths, budget)
+    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    return [CountReport(m, r.n, r.canonical_count, r.representatives.size, r.orbits, elapsed_ms)
+            for r in results]
 
-    return CountReport(
-        m=m,
-        n=n,
-        canonical=int(canonical),
-        cuts=cuts,
-        orbits=result.orbits,
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
-    )
+
+def count_report(m: int, n: int, *, budget: int = DEFAULT_BUDGET) -> CountReport:
+    """count_reports for the one width n."""
+    (report,) = count_reports(m, (n,), budget=budget)
+    return report
 
 
 def enumerate_canonical(m: int, n: int, *, budget: int = DEFAULT_BUDGET) -> list[Board]:

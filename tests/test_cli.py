@@ -10,13 +10,13 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, Phase, assume, given, settings
 from hypothesis import strategies as st
 
 import gridcuts
 from gridcuts import oracle
 from gridcuts.board import SVG_FILL_ONE, Board
-from gridcuts.cli import _SUBCOMMANDS, _parse_strict, build_parser, main
+from gridcuts.cli import _SUBCOMMANDS, _parse_n_values, _parse_strict, build_parser, main
 from gridcuts.reference import GALLERY_4X6, REFERENCE_TERMS
 from gridcuts.verify import run_criterion
 
@@ -113,13 +113,41 @@ class TestCount:
             result = run_criterion(name)
             assert result.ok, "\n".join(result.failures)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text(st.sampled_from("0159-- \t\n+x٣٤߀𝟘²½"), max_size=8),
+        st.builds("{}-{}".format, st.integers(0, 30), st.integers(0, 30)),
+    ))
+    def test_width_parser_agrees_with_the_regex(self, value):
+        # the parser before it dropped re: \d is any Unicode decimal digit (category Nd);
+        # superscript two and one half are digits or numerics that are no decimals
+        def by_regex(value):
+            text = value.strip()
+            matched = re.fullmatch(r"(\d+)-(\d+)", text)
+            if matched:
+                lo, hi = int(matched.group(1)), int(matched.group(2))
+                if hi < lo:
+                    raise ValueError(f"empty width range {value!r}")
+                return range(lo, hi + 1)
+            if re.fullmatch(r"\d+", text):
+                return range(int(text), int(text) + 1)
+            raise ValueError(f"bad width {value!r}; use a number or a range like 1-12")
+
+        def outcome(parse):
+            try:
+                return parse(value)
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(_parse_n_values) == outcome(by_regex)
+
     @pytest.mark.parametrize("width", ["99999999999999999999", "9000", "1-99999999999", "1-40"])
     def test_huge_width_fails_before_any_sweep(self, capsys, width):
-        oracle._sweep.cache_clear()
+        oracle._sweep_cache.cache_clear()
         code, out, err = run_cli(capsys, "count", "--n", width)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("gridcuts: ") and "budget" in err
-        assert oracle._sweep.cache_info().currsize == 0
+        assert oracle._sweep_cache.cache_info().currsize == 0
 
 
 class TestEnumerate:
@@ -161,11 +189,11 @@ class TestEnumerate:
         assert code == 2
 
     def test_rejects_width_range(self, capsys):
-        oracle._sweep.cache_clear()
+        oracle._sweep_cache.cache_clear()
         code, out, err = run_cli(capsys, "enumerate", "--n", "1-3")
         assert code == 2 and out == ""
         assert err == "gridcuts: enumerate takes a single width, not a range\n"
-        assert oracle._sweep.cache_info().currsize == 0
+        assert oracle._sweep_cache.cache_info().currsize == 0
 
     def test_empty_width_zero(self, capsys):
         for fmt in ("text", "ascii", "svg"):
@@ -372,11 +400,11 @@ class TestFiguresAndDelahaye:
 
     @pytest.mark.parametrize("half_widths", ["1-7", "0-2"])
     def test_delahaye_range_checked_before_sweeping(self, capsys, half_widths):
-        oracle._sweep.cache_clear()
+        oracle._sweep_cache.cache_clear()
         code, out, err = run_cli(capsys, "delahaye", "--n", half_widths)
         assert code == 2 and out == ""
         assert err == "gridcuts: half-width n must be in 1..6\n"
-        assert oracle._sweep.cache_info().currsize == 0
+        assert oracle._sweep_cache.cache_info().currsize == 0
 
 
 class TestVerifyCommand:
@@ -777,7 +805,10 @@ def _script_argvs(draw, options):
 
 
 class TestExperimentScripts:
-    @settings(max_examples=3, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    # no shrinking: each shrink step starts three processes, so a failure took
+    # about 92 s to report; the same examples are drawn and checked
+    @settings(max_examples=3, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture],
+              phases=[phase for phase in Phase if phase is not Phase.shrink])
     @given(st.fixed_dictionaries({script: _script_argvs(options) for script, options in SCRIPT_OPTIONS.items()}))
     def test_drawn_arguments_answer_or_give_one_line(self, tmp_path, argvs):
         # the three scripts run side by side, each in its own process, in tmp_path,

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gridcuts import oracle
 from gridcuts.board import (
@@ -151,13 +153,13 @@ class TestCountReport:
         # a cache hit reads the clock twice: this call's start and end only
         assert oracle.count_report(4, 5).elapsed_ms == 250.0
         # the sweep is part of this call's work: let it take two ticks
-        real_sweep = oracle.sweep
+        real_sweeps = oracle._sweeps
 
-        def slow_sweep(*args, **kwargs):
+        def slow_sweeps(*args, **kwargs):
             next(ticks), next(ticks)
-            return real_sweep(*args, **kwargs)
+            return real_sweeps(*args, **kwargs)
 
-        monkeypatch.setattr(oracle, "sweep", slow_sweep)
+        monkeypatch.setattr(oracle, "_sweeps", slow_sweeps)
         assert oracle.count_report(4, 5).elapsed_ms == 750.0
 
     def test_json_shape(self):
@@ -233,7 +235,7 @@ class TestSweepAgainstPurePython:
     @pytest.mark.parametrize("m", range(1, 9))
     def test_one_column_left_halves_never_call_the_sieve(self, m, monkeypatch):
         # the sieve's cell mask is empty for n <= 2, so the call is skipped
-        oracle._sweep.cache_clear()
+        oracle._sweep_cache.cache_clear()
         sieved = record_shapes(monkeypatch, "_isolated")
         assert len(oracle.sweep(m, 1).graham) == 2 * (m % 2 == 0)
         assert len(oracle.sweep(m, 2).graham) == 2 * m
@@ -243,7 +245,7 @@ class TestSweepAgainstPurePython:
     @pytest.mark.parametrize("m,n", [(4, 8), (5, 6), (6, 6), (6, 7), (8, 4)])
     def test_join_tiles_are_chunked(self, m, n, monkeypatch):
         expected = oracle.sweep(m, n)
-        oracle._sweep.cache_clear()
+        oracle._sweep_cache.cache_clear()
         monkeypatch.setattr(oracle, "_CHUNK", 64)
         scored = record_shapes(monkeypatch, "_edges_minus_squares")
         assert same_sweep(oracle.sweep(m, n), expected)
@@ -501,7 +503,7 @@ class TestEulerSieve:
             return real(bits, *args)
 
         monkeypatch.setattr(oracle, "_connected", counting)
-        oracle._sweep.cache_clear()
+        oracle._sweep_cache.cache_clear()
         oracle.sweep(4, 10)
         assert len(calls) == 1
 
@@ -587,7 +589,7 @@ class TestSweepResult:
             assert result.canonical == tuple(sorted(b for b in boards if is_canonical(Board(4, n, b))))
 
     def test_count_builds_no_tuples(self):
-        oracle._sweep.cache_clear()
+        oracle._sweep_cache.cache_clear()
         oracle.count_report(4, 8)
         # a count reads the representatives alone: no sorted tuple of boards
         built = {"graham", "canonical"} & vars(oracle.sweep(4, 8)).keys()
@@ -603,15 +605,104 @@ class TestSweepResult:
         # same_sweep is what test_join_tiles_are_chunked compares sweeps with
         result = oracle.sweep(4, 6)
         reps = result.representatives
-        same = oracle.SweepResult(4, 6, reps.copy(), result.orbits)
+        same = oracle.SweepResult(4, 6, reps.copy(), result.orbits, result.canonical_count)
         assert same_sweep(same, result)
-        assert not same_sweep(oracle.SweepResult(4, 6, reps[1:], result.orbits), result)
-        assert not same_sweep(oracle.SweepResult(4, 6, reps, result.orbits + 1), result)
+        assert not same_sweep(oracle.SweepResult(4, 6, reps[1:], result.orbits, result.canonical_count), result)
+        assert not same_sweep(oracle.SweepResult(4, 6, reps, result.orbits + 1, result.canonical_count), result)
         # the boards are the representatives and their complements, so a
         # representative swapped for its complement gives the same sweep
         other = reps.copy()
         other[0] ^= np.uint64((1 << 24) - 1)
-        assert same_sweep(oracle.SweepResult(4, 6, other, result.orbits), result)
+        assert same_sweep(oracle.SweepResult(4, 6, other, result.orbits, result.canonical_count), result)
+
+
+@st.composite
+def _height_and_widths(draw):
+    """A height 1..6 and a list of its widths, in any order and with repeats,
+    each within 2^20 candidates."""
+    m = draw(st.integers(1, 6))
+    widest = 2 * (20 // m)
+    return m, draw(st.lists(st.integers(0, widest), min_size=1, max_size=6))
+
+
+class TestQueryPass:
+    """One pass floods, checks and counts the survivors of every width of a query."""
+
+    @pytest.mark.parametrize("chunk", [oracle._CHUNK, 64])
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_height_and_widths())
+    def test_batch_equals_the_sweeps_of_each_width(self, monkeypatch, chunk, query):
+        # at _CHUNK = 64 the tiles split widths and hold parts of several
+        m, widths = query
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        oracle._sweep_cache.cache_clear()
+        reports = oracle.count_reports(m, widths)
+        batch = [oracle.sweep(m, n) for n in widths]
+        assert [r.n for r in reports] == [r.n for r in batch] == widths
+        for n, report, result in zip(widths, reports, batch):
+            oracle._sweep_cache.cache_clear()
+            alone = oracle.sweep(m, n)
+            assert same_sweep(result, alone)
+            assert result.canonical_count == alone.canonical_count == len(alone.canonical)
+            assert (report.canonical, report.cuts, report.orbits) == (
+                alone.canonical_count, alone.representatives.size, alone.orbits)
+
+    def test_each_shape_is_swept_once(self, monkeypatch):
+        enumerated = []
+        real = oracle._euler_blocks
+
+        def recording(m, n):
+            enumerated.append((m, n))
+            return real(m, n)
+
+        monkeypatch.setattr(oracle, "_euler_blocks", recording)
+        oracle._sweep_cache.cache_clear()
+        reports = oracle.count_reports(4, range(1, 13))
+        assert oracle._sweep_cache.cache_info() == (0, 12, 12)
+        result = oracle.sweep(4, 12)
+        assert oracle._sweep_cache.cache_info() == (1, 12, 12)
+        assert result.representatives.size == reports[-1].cuts
+        assert enumerated == [(4, n) for n in range(1, 13)]
+        # and the reverse order: the batch sweeps only the widths the cache lacks
+        enumerated.clear()
+        oracle._sweep_cache.cache_clear()
+        result = oracle.sweep(4, 12)
+        oracle.count_reports(4, range(1, 13))
+        assert oracle._sweep_cache.cache_info() == (1, 12, 12)
+        assert oracle.sweep(4, 12) is result
+        assert enumerated == [(4, 12)] + [(4, n) for n in range(1, 12)]
+        # a repeated width is swept once and answered once more from the cache
+        oracle._sweep_cache.cache_clear()
+        oracle.count_reports(3, [4, 2, 4])
+        assert oracle._sweep_cache.cache_info() == (1, 2, 2)
+
+    @pytest.mark.parametrize("widths", [[1, 2, 9], [9, 1, 2], [2, 40]])
+    def test_a_refused_width_stops_the_batch_before_any_sweep(self, widths):
+        oracle._sweep_cache.cache_clear()
+        with pytest.raises(BudgetError):
+            oracle.count_reports(4, widths, budget=1 << 10)
+        assert oracle._sweep_cache.cache_info() == (0, 0, 0)
+
+    def test_every_row_carries_the_call_time(self, monkeypatch):
+        oracle.count_reports(4, [5, 6])
+        ticks = itertools.count()
+        monkeypatch.setattr(oracle.time, "perf_counter", lambda: next(ticks) * 0.25)
+        # a batch answered from the cache reads the clock twice, for the whole call
+        assert [r.elapsed_ms for r in oracle.count_reports(4, [5, 6, 5])] == [250.0] * 3
+
+    def test_the_flood_runs_once_per_tile(self, monkeypatch):
+        calls = []
+        real = oracle._connected
+
+        def counting(bits, *args):
+            calls.append(bits.size)
+            return real(bits, *args)
+
+        monkeypatch.setattr(oracle, "_connected", counting)
+        oracle._sweep_cache.cache_clear()
+        oracle.count_reports(4, range(1, 13))
+        # 11974 survivors of 4 x 1..12 in two tiles, the first of _CHUNK boards
+        assert calls == [oracle._CHUNK, 11974 - oracle._CHUNK]
 
 
 class TestDelahaye:

@@ -297,8 +297,9 @@ class TestResolvent:
         size = T.order
         perm = [(2 * i + 5) % size for i in range(size)]  # a fixed shuffle
         assert sorted(perm) == list(range(size))
+        dense = T.entries  # a property that rebuilds the dense table on every read
         entries = tuple(
-            tuple(T.entries[perm[i]][perm[j]] for j in range(size)) for i in range(size)
+            tuple(dense[perm[i]][perm[j]] for j in range(size)) for i in range(size)
         )
         shuffled = from_entries(
             entries,
@@ -453,8 +454,9 @@ def _bordered_bareiss_gf(T):
     """Independent reference: with M = I - x^2 T,
     s M^(-1) a = -det([[M, a], [s, 0]]) / det(M), reduced by its gcd."""
     size = T.order
+    entries = T.entries  # a property that rebuilds the dense table on every read
     base = [
-        [Polynomial([int(i == j), 0, -T.entries[i][j]]) for j in range(size)]
+        [Polynomial([int(i == j), 0, -entries[i][j]]) for j in range(size)]
         for i in range(size)
     ]
 
@@ -472,13 +474,14 @@ def _bordered_bareiss_gf(T):
 def _direct_counts(T, count):
     """c_1..c_count by explicit row-vector times matrix products."""
     size = T.order
+    entries = T.entries  # a property that rebuilds the dense table on every read
     vec = list(T.start_vector)
     out = []
     for n in range(1, count + 1):
         accept = T.accept_odd_vector if n % 2 else T.accept_even_vector
         out.append(sum(vec[i] * accept[i] for i in range(size)))
         if n % 2 == 0:
-            vec = [sum(vec[i] * T.entries[i][j] for i in range(size)) for j in range(size)]
+            vec = [sum(vec[i] * entries[i][j] for i in range(size)) for j in range(size)]
     return out
 
 
