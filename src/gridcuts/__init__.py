@@ -28,7 +28,7 @@ from .oracle import (
     CountReport,
     count_report,
     count_reports,
-    delahaye_report,
+    delahaye_reports,
     enumerate_canonical,
     regenerate_figures,
 )
@@ -61,7 +61,7 @@ __all__ = [
     "component_counts",
     "count_report",
     "count_reports",
-    "delahaye_report",
+    "delahaye_reports",
     "dominant_form",
     "enumerate_canonical",
     "error_profile",

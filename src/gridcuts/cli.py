@@ -392,7 +392,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 
 def cmd_delahaye(args: argparse.Namespace) -> int:
-    reports = [oracle.delahaye_report(n) for n in args.n]
+    reports = oracle.delahaye_reports(args.n)
     if args.fmt == "json":
         _emit_json(args, reports[0] if len(reports) == 1 else reports)
     else:

@@ -54,24 +54,32 @@ The join makes 11840 queries where testing every completed board would take
 1694600, and it builds the 6279 boards with Euler number 1; the flood fill
 accepts 4314 of them.
 
+A query enumerates its widths together.  The widest width fixes the split,
+and every narrower width of its parity whose lo columns fit in the widest
+one's is framed in it, so they share one hi table, their lo tables share
+tiles of at most 2^13 entries, and one join serves each tile: a width's
+target differs from the frame's by a constant, which is added to its lo
+scores (see _euler_blocks).  At 4 x 1..12 that is two hi tables, one per
+parity, where the widths enumerated one by one build five.
+
 Connectivity of the survivors of a query is then checked once, per
 candidate, by a vectorized flood fill of the 1-region (the 0-region is its
-half-turn image, so it is connected exactly when the 1-region is).  A query
-sweeps each of its widths on its own, then floods the survivors of all of
-them in one pass, in tiles of at most 2^13 boards that may hold several
-widths: each board reads its own width's border, Euler number and masks,
-and the widest width's row masks serve every board, as the bits past a
-board's m*n are 0.  A survivor has Euler number 1, so its 1-cells have one
-4-component more than they have holes, and the half-turn maps each hole
-(an 8-component of 0-cells off the border) onto an 8-component of 1-cells
-off the border (Rosenfeld's 4/8 duality, Amer. Math. Monthly 86, 1979).
-So the 1-cells are 4-connected exactly when an 8-connected flood seeded at
-their border cells covers them.  The flood grows every candidate, with no
-compaction of the working set, until none grows any more, which each step
-tests with one comparison and one reduction, (grown != cur).any().  That
-takes as many steps as the farthest 1-cell lies from the border, and one
-more to see that nothing grew: 11 at 4 x 12, where a 4-connected flood from
-one cell needed 23.  The flood fill is the only test that accepts a board.  This stays a
+half-turn image, so it is connected exactly when the 1-region is).  The
+survivors of all widths of a query are flooded in one pass, in tiles of at
+most 2^13 boards that may hold several widths: each board reads its own
+width's border, Euler number and masks, and the widest width's row masks
+serve every board, as the bits past a board's m*n are 0.  A survivor has
+Euler number 1, so its 1-cells have one 4-component more than they have
+holes, and the half-turn maps each hole (an 8-component of 0-cells off the
+border) onto an 8-component of 1-cells off the border (Rosenfeld's 4/8
+duality, Amer. Math. Monthly 86, 1979).  So the 1-cells are 4-connected
+exactly when an 8-connected flood seeded at their border cells covers them.
+The flood grows every candidate, with no compaction of the working set,
+until none grows any more, which each step tests with one comparison and
+one reduction, (grown != cur).any().  That takes as many steps as the
+farthest 1-cell lies from the border, and one more to see that nothing
+grew: 11 at 4 x 12, where a 4-connected flood from one cell needed 23.  The
+flood fill is the only test that accepts a board.  This stays a
 per-candidate brute-force check; nothing here shares logic with the column
 automaton it is used to validate.
 
@@ -95,6 +103,7 @@ Each shape is swept at most once per process, alone or with other widths.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -117,7 +126,7 @@ __all__ = [
     "count_report",
     "count_reports",
     "delahaye_formula",
-    "delahaye_report",
+    "delahaye_reports",
     "enumerate_canonical",
     "regenerate_figures",
     "sweep",
@@ -125,7 +134,7 @@ __all__ = [
 
 DEFAULT_BUDGET = 1 << 28
 
-# lo entries per first-column slice, and queries per join tile.  Their uint64
+# lo entries per tile, and queries per join tile.  Their uint64
 # arrays are 64 KB, under glibc's 128 KB mmap threshold, so the temporaries
 # reuse heap pages; at 2^14 each one was a fresh mmap, and the benchmark's
 # oracle workload peaked about 0.4 MB higher
@@ -351,7 +360,8 @@ class _Half(NamedTuple):
     group the index of its boundary column among the distinct ones, and
     head the first entry of each group.  The join reads a group's edge from
     its head, so the mirror must be fixed by the boundary column, as the
-    complement rule fixes it.
+    complement rule fixes it.  width is each entry's index in the query's
+    widths for a lo table, and None for a hi table, which serves them all.
     """
 
     boards: np.ndarray
@@ -359,37 +369,43 @@ class _Half(NamedTuple):
     edge: np.ndarray
     group: np.ndarray
     head: np.ndarray
+    width: np.ndarray | None
 
 
-def _half(boards: np.ndarray, m: int, col: int, mirror: int, target: int, not_bottom: int) -> _Half:
-    """The boards with E - F <= target, keyed for the join on column col.
+def _half(boards: np.ndarray, score: np.ndarray, m: int, col: int, mirror: int, target: int,
+          width: np.ndarray | None = None) -> _Half:
+    """The boards whose score is at most target, keyed for the join on column col.
 
-    E - F is never negative, of a half or of the straddling terms: each
-    2x2 block holds two of the pairs counted with it, and each pair lies in
-    at most two blocks.  So E - F of a completed board is at least that of
-    either half, a half above target never completes to a cut, and dropping
-    it keeps every score inside the join's cells.
+    score is each board's E - F, raised for a lo entry by its width's
+    offset (see _euler_blocks).  E - F is never negative, of a half or of
+    the straddling terms: each 2x2 block holds two of the pairs counted
+    with it, and each pair lies in at most two blocks.  So E - F of a
+    completed board is at least that of either half, a half above target
+    never completes to a cut, and dropping it keeps every score inside the
+    join's cells.
     """
-    score = _edges_minus_squares(boards, m, not_bottom)
     keep = score <= target
     boards = boards[keep]
-    # one sort of (boundary column, E - F, index): a join has two column groups,
+    # one sort of (boundary column, score, index): a join has two column groups,
     # so n >= 3, m <= 21, and the key takes 21 + 8 + 32 bits
     column = (boards >> (col * m)) & ((1 << m) - 1)
     key = (column << 40) | (score[keep].astype(np.uint64) << 32) | np.arange(boards.size, dtype=np.uint64)
     key.sort()
-    boards, column = boards[(key & 0xFFFFFFFF).astype(np.int64)], key >> 40
+    order = (key & 0xFFFFFFFF).astype(np.int64)
+    boards, column = boards[order], key >> 40
+    if width is not None:
+        width = width[keep][order]
     # the entries whose column differs from the one before (the first always does)
     new = np.ones(column.size, dtype=bool)
     new[1:] = column[1:] != column[:-1]
     group, head = new.cumsum() - 1, new.nonzero()[0]
     edge = boards & _columns_mask(m, (col, mirror))
-    score = ((key >> 32) & 0xFF).astype(np.int64)
-    return _Half(boards, score, edge, group, head)
+    score = ((key >> 32) & 0xFF).astype(np.int16)
+    return _Half(boards, score, edge, group, head, width)
 
 
 def _join(q: _Half, t: _Half, m: int, target: int, not_bottom: int):
-    """Every q | t board whose E - F is target, in blocks.
+    """The (q index, t index) pairs whose boards OR to E - F target, in blocks.
 
     E - F(q | t) = E - F(q) + E - F(t) + cross, where cross counts the pairs
     and 2x2 blocks that straddle the groups, so it depends on the two
@@ -397,20 +413,22 @@ def _join(q: _Half, t: _Half, m: int, target: int, not_bottom: int):
     column of t, in tiles of at most _CHUNK such queries.  cross comes from
     the same _edges_minus_squares, on boards that hold only the boundary
     columns, and the t entries that match are those of that group whose
-    E - F completes q to target.
+    score completes q's to target.  A lo entry's score carries its width's
+    offset, so the pairs of every width of a tile meet target together.
     """
-    # t's entries of group g with E - F = s make up cell g * width + 1 + s.  A
-    # wanted E - F is at most target, and one below 0 is clipped to -1, whose
+    # t's entries of group g with score s make up cell g * width + 1 + s.  A
+    # wanted score is at most target, and one below 0 is clipped to -1, whose
     # cell g * width is always empty
     width = target + 2
     rep = t.edge[t.head]
     count = np.bincount(t.group * width + 1 + t.score, minlength=rep.size * width)
     run = count.cumsum() - count
     occupied = count.astype(bool)
-    # the wanted E - F is target - E-F(q) - cross, and
-    # cross = E-F(q.edge | rep) - E-F(q.edge) - E-F(rep)
+    # the wanted score is target - score(q) - cross, and
+    # cross = E-F(q.edge | rep) - E-F(q.edge) - E-F(rep).  Scores and E - F lie
+    # in 0..255, so int16 holds every term: a tile's need is 16 KB, not 64 KB
     q_part = _edges_minus_squares(q.edge, m, not_bottom) - q.score
-    t_part = _edges_minus_squares(rep, m, not_bottom).astype(np.int64) + target
+    t_part = _edges_minus_squares(rep, m, not_bottom).astype(np.int16) + target
     base = np.arange(rep.size) * width + 1
     cols = max(1, min(rep.size, _CHUNK))
     rows = _CHUNK // cols
@@ -424,58 +442,110 @@ def _join(q: _Half, t: _Half, m: int, target: int, not_bottom: int):
             first, hits = run[cell], count[cell]
             # the hits[i] entries of t from first[i] on, for every query i
             pos = (first - hits.cumsum() + hits).repeat(hits) + np.arange(hits.sum())
-            yield q.boards[r + (found // edges.shape[1]).repeat(hits)] | t.boards[pos]
+            yield r + (found // edges.shape[1]).repeat(hits), pos
 
 
-def _euler_blocks(m: int, n: int):
-    """Completed boards with cell (0, 0) = 0 and Euler number 1, in blocks.
+def _lo_tiles(m: int, n: int, split: int, rest: list[np.ndarray], members: list[tuple[int, int]]):
+    """The lo tables of a group's widths, framed at width n, in tiles of at most _CHUNK.
 
-    The column groups of the left-half columns are disjoint, so a completed
-    board is an OR of one partial board per left-half column.  The first
-    column is taken in slices of at most _CHUNK even values, each ORed onto
-    a table lo_rest of the next split columns, to give at most _CHUNK lo
-    entries; a table hi of the remaining columns is built once.  The Euler
-    test splits as E - F(lo) + E - F(hi) + cross (see _join), so each slice
-    is joined to hi on that sum and only the boards it passes are built.
-    When lo takes every column there is no hi, and each slice is tested
-    board by board.
+    members holds (index in the query's widths, frame column d) pairs.  A
+    width's lo is its first column, at frame column d and even (cell (0, 0)
+    is its bit 0, its top half's when the width is 1), ORed onto every
+    board of its other lo columns, rest[d:split].  The first column is
+    taken in slices of at most _CHUNK values; the group's split keeps each
+    slice's table within _CHUNK entries, and the tables of several widths
+    share a tile while they fit.  Yields each tile as its slices' (index,
+    d, boards).
     """
-    k = (n + 1) // 2
-    if k == 0:
-        return
-    rest = [_partial_boards(m, n, j) for j in range(1, k)]
-    split, size = 0, min(_CHUNK, 1 << (m - 1))  # size: of one first-column slice
-    while split < len(rest) and size * rest[split].size <= _CHUNK:
-        size *= rest[split].size
-        split += 1
-    lo_rest = _outer_or(rest[:split])
-    # sieve each table on the cells whose four neighbours lie in its own column
-    # groups: columns 0..split-1 for a slice's lo, split+2..k-1 for hi, and mirrors
-    not_top, not_bottom = _row_masks(m, n)
-    lo_cells = _columns_mask(m, [c for j in range(split) for c in (j, n - 1 - j)])
-    hi_cells = _columns_mask(m, [c for j in range(split + 2, k) for c in (j, n - 1 - j)])
-    # every candidate has V = m*n/2 one-cells, and a cut has Euler number 1
-    target = m * n // 2 - 1
-    hi = None
-    if split < len(rest):
-        hi = _outer_or(rest[split:])
-        hi = _half(hi[~_isolated(hi, hi_cells, m, not_top, not_bottom)] if hi_cells else hi,
-                   m, split + 1, n - 2 - split, target, not_bottom)
-    # cell (0, 0) is bit 0 of the first column's free value, its top half when n = 1
-    end = 1 << (m // 2 if n == 1 else m)
-    for start in range(0, end, 2 * _CHUNK):
-        first = _partial_boards(m, n, 0, np.arange(start, min(start + 2 * _CHUNK, end), 2, dtype=np.uint64))
-        lo = (first[:, None] | lo_rest[None, :]).ravel()
-        lo = lo[~_isolated(lo, lo_cells, m, not_top, not_bottom)] if lo_cells else lo
-        if hi is None:
-            yield lo[_edges_minus_squares(lo, m, not_bottom) == target]
+    tiles, size = [], 0
+    for i, d in members:
+        rows = math.prod(part.size for part in rest[d:split])  # of the table a slice is ORed onto
+        end = 1 << (m // 2 if 2 * d + 1 == n else m)
+        for start in range(0, end, 2 * _CHUNK):
+            values = range(start, min(start + 2 * _CHUNK, end), 2)
+            if not tiles or size + len(values) * rows > _CHUNK:
+                tiles.append([])
+                size = 0
+            tiles[-1].append((i, d, values))
+            size += len(values) * rows
+    # each tile's slices are built as it is yielded, so none outlives its tile
+    for tile in tiles:
+        yield [(i, d, (_partial_boards(m, n, d, np.arange(v.start, v.stop, 2, dtype=np.uint64))[:, None]
+                       | _outer_or(rest[d:split])).ravel()) for i, d, v in tile]
+
+
+def _euler_blocks(m: int, widths: list[int]):
+    """Completed boards with cell (0, 0) = 0 and Euler number 1 of distinct
+    widths of height m, as blocks of (boards, each board's index in widths).
+
+    A completed board is an OR of one partial board per left-half column.
+    The widest width n left fixes the split it would fix alone: lo is its
+    first split + 1 columns, hi the rest, an inner block of width
+    w = n - 2*(split + 1), built once.  Each width n - 2d of its parity with
+    d <= split is framed in width n at column d, so its boundary column and
+    inner block are lo's and hi's, and its lo is its first column and
+    columns d+1..split of the frame.  Framing keeps E - F, and the frame's
+    target exceeds the width's by m*d, the bits of the shift, so each lo
+    entry's score carries that offset, one join serves every width of a
+    tile (see _join), and the boards it passes are shifted back.  Narrower
+    widths of that parity form a later group.  When lo takes every column
+    there is no hi: the group is every width of that parity left, and each
+    slice is tested board by board.
+    """
+    todo = sorted(range(len(widths)), key=widths.__getitem__, reverse=True)
+    while todo:
+        n = widths[todo[0]]
+        k = (n + 1) // 2
+        rest = [_partial_boards(m, n, j) for j in range(1, k)]
+        split, size = 0, min(_CHUNK, 1 << (m - 1))  # size: of one first-column slice
+        while split < len(rest) and size * rest[split].size <= _CHUNK:
+            size *= rest[split].size
+            split += 1
+        members = [(i, (n - widths[i]) // 2) for i in todo if n - widths[i] in range(0, 2 * split + 1, 2)]
+        grouped = {i for i, _ in members}
+        todo = [i for i in todo if i not in grouped]
+        if k == 0:
             continue
-        lo = _half(lo, m, split, n - 1 - split, target, not_bottom)
-        # query from the side that meets fewer boundary columns in total
-        if lo.boards.size * hi.head.size <= hi.boards.size * lo.head.size:
-            yield from _join(lo, hi, m, target, not_bottom)
-        else:
-            yield from _join(hi, lo, m, target, not_bottom)
+        # sieve each table on the cells whose four neighbours lie in its own column
+        # groups: columns 0..split-1 for lo, split+2..k-1 for hi, and mirrors.  The
+        # cells of a framed width outside it are 0, so they never fail the sieve
+        not_top, not_bottom = _row_masks(m, n)
+        lo_cells = _columns_mask(m, [c for j in range(split) for c in (j, n - 1 - j)])
+        hi_cells = _columns_mask(m, [c for j in range(split + 2, k) for c in (j, n - 1 - j)])
+        # every candidate has V = m*n/2 one-cells, and a cut has Euler number 1
+        target = m * n // 2 - 1
+        hi = None
+        if split < len(rest):
+            hi = _outer_or(rest[split:])
+            hi = hi[~_isolated(hi, hi_cells, m, not_top, not_bottom)] if hi_cells else hi
+            hi = _half(hi, _edges_minus_squares(hi, m, not_bottom), m, split + 1, n - 2 - split, target)
+        # each member's shift in the frame, m*d, is also its score offset
+        offset = np.zeros(len(widths), dtype=np.uint8)
+        for i, d in members:
+            offset[i] = m * d
+        for tile in _lo_tiles(m, n, split, rest, members):
+            parts = []
+            for i, d, lo in tile:
+                lo = lo[~_isolated(lo, lo_cells, m, not_top, not_bottom)] if lo_cells else lo
+                score = _edges_minus_squares(lo, m, not_bottom) + m * d
+                if hi is None:
+                    lo = lo[score == target] >> m * d
+                    yield lo, np.full(lo.size, i, dtype=np.uint8)
+                else:
+                    parts.append((lo, score, np.full(lo.size, i, dtype=np.uint8)))
+            if hi is None:
+                continue
+            boards, score, width = (np.concatenate(column) for column in zip(*parts))
+            lo = _half(boards, score, m, split, n - 1 - split, target, width)
+            del tile, parts, boards, score, width  # sorted into lo: not kept through the join
+            # query from the side that meets fewer boundary columns in total
+            if lo.boards.size * hi.head.size <= hi.boards.size * lo.head.size:
+                pairs = _join(lo, hi, m, target, not_bottom)
+            else:
+                pairs = ((a, b) for b, a in _join(hi, lo, m, target, not_bottom))
+            for a, b in pairs:
+                width = lo.width[a]
+                yield (lo.boards[a] | hi.boards[b]) >> offset[width], width
 
 
 def _edges_minus_squares(bits: np.ndarray, m: int, not_bottom: int) -> np.ndarray:
@@ -581,22 +651,20 @@ _sweep_cache = _SweepCache()
 def _sweep_widths(m: int, widths: list[int]) -> list[SweepResult]:
     """The SweepResults of distinct widths of height m, in order, from one pass.
 
-    Each width is enumerated on its own, and the survivors of all of them
-    form one array.  The flood with its Euler assertion, the Burnside count
-    and the canonical count then run once over that array, in tiles of at
-    most _CHUNK boards that may hold parts of several widths.  Each board
-    reads its own width's border, E - F target, full mask and bottom-left
-    mask by its width's index, and the widest width's row masks serve every
-    board (see _connected).  The counts of each width are read back with
-    bincount.
+    The widths are enumerated together (see _euler_blocks), and each
+    survivor comes with its index in widths.  The flood with its Euler
+    assertion, the Burnside count and the canonical count then run once
+    over all survivors, in tiles of at most _CHUNK boards that may hold
+    several widths.  Each board reads its own width's border, E - F target,
+    full mask and bottom-left mask by that index, and the widest width's
+    row masks serve every board (see _connected).  The counts of each width
+    are read back with bincount, and a stable sort on the index gathers
+    each width's representatives in the flood's order.
     """
-    blocks, bounds = [], [0]
-    for n in widths:
-        found = list(_euler_blocks(m, n))
-        blocks += found
-        bounds.append(bounds[-1] + sum(block.size for block in found))
-    survivors = np.concatenate([np.zeros(0, dtype=np.uint64), *blocks])
-    del blocks, found
+    found = list(_euler_blocks(m, widths))
+    survivors = np.concatenate([np.zeros(0, dtype=np.uint64), *(boards for boards, _ in found)])
+    index = np.concatenate([np.zeros(0, dtype=np.uint8), *(width for _, width in found)])
+    del found
 
     widest, k = max(widths), len(widths)
     border = np.array([_border(m, n) for n in widths], dtype=np.uint64)
@@ -604,14 +672,12 @@ def _sweep_widths(m: int, widths: list[int]) -> list[SweepResult]:
     full = np.array([(1 << (m * n)) - 1 for n in widths], dtype=np.uint64)
     bottom_left = np.array([_bottom_left(m, n) for n in widths], dtype=np.uint64)
     top_row = sum(1 << (j * m) for j in range(widest))
-    parts = []
+    parts, part_widths = [], []
     cuts, fixed, canonical = (np.zeros(k, dtype=np.int64) for _ in range(3))
     for lo in range(0, survivors.size, _CHUNK):
-        hi = lo + _CHUNK
-        # each board's index in widths: the tile's part of each width, in order
-        share = [max(0, min(hi, end) - max(lo, start)) for start, end in zip(bounds, bounds[1:])]
-        width = np.arange(k).repeat(share)
-        bits = survivors[lo:hi]
+        bits, tile_index = survivors[lo:lo + _CHUNK], index[lo:lo + _CHUNK]
+        # intp once here, so no gather or bincount below casts the index
+        width = tile_index.astype(np.intp)
         # the 0-region is the half-turn image of the 1-region, so it is connected
         # exactly when the 1-region is; and every survivor has Euler number 1, so
         # the 1s are connected exactly when a flood from their border cells
@@ -619,6 +685,7 @@ def _sweep_widths(m: int, widths: list[int]) -> list[SweepResult]:
         connected = _connected(bits, m, widest, border[width], target[width])
         reps, width = bits[connected], width[connected]
         parts.append(reps)
+        part_widths.append(tile_index[connected])  # uint8: a stable argsort of it is a radix sort
         cuts += np.bincount(width, minlength=k)
 
         # Burnside: the orbits of the cuts under horizontal reflection number
@@ -637,7 +704,10 @@ def _sweep_widths(m: int, widths: list[int]) -> list[SweepResult]:
         canonical += np.bincount(width[_canonical_mask(reps, m, corner)], minlength=k)
         canonical += np.bincount(width[_canonical_mask(complement, m, corner)], minlength=k)
 
+    del survivors, index
     reps = np.concatenate([np.zeros(0, dtype=np.uint64), *parts])
+    if k > 1:
+        reps = reps[np.concatenate([np.zeros(0, dtype=np.uint8), *part_widths]).argsort(kind="stable")]
     # the cache hands these boards to every caller
     reps.flags.writeable = False
     results, end = [], 0
@@ -733,33 +803,39 @@ def delahaye_formula(n: int) -> int:
 
 
 def check_half_width(n: int) -> None:
-    """Raise ValueError unless delahaye_report accepts half-width n."""
+    """Raise ValueError unless delahaye_reports accepts half-width n."""
     if n < 1 or n > 6:
         raise ValueError("half-width n must be in 1..6")
 
 
-def delahaye_report(n: int) -> dict:
-    """Put the 3 x 2n closed form next to the oracle's own counts.
+def delahaye_reports(half_widths: Iterable[int]) -> list[dict]:
+    """Put the 3 x 2n closed form next to the oracle's own counts, for each
+    half-width n in order.
 
-    No equality is asserted; the report records which conventions the
+    No equality is asserted; each report records which conventions the
     closed form happens to match.  Empirically (n <= 6) it matches the
     reflection-orbit and stipulation counts, not the raw cut count: at
     n = 3 the formula gives 12 while the sweep finds 23 cuts in 12 orbits.
-    Half-widths 1..6 sweep at most 2^18 candidates, so the default budget
-    always admits them.
+    Every half-width is checked before any is swept, and the widths 2n are
+    counted in one count_reports call.  Half-widths 1..6 sweep at most
+    2^18 candidates, so the default budget always admits them.
     """
-    check_half_width(n)
-    report = count_report(3, 2 * n)
-    formula = delahaye_formula(n)
-    return {
-        "n": n,
-        "formula": formula,
-        "cuts": report.cuts,
-        "orbits": report.orbits,
-        "canonical": report.canonical,
-        "formula_matches_cuts": formula == report.cuts,
-        "formula_matches_orbits": formula == report.orbits,
-    }
+    half_widths = tuple(half_widths)
+    for n in half_widths:
+        check_half_width(n)
+    reports = []
+    for n, report in zip(half_widths, count_reports(3, [2 * n for n in half_widths])):
+        formula = delahaye_formula(n)
+        reports.append({
+            "n": n,
+            "formula": formula,
+            "cuts": report.cuts,
+            "orbits": report.orbits,
+            "canonical": report.canonical,
+            "formula_matches_cuts": formula == report.cuts,
+            "formula_matches_orbits": formula == report.orbits,
+        })
+    return reports
 
 
 def regenerate_figures() -> dict[str, list[Board]]:

@@ -227,7 +227,7 @@ class TestSweepAgainstPurePython:
         # sieve and reach the Euler test in slices
         sieved = record_shapes(monkeypatch, "_isolated")
         scored = record_shapes(monkeypatch, "_edges_minus_squares")
-        list(oracle._euler_blocks(m, 2))
+        list(oracle._euler_blocks(m, [2]))
         assert sieved == []
         assert max(size for (size,) in scored) <= oracle._CHUNK
         assert sum(size for (size,) in scored) == 1 << (m - 1)
@@ -241,14 +241,21 @@ class TestSweepAgainstPurePython:
         assert len(oracle.sweep(m, 2).graham) == 2 * m
         assert sieved == []
 
-    # (8, 4) has 256 boundary columns in its second column, so tiles split them
-    @pytest.mark.parametrize("m,n", [(4, 8), (5, 6), (6, 6), (6, 7), (8, 4)])
+    # (8, 4) has 256 boundary columns in its second column, so tiles split them;
+    # at 3 x 1..10 widths 10 and 8, and 9 and 7, share a hi table and lo tiles
+    @pytest.mark.parametrize("m,n", [(4, 8), (5, 6), (6, 6), (6, 7), (8, 4),
+                                     pytest.param(3, tuple(range(1, 11)), id="3-1..10")])
     def test_join_tiles_are_chunked(self, m, n, monkeypatch):
-        expected = oracle.sweep(m, n)
+        widths = n if isinstance(n, tuple) else (n,)
+        expected = []
+        for width in widths:
+            oracle._sweep_cache.cache_clear()
+            expected.append(oracle.sweep(m, width))
         oracle._sweep_cache.cache_clear()
         monkeypatch.setattr(oracle, "_CHUNK", 64)
         scored = record_shapes(monkeypatch, "_edges_minus_squares")
-        assert same_sweep(oracle.sweep(m, n), expected)
+        oracle.count_reports(m, widths)
+        assert all(same_sweep(oracle.sweep(m, width), alone) for width, alone in zip(widths, expected))
         # the join scores its (entry, boundary column) queries as 2-D tiles
         tiles = [shape[0] * shape[1] for shape in scored if len(shape) == 2]
         assert tiles and max(tiles) <= 64
@@ -397,6 +404,12 @@ def count_holes(bits, m, n):
     return count_components(zeros, m + 2, n + 2, eight=True) - 1
 
 
+def joined(q, t, m, target, not_bottom):
+    """Every board the join builds from q and t, as one array."""
+    pairs = oracle._join(q, t, m, target, not_bottom)
+    return np.concatenate([np.zeros(0, dtype=np.uint64), *(q.boards[a] | t.boards[b] for a, b in pairs)])
+
+
 def columns_or(m, n, columns):
     """Every OR of one partial board (a left-half column and its mirror) per column."""
     free = [m // 2 if 2 * j + 1 == n else m for j in columns]
@@ -446,20 +459,22 @@ class TestEulerSieve:
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_join_keeps_what_the_per_board_test_keeps(self, m):
-        u = np.uint64
         for n in range(3, 12 // m * 2 + 1):
             k = (n + 1) // 2
             not_bottom = oracle._row_masks(m, n)[1]
             target = m * n // 2 - 1
+
+            def score(bits):
+                return oracle._edges_minus_squares(bits, m, not_bottom)
+
             for split in range(k - 1):
                 lo, hi = columns_or(m, n, range(split + 1)), columns_or(m, n, range(split + 1, k))
                 boards = (lo[:, None] | hi[None, :]).ravel()
-                expected = np.sort(boards[oracle._edges_minus_squares(boards, m, not_bottom) == target])
-                lo = oracle._half(lo, m, split, n - 1 - split, target, not_bottom)
-                hi = oracle._half(hi, m, split + 1, n - 2 - split, target, not_bottom)
+                expected = np.sort(boards[score(boards) == target])
+                lo = oracle._half(lo, score(lo), m, split, n - 1 - split, target)
+                hi = oracle._half(hi, score(hi), m, split + 1, n - 2 - split, target)
                 for q, t in ((lo, hi), (hi, lo)):
-                    joined = np.concatenate([np.zeros(0, dtype=u), *oracle._join(q, t, m, target, not_bottom)])
-                    assert np.array_equal(np.sort(joined), expected), (n, split)
+                    assert np.array_equal(np.sort(joined(q, t, m, target, not_bottom)), expected), (n, split)
 
     @pytest.mark.parametrize("m,n,split", [(8, 4, 0), (4, 8, 0), (4, 8, 1), (4, 7, 1), (3, 10, 0), (3, 10, 2)])
     def test_join_on_dense_halves(self, m, n, split):
@@ -489,10 +504,10 @@ class TestEulerSieve:
         lo, hi = half(range(split + 1), False), half(range(split + 1, k), True)
         boards = (lo[:, None] | hi[None, :]).ravel()
         expected = np.sort(boards[oracle._edges_minus_squares(boards, m, not_bottom) == target])
-        lo = oracle._half(lo, m, split, n - 1 - split, target, not_bottom)
-        hi = oracle._half(hi, m, split + 1, n - 2 - split, target, not_bottom)
-        joined = np.concatenate([np.zeros(0, dtype=u), *oracle._join(lo, hi, m, target, not_bottom)])
-        assert expected.size and np.array_equal(np.sort(joined), expected)
+        score = oracle._edges_minus_squares
+        lo = oracle._half(lo, score(lo, m, not_bottom), m, split, n - 1 - split, target)
+        hi = oracle._half(hi, score(hi, m, not_bottom), m, split + 1, n - 2 - split, target)
+        assert expected.size and np.array_equal(np.sort(joined(lo, hi, m, target, not_bottom)), expected)
 
     def test_sweep_flood_fills_once_per_range(self, monkeypatch):
         calls = []
@@ -509,7 +524,7 @@ class TestEulerSieve:
 
 
 def euler_survivors(m, n):
-    return np.concatenate([np.zeros(0, dtype=np.uint64), *oracle._euler_blocks(m, n)])
+    return np.concatenate([np.zeros(0, dtype=np.uint64), *(boards for boards, _ in oracle._euler_blocks(m, [n]))])
 
 
 class TestConnected:
@@ -648,12 +663,13 @@ class TestQueryPass:
                 alone.canonical_count, alone.representatives.size, alone.orbits)
 
     def test_each_shape_is_swept_once(self, monkeypatch):
+        # the widths each enumeration pass receives
         enumerated = []
         real = oracle._euler_blocks
 
-        def recording(m, n):
-            enumerated.append((m, n))
-            return real(m, n)
+        def recording(m, widths):
+            enumerated.append((m, list(widths)))
+            return real(m, widths)
 
         monkeypatch.setattr(oracle, "_euler_blocks", recording)
         oracle._sweep_cache.cache_clear()
@@ -662,7 +678,7 @@ class TestQueryPass:
         result = oracle.sweep(4, 12)
         assert oracle._sweep_cache.cache_info() == (1, 12, 12)
         assert result.representatives.size == reports[-1].cuts
-        assert enumerated == [(4, n) for n in range(1, 13)]
+        assert enumerated == [(4, list(range(1, 13)))]
         # and the reverse order: the batch sweeps only the widths the cache lacks
         enumerated.clear()
         oracle._sweep_cache.cache_clear()
@@ -670,7 +686,7 @@ class TestQueryPass:
         oracle.count_reports(4, range(1, 13))
         assert oracle._sweep_cache.cache_info() == (1, 12, 12)
         assert oracle.sweep(4, 12) is result
-        assert enumerated == [(4, 12)] + [(4, n) for n in range(1, 12)]
+        assert enumerated == [(4, [12]), (4, list(range(1, 12)))]
         # a repeated width is swept once and answered once more from the cache
         oracle._sweep_cache.cache_clear()
         oracle.count_reports(3, [4, 2, 4])
@@ -701,8 +717,33 @@ class TestQueryPass:
         monkeypatch.setattr(oracle, "_connected", counting)
         oracle._sweep_cache.cache_clear()
         oracle.count_reports(4, range(1, 13))
-        # 11974 survivors of 4 x 1..12 in two tiles, the first of _CHUNK boards
-        assert calls == [oracle._CHUNK, 11974 - oracle._CHUNK]
+        # 12234 survivors of 4 x 1..12 in two tiles, the first of _CHUNK boards.
+        # Enumerating each width on its own left 11974: a shared hi table sieves
+        # other cells of the narrower widths, and the sieve only rejects
+        assert calls == [oracle._CHUNK, 12234 - oracle._CHUNK]
+
+    def test_the_widths_of_a_parity_share_a_hi_table(self, monkeypatch):
+        # a hi table is the one _half call with no widths; at 4 x 1..12 the even
+        # widths 8, 10 and 12 share one and the odd widths 7, 9 and 11 another,
+        # where each width of 8..12 builds its own when enumerated alone
+        built = []
+        real = oracle._half
+
+        def recording(boards, score, m, col, mirror, target, width=None):
+            built.append(width is None)
+            return real(boards, score, m, col, mirror, target, width)
+
+        monkeypatch.setattr(oracle, "_half", recording)
+        oracle._sweep_cache.cache_clear()
+        batch = oracle.count_reports(4, range(1, 13))
+        assert sum(built) == 2
+        built.clear()
+        alone = []
+        for n in range(1, 13):
+            oracle._sweep_cache.cache_clear()
+            alone += oracle.count_reports(4, [n])
+        assert sum(built) == 5
+        assert [(r.canonical, r.cuts, r.orbits) for r in batch] == [(r.canonical, r.cuts, r.orbits) for r in alone]
 
 
 class TestDelahaye:
@@ -710,7 +751,7 @@ class TestDelahaye:
         assert [oracle.delahaye_formula(n) for n in range(1, 7)] == [2, 5, 12, 27, 58, 121]
 
     def test_report_records_all_conventions(self):
-        report = oracle.delahaye_report(3)
+        (report,) = oracle.delahaye_reports([3])
         assert report["formula"] == 12
         assert report["cuts"] == 23
         assert report["orbits"] == 12
@@ -719,13 +760,30 @@ class TestDelahaye:
         assert report["formula_matches_orbits"]
 
     def test_formula_matches_orbits_for_all_small_widths(self):
-        for n in range(1, 7):
-            report = oracle.delahaye_report(n)
+        reports = oracle.delahaye_reports(range(1, 7))
+        assert [report["n"] for report in reports] == list(range(1, 7))
+        for report in reports:
             assert report["formula_matches_orbits"], report
 
+    def test_half_widths_are_swept_in_one_pass(self, monkeypatch):
+        passes = []
+        real = oracle._sweep_widths
+
+        def recording(m, widths):
+            passes.append((m, list(widths)))
+            return real(m, widths)
+
+        monkeypatch.setattr(oracle, "_sweep_widths", recording)
+        oracle._sweep_cache.cache_clear()
+        oracle.delahaye_reports(range(1, 7))
+        assert passes == [(3, [2, 4, 6, 8, 10, 12])]
+
     def test_out_of_range(self):
+        oracle._sweep_cache.cache_clear()
         with pytest.raises(ValueError):
-            oracle.delahaye_report(7)
+            oracle.delahaye_reports([1, 7])
+        # refused before the sweep of any half-width
+        assert oracle._sweep_cache.cache_info() == (0, 0, 0)
 
 
 class TestFigures:
